@@ -69,12 +69,18 @@ class PersistentStoreLike(Protocol):
 #: ``unit_store.hits`` counts whole finished *work units* the sweep
 #: service answered from the persistent store without dispatching any
 #: analysis (see :func:`repro.experiments.units.served_unit`).
+#: ``milp_target_stops`` counts the integer solves (already counted in
+#: ``milp_solves``) whose result lies beyond a verdict's objective
+#: target — nearly always because HiGHS stopped early at it. An exact
+#: optimum beyond the target counts too, so the counter does not
+#: depend on which solver attempt answered.
 COUNTER_NAMES = (
     "hits",
     "misses",
     "persistent.hits",
     "persistent.corrupt",
     "milp_solves",
+    "milp_target_stops",
     "lp_solves",
     "milp_warm_starts",
     "closed_form_screens",
@@ -104,16 +110,35 @@ def bound_producer(fn: _F) -> _F:
 
 
 def _entry_rank(value: object) -> int:
-    """Soundness rank of a cache entry: screens below exact verdicts.
+    """Soundness rank of a cache entry: bounds below exact verdicts.
 
     Mirrors :func:`repro.analysis.store.entry_rank` for the memory
     tier without importing the sqlite layer: ``("lp", bound)`` screen
-    entries rank below everything else (``("milp", ...)`` tuples and
-    bare solved objectives are exact).
+    entries rank lowest, ``("lb", bound)`` target-stop lower bounds
+    next, and ``("milp", ...)`` tuples and bare solved objectives
+    (exact) highest.
     """
-    if isinstance(value, tuple) and value and value[0] == "lp":
-        return 1
-    return 2
+    if isinstance(value, tuple) and value:
+        if value[0] == "lp":
+            return 1
+        if value[0] == "lb":
+            return 2
+    return 3
+
+
+def _supersedes(value: object, existing: object) -> bool:
+    """Whether ``put(value)`` may replace ``existing`` in the memory tier.
+
+    A lower rank never replaces a higher one. Of two lower bounds for
+    one digest the larger is kept, so the surviving entry does not
+    depend on write order — the memory-tier twin of the store's
+    rank-ordered upsert.
+    """
+    rank, old_rank = _entry_rank(value), _entry_rank(existing)
+    if rank == old_rank == 2:
+        assert isinstance(value, tuple) and isinstance(existing, tuple)
+        return float(value[1]) > float(existing[1])
+    return rank >= old_rank
 
 
 class AnalysisCache:
@@ -194,9 +219,9 @@ class AnalysisCache:
         if not self.enabled:
             return
         existing = self._entries.get(key)
-        if existing is not None and _entry_rank(value) < _entry_rank(existing):
-            # A screening bound never overwrites an exact verdict —
-            # the memory-tier twin of the store's rank-ordered upsert.
+        if existing is not None and not _supersedes(value, existing):
+            # A bound never overwrites an exact verdict, nor a lower
+            # bound a larger one (see _supersedes).
             return
         self._remember(key, value)
         if persist and self.persistent is not None:

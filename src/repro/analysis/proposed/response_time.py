@@ -33,11 +33,22 @@ cascade of strictly cheaper sufficient conditions before reaching it:
    incumbent first: ``lp <= incumbent`` squeezes the optimum to exactly
    the incumbent (monotone fixpoint from below), so the iteration is
    converged without the integer solve — and with the bit-identical
-   response the solved path would have produced.
+   response the solved path would have produced;
+5. **deadline-targeted integer solve** — a verdict never needs a delay
+   value above ``D - u``, only the fact that it is there. Every integer
+   solve on the verdict path carries the objective target
+   ``theta = D - u`` (plus :data:`TARGET_SLACK`), and HiGHS stops at
+   the first incumbent beyond it instead of proving the optimum. Such a
+   stop only ever concludes "exceeds the deadline"; every
+   "schedulable" verdict still rests on a screen bound or an exact
+   optimum. ``response_time``/``analyze`` pass no target, so WCRT
+   values stay exact.
 
 Every memoised value is tagged (``("milp", ...)`` exact optimum /
-``("lp", bound)`` screening bound) so the two-tier analysis cache can
-persist them across runs; see :mod:`repro.analysis.store`.
+``("lb", theta)`` target-stop lower bound / ``("lp", bound)``
+screening bound) so the two-tier analysis cache can persist them
+across runs; see :mod:`repro.analysis.store`. An ``lb`` entry answers
+any later target query at or below its bound without a solve.
 """
 
 from __future__ import annotations
@@ -83,6 +94,11 @@ from repro.obs import events as obs
 from repro.types import Time
 
 BackendFactory = Callable[[], MilpBackend]
+
+#: Margin of a verdict's objective target above ``D - u``. It keeps a
+#: target stop strictly beyond the verdicts' 1e-9 deadline tolerance,
+#: so a stop and an exact solve decide every verdict the same way.
+TARGET_SLACK = 1e-6
 
 
 def _default_backend_factory(options: AnalysisOptions) -> BackendFactory:
@@ -130,12 +146,14 @@ class _DelayEval:
     ``objective`` is the MILP optimum (the delaying-interval length;
     add ``copy_out`` for the response), except when ``proved_met`` is
     set: then only the LP relaxation ran and ``objective`` is its
-    over-approximating bound, already known to fit the deadline.
+    over-approximating bound, already known to fit the deadline — or
+    when ``target_reached`` is set: then the solve stopped at its
+    objective target and ``objective`` is a lower bound beyond it.
     """
 
     __slots__ = (
         "objective", "num_intervals", "stats", "degradation",
-        "cached", "proved_met",
+        "cached", "proved_met", "target_reached",
     )
 
     def __init__(
@@ -146,6 +164,7 @@ class _DelayEval:
         degradation: int,
         cached: bool,
         proved_met: bool = False,
+        target_reached: bool = False,
     ) -> None:
         self.objective = objective
         self.num_intervals = num_intervals
@@ -153,6 +172,7 @@ class _DelayEval:
         self.degradation = degradation
         self.cached = cached
         self.proved_met = proved_met
+        self.target_reached = target_reached
 
 
 class ProposedAnalysis:
@@ -293,7 +313,12 @@ class ProposedAnalysis:
         )
 
     def _solve_model(
-        self, model: MilpModel, taskset: TaskSet, task: Task, mode: AnalysisMode
+        self,
+        model: MilpModel,
+        taskset: TaskSet,
+        task: Task,
+        mode: AnalysisMode,
+        target: float | None = None,
     ) -> MilpSolution:
         """Solve one delay MILP, resiliently when options ask for it."""
         backend = self.backend_factory()
@@ -306,7 +331,7 @@ class ProposedAnalysis:
                     taskset, task, mode
                 ),
             )
-        return model.solve(backend)
+        return model.solve(backend, target=target)
 
     def _solver_signature(self) -> tuple:
         """Solver-relevant options included in every cache key.
@@ -457,6 +482,7 @@ class ProposedAnalysis:
         lp_screen_deadline: Time | None = None,
         slot: "_IncrementalSlot | None" = None,
         warm_objective: float | None = None,
+        target: float | None = None,
     ) -> _DelayEval:
         """Evaluate the delay map ``f`` at ``window``, memoised.
 
@@ -481,6 +507,12 @@ class ProposedAnalysis:
         response either way), and the relaxation caps it from above.
         The integer solve is skipped and the returned objective is
         bit-identical to the solved path's.
+
+        With ``target`` set (verdict path, exact-MILP method only), the
+        integer solve may stop at the first incumbent beyond the target;
+        the eval then comes back ``target_reached`` and the stop is
+        memoised as ``("lb", target)``. A cached lower bound at or above
+        a later query's target answers it without a solve.
         """
         key, n = self._delay_key(taskset, task, window, mode, hp_wcrt)
         entry = self.cache.get(key)
@@ -494,6 +526,10 @@ class ProposedAnalysis:
                     dict(stats),
                     int(degradation),
                     cached=True,
+                )
+            if entry[0] == "lb" and target is not None and target <= entry[1]:
+                return _DelayEval(
+                    entry[1], n, {}, 0, cached=True, target_reached=True
                 )
             if entry[0] == "lp":
                 lp_bound = entry[1]
@@ -551,7 +587,9 @@ class ProposedAnalysis:
                         cached=False,
                         proved_met=True,
                     )
-        solution = self._solve_model(built.model, taskset, task, mode)
+        solution = self._solve_model(
+            built.model, taskset, task, mode, target=target
+        )
         self.cache.bump("lp_solves" if self.method == "lp" else "milp_solves")
         obs.emit(
             "solve",
@@ -574,6 +612,27 @@ class ProposedAnalysis:
                 f"delay MILP unbounded for {task.name} (mode={mode.value})"
             )
         degradation = solution.degradation
+        reached = solution.status is SolveStatus.TARGET_REACHED
+        if reached or (
+            target is not None
+            and solution.status.has_solution
+            and solution.objective > target
+        ):
+            # Counted by outcome, not by how HiGHS got there: a retry
+            # with other options (or a presolve that finishes the
+            # model) may prove the optimum instead of stopping early.
+            self.cache.bump("milp_target_stops")
+        if reached:
+            if not degradation:
+                self.cache.put(key, ("lb", solution.objective))
+            return _DelayEval(
+                solution.objective,
+                built.num_intervals,
+                dict(built.stats),
+                degradation,
+                cached=False,
+                target_reached=True,
+            )
         if not degradation:
             self.cache.put(
                 key,
@@ -624,8 +683,18 @@ class ProposedAnalysis:
 
     # ------------------------------------------------------------------
     def _iterate(
-        self, taskset: TaskSet, task: Task, mode: AnalysisMode
+        self,
+        taskset: TaskSet,
+        task: Task,
+        mode: AnalysisMode,
+        target: float | None = None,
     ) -> _IterationOutcome:
+        """The response-time fixpoint of one mode.
+
+        ``target`` (verdict path only) is handed to every integer solve;
+        a stop at it ends the iteration with a response beyond the
+        deadline, which is all the verdict reads.
+        """
         options = self.options
         if self.method == "closed_form":
             blocking = 2 if mode in (AnalysisMode.NLS, AnalysisMode.WASLY) else 1
@@ -659,7 +728,7 @@ class ProposedAnalysis:
             ):
                 evaluated = self._delay_objective(
                     taskset, task, window, mode, hp_wcrt,
-                    slot=slot, warm_objective=prev_objective,
+                    slot=slot, warm_objective=prev_objective, target=target,
                 )
             if evaluated.cached:
                 details["cache_hits"] += 1
@@ -673,6 +742,9 @@ class ProposedAnalysis:
                     evaluated.degradation,
                 )
             new_response = evaluated.objective + task.copy_out
+            if evaluated.target_reached:
+                response = new_response  # a lower bound beyond the deadline
+                break
             if new_response <= response + options.convergence_eps:
                 response = max(response, new_response)
                 converged = True
@@ -819,6 +891,9 @@ class ProposedAnalysis:
         schedulable without a single integer solve. Inconclusive
         whenever a relaxation fails or the iteration leaves the
         deadline; the caller then falls back to the exact fixpoint.
+        A cached ``lb`` entry beyond the deadline is inconclusive at
+        once: the LP bound there is at least as large, so the iteration
+        would leave the deadline anyway.
         """
         if self.method != "milp":
             return False
@@ -832,12 +907,14 @@ class ProposedAnalysis:
             key, _ = self._delay_key(taskset, task, window, mode, hp_wcrt)
             entry = self.cache.get(key)
             bound: float | None = None
-            if (
-                isinstance(entry, tuple)
-                and entry
-                and entry[0] in ("milp", "lp")
-            ):
-                bound = entry[1]
+            if isinstance(entry, tuple) and entry:
+                if entry[0] in ("milp", "lp"):
+                    bound = entry[1]
+                elif (
+                    entry[0] == "lb"
+                    and entry[1] + task.copy_out > task.deadline + 1e-9
+                ):
+                    return False
             if bound is None:
                 built = self._obtain_model(
                     slot, taskset, task, window, mode, hp_wcrt
@@ -878,6 +955,11 @@ class ProposedAnalysis:
            converges within the deadline;
         5. otherwise the standard bottom-up iteration decides.
 
+        The integer solves of tiers 3 and 5 carry the objective target
+        ``D - u + TARGET_SLACK`` (tier 5 only with ``stop_at_deadline``,
+        the only time it stops at the deadline): past it the solve may
+        stop without proving the optimum, which changes no verdict.
+
         ``options.screening=False`` skips tiers 1-4 entirely (for the
         exact-MILP method; the closed form *is* the decision procedure
         of ``method="closed_form"`` and always runs) and decides every
@@ -906,8 +988,14 @@ class ProposedAnalysis:
                 return True
         if self.method == "closed_form":
             return False
+        # Integer solves of a verdict stop once f exceeds D - u. The
+        # fixpoint only reads that when it stops at the deadline.
+        theta = None
+        if self.method == "milp":
+            theta = task.deadline - task.copy_out + TARGET_SLACK
+        iterate_target = theta if self.options.stop_at_deadline else None
         if not self.options.screening:
-            outcome = self._iterate(taskset, task, mode)
+            outcome = self._iterate(taskset, task, mode, iterate_target)
             return outcome.wcrt <= task.deadline + 1e-9
         if self._lp_proved.pop((taskset, task.name, mode.value), False):
             self.cache.bump("screened_out")
@@ -923,6 +1011,7 @@ class ProposedAnalysis:
             mode,
             hp_wcrt,
             lp_screen_deadline=task.deadline,
+            target=theta,
         )
         if evaluated.proved_met:
             return True
@@ -933,7 +1022,7 @@ class ProposedAnalysis:
         ):
             self.cache.bump("screened_out")
             return True
-        outcome = self._iterate(taskset, task, mode)
+        outcome = self._iterate(taskset, task, mode, iterate_target)
         return outcome.wcrt <= task.deadline + 1e-9
 
     def verdict(self, taskset: TaskSet, task: Task) -> bool:

@@ -14,12 +14,14 @@ Design notes
   MILP's full semantic content, two workers racing on one digest write
   payloads describing the same mathematical optimum, and the rank rule
   below makes the race outcome order-independent.
-* **Entry ranks.** An entry is either an exact solved optimum
-  (``milp``-tagged, rank 2) or an LP-relaxation screening bound
-  (``lp``-tagged, rank 1). An upsert only replaces a row when the new
-  rank is strictly higher — an exact optimum upgrades a screening
-  bound, never the other way around — so the store converges to the
-  same content regardless of writer interleaving.
+* **Entry ranks.** An entry is an exact solved optimum
+  (``milp``-tagged, rank 3), a lower bound from an integer solve that
+  stopped at its objective target (``lb``-tagged, rank 2), or an
+  LP-relaxation screening bound (``lp``-tagged, rank 1). An upsert
+  only replaces a row when the new rank is strictly higher — an exact
+  optimum upgrades either bound, never the other way around — or, for
+  two lower bounds, when the new bound is larger. The store therefore
+  converges to the same content regardless of writer interleaving.
 * **Corruption.** Every payload is stored next to its sha256; a reader
   that finds a mismatch (torn write, bit rot, injected fault) deletes
   the row and reports it to the caller, which re-solves. A corrupted
@@ -47,19 +49,20 @@ from repro.faults import injection
 
 #: Bump when the payload encoding, digest inputs, or table layout
 #: change; mismatching stores are discarded on open (see module notes).
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 #: Rank of each entry tag; upserts replace a row only with a strictly
-#: higher rank (exact optima upgrade screening bounds, never vice
-#: versa), which makes concurrent writes order-independent.
-ENTRY_RANKS = {"lp": 1, "milp": 2}
+#: higher rank (exact optima upgrade bounds, never vice versa) or with
+#: a larger lower bound, which makes concurrent writes order-independent.
+ENTRY_RANKS = {"lp": 1, "lb": 2, "milp": 3}
 
 
 def _encode(value: object) -> str:
     """Canonical JSON text of one cache entry.
 
     Entries are tuples ``("milp", objective, n, stats, degradation)``,
-    ``("lp", bound)``, or bare floats (the case-(b) memo); tuples are
+    ``("lp", bound)``, ``("lb", bound)``, or bare floats (the case-(b)
+    memo); tuples are
     JSON lists. ``json`` round-trips Python floats exactly (it emits
     ``repr`` and parses back the identical double), so a decoded entry
     is bit-identical to the stored one.
@@ -83,6 +86,13 @@ def entry_rank(value: object) -> int:
     if isinstance(value, tuple) and value and value[0] in ENTRY_RANKS:
         return ENTRY_RANKS[value[0]]
     return ENTRY_RANKS["milp"]  # bare floats are exact solved values
+
+
+def _lower_bound(value: object) -> float | None:
+    """The bound of an ``("lb", bound)`` entry, else ``None``."""
+    if isinstance(value, tuple) and value and value[0] == "lb":
+        return float(value[1])
+    return None
 
 
 def _sha(text: str) -> str:
@@ -148,6 +158,7 @@ class PersistentStore:
             " payload TEXT NOT NULL,"
             " sha TEXT NOT NULL,"
             " rank INTEGER NOT NULL,"
+            " bound REAL,"
             " created REAL NOT NULL)"
         )
         conn.commit()
@@ -233,7 +244,10 @@ class PersistentStore:
 
         Equal-rank payloads for one digest are identical by
         content-addressing, so skipping the write loses nothing and
-        keeps concurrent writers convergent.
+        keeps concurrent writers convergent. The one exception is the
+        ``lb`` tier: two verdicts with different deadlines may stop one
+        digest's solve at different targets, and the larger bound wins
+        (the ``bound`` column), whichever was written first.
         """
         payload = _encode(value)
         sha = _sha(payload)
@@ -252,14 +266,17 @@ class PersistentStore:
         # it is atomic, and workers stay free of clock reads — gc's
         # "most recently written" ordering needs nothing more.
         conn.execute(
-            "INSERT INTO entries (digest, payload, sha, rank, created)"
-            " VALUES (?, ?, ?, ?,"
+            "INSERT INTO entries (digest, payload, sha, rank, bound, created)"
+            " VALUES (?, ?, ?, ?, ?,"
             "         (SELECT COALESCE(MAX(created), 0) + 1 FROM entries))"
             " ON CONFLICT(digest) DO UPDATE SET"
             " payload=excluded.payload, sha=excluded.sha,"
-            " rank=excluded.rank, created=excluded.created"
-            " WHERE excluded.rank > entries.rank",
-            (digest, payload, sha, entry_rank(value)),
+            " rank=excluded.rank, bound=excluded.bound,"
+            " created=excluded.created"
+            " WHERE excluded.rank > entries.rank"
+            " OR (excluded.rank = entries.rank"
+            "     AND excluded.bound > entries.bound)",
+            (digest, payload, sha, entry_rank(value), _lower_bound(value)),
         )
         conn.commit()
 
@@ -280,6 +297,7 @@ class PersistentStore:
             "schema_version": SCHEMA_VERSION,
             "entries": total,
             "exact_entries": by_rank["milp"],
+            "lower_bound_entries": by_rank["lb"],
             "screen_entries": by_rank["lp"],
             "file_bytes": size,
         }

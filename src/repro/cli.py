@@ -327,8 +327,10 @@ def _cmd_cache(args: argparse.Namespace) -> int:
         # maintain it; a typo'd path should fail loudly instead.
         raise ReproError(f"no cache database at {store.path}")
     if args.action == "stats":
-        for name, value in store.stats().items():
-            print(f"{name:<16}{value}")
+        stats = store.stats()
+        width = max(map(len, stats)) + 2
+        for name, value in stats.items():
+            print(f"{name:<{width}}{value}")
         return 0
     if args.action == "gc":
         removed = store.gc(args.keep)

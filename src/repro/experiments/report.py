@@ -109,7 +109,8 @@ def render_sweep_table(result: SweepResult, baseline: str | None = None) -> str:
         lines.append(
             f"analysis cache: {tiers} hits / {lookups} "
             f"lookups ({hit_rate:.0%}), "
-            f"{stats.get('milp_solves', 0)} MILP + "
+            f"{stats.get('milp_solves', 0)} MILP "
+            f"({stats.get('milp_target_stops', 0)} stopped at target) + "
             f"{stats.get('lp_solves', 0)} LP solves, "
             f"{stats.get('milp_warm_starts', 0)} warm starts"
         )

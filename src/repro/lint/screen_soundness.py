@@ -19,8 +19,9 @@ forwarding (``cache.put`` passing ``value`` through to the persistent
 tier) is exempt — the producer was tagged at the origin.
 
 Two structural guards keep the dynamic enforcement honest:
-``ENTRY_RANKS`` in ``repro.analysis.store`` must keep ``lp`` strictly
-below ``milp``, and the upsert SQL must retain its rank comparison.
+``ENTRY_RANKS`` in ``repro.analysis.store`` must rank ``lp`` strictly
+below ``lb`` (target-stop lower bounds) and ``lb`` strictly below
+``milp``, and the upsert SQL must retain its rank comparison.
 """
 
 from __future__ import annotations
@@ -36,6 +37,8 @@ RULE = "screen-soundness"
 STORE_MODULE = "repro.analysis.store"
 DECORATOR = "bound_producer"
 SINKS = frozenset({"put", "store"})
+#: Entry tags of ``ENTRY_RANKS`` from weakest to exact.
+RANK_ORDER = ("lp", "lb", "milp")
 
 
 def _violation(
@@ -139,13 +142,15 @@ def _check_store_guards(
                     ranks = None
     if not (
         isinstance(ranks, dict)
-        and isinstance(ranks.get("lp"), int)
-        and isinstance(ranks.get("milp"), int)
-        and ranks["lp"] < ranks["milp"]
+        and all(isinstance(ranks.get(tag), int) for tag in RANK_ORDER)
+        and all(
+            ranks[low] < ranks[high]
+            for low, high in zip(RANK_ORDER, RANK_ORDER[1:])
+        )
     ):
         violations.append(_violation(
             store.path, ranks_line,
-            "ENTRY_RANKS must rank 'lp' strictly below 'milp'; the "
+            "ENTRY_RANKS must rank 'lp' < 'lb' < 'milp' strictly; the "
             "upsert soundness order depends on it",
         ))
 

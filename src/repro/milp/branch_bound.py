@@ -103,7 +103,10 @@ class BranchBoundBackend(MilpBackend):
         x = np.asarray(res.x, dtype=float)
         return float(compiled.objective @ x), x
 
-    def solve(self, model: MilpModel) -> MilpSolution:
+    def solve(
+        self, model: MilpModel, target: float | None = None
+    ) -> MilpSolution:
+        del target  # no target support: the exact optimum answers it
         compiled = model.compile()
         start = time.perf_counter()
         counter = itertools.count()

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import time
 import warnings
-from typing import Mapping
+from typing import Any, Mapping
 
 import numpy as np
 from scipy.optimize import Bounds, LinearConstraint, milp
@@ -31,14 +31,28 @@ _SCIPY_STATUS = {
 # (solver error). Some HiGHS builds fail in presolve on models that are
 # perfectly solvable; others need a tighter integer-feasibility
 # tolerance on degenerate models (e.g. duplicate rows from l=u memory
-# demands). ``mip_feasibility_tolerance`` is not in scipy's known-option
-# list and is passed to HiGHS verbatim (scipy warns about that; the
-# warning is suppressed below because verbatim is exactly the intent).
+# demands). ``mip_feasibility_tolerance`` and ``objective_target`` are
+# not in scipy's known-option list and are passed to HiGHS verbatim
+# (scipy warns about that; the warning is suppressed below because
+# verbatim is exactly the intent).
 _STATUS4_RETRY_LADDER: tuple[Mapping[str, object], ...] = (
     {"presolve": False},
     {"mip_feasibility_tolerance": 1e-7},
     {"presolve": False, "mip_feasibility_tolerance": 1e-7},
 )
+
+# HiGHS model status 12 (``kObjectiveTarget``). scipy has no status of
+# its own for it: it reports status 4 with this marker in ``message``.
+_TARGET_MARKER = "(HiGHS Status 12:"
+
+
+def _reached_target(result: Any, target: float | None) -> bool:
+    """Whether a scipy result is a stop at the requested objective target."""
+    return (
+        target is not None
+        and result.status == 4
+        and _TARGET_MARKER in result.message
+    )
 
 
 class HighsBackend(MilpBackend):
@@ -73,7 +87,17 @@ class HighsBackend(MilpBackend):
         self.use_dual_bound = use_dual_bound
         self.extra_options = dict(extra_options) if extra_options else {}
 
-    def solve(self, model: MilpModel) -> MilpSolution:
+    def solve(
+        self, model: MilpModel, target: float | None = None
+    ) -> MilpSolution:
+        """Solve ``model``; with ``target``, stop once an incumbent beats it.
+
+        The target reaches HiGHS as its ``objective_target`` option. A
+        stop there returns :attr:`SolveStatus.TARGET_REACHED` with the
+        target as the objective (the optimum exceeds it). It is an
+        answer, not a fault, so the status-4 option ladder does not
+        retry it.
+        """
         compiled = model.compile()
         # scipy minimises; our canonical sense is maximise.
         c = -compiled.objective
@@ -89,26 +113,30 @@ class HighsBackend(MilpBackend):
         if self.mip_rel_gap:
             options["mip_rel_gap"] = self.mip_rel_gap
         options.update(self.extra_options)
+        if target is not None:
+            # scipy minimises -(c @ x); HiGHS stops once that drops
+            # below -(target - c0), i.e. once the objective exceeds it.
+            options["objective_target"] = -(
+                target - compiled.objective_constant
+            )
 
         start = time.perf_counter()
-        result = milp(
-            c=c,
-            constraints=constraints,
-            bounds=bounds,
-            integrality=compiled.integrality,
-            options=options or None,
-        )
-        for perturbation in _STATUS4_RETRY_LADDER:
-            if result.status != 4:
-                break
-            obs.emit(
-                "highs.retry",
-                model=model.name,
-                options=dict(perturbation),
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", message="Unrecognized options")
+            result = milp(
+                c=c,
+                constraints=constraints,
+                bounds=bounds,
+                integrality=compiled.integrality,
+                options=options or None,
             )
-            with warnings.catch_warnings():
-                warnings.filterwarnings(
-                    "ignore", message="Unrecognized options"
+            for perturbation in _STATUS4_RETRY_LADDER:
+                if result.status != 4 or _reached_target(result, target):
+                    break
+                obs.emit(
+                    "highs.retry",
+                    model=model.name,
+                    options=dict(perturbation),
                 )
                 result = milp(
                     c=c,
@@ -123,7 +151,10 @@ class HighsBackend(MilpBackend):
             f"rows={compiled.num_rows}, vars={compiled.num_vars}, "
             f"elapsed={elapsed:.2f}s"
         )
-        status = _SCIPY_STATUS.get(result.status, SolveStatus.ERROR)
+        if _reached_target(result, target):
+            status = SolveStatus.TARGET_REACHED
+        else:
+            status = _SCIPY_STATUS.get(result.status, SolveStatus.ERROR)
         obs.emit(
             "highs.solve",
             dur=elapsed,
@@ -144,6 +175,15 @@ class HighsBackend(MilpBackend):
                 f"HiGHS failed (scipy status {result.status}) on model "
                 f"{model.name!r}, {len(_STATUS4_RETRY_LADDER)} option "
                 f"retries included ({stats})"
+            )
+        if status is SolveStatus.TARGET_REACHED:
+            assert target is not None
+            return MilpSolution(
+                status=status,
+                objective=float(target),
+                runtime_seconds=elapsed,
+                backend=self.name,
+                node_count=getattr(result, "mip_node_count", None),
             )
         if not status.has_solution:
             return MilpSolution(

@@ -264,6 +264,7 @@ class MilpModel:
         self,
         backend: "MilpBackend | None" = None,
         audit: bool | None = None,
+        target: float | None = None,
     ) -> MilpSolution:
         """Solve with the given backend (HiGHS by default).
 
@@ -274,6 +275,8 @@ class MilpModel:
                 :class:`SolverError` if it reports any error-severity
                 defect. ``None`` defers to the class-wide opt-in
                 ``MilpModel.audit_before_solve``.
+            target: Optional objective target (see
+                :meth:`MilpBackend.solve`).
         """
         if audit is None:
             audit = MilpModel.audit_before_solve
@@ -289,7 +292,7 @@ class MilpModel:
             from repro.milp.highs import HighsBackend
 
             backend = HighsBackend()
-        return backend.solve(self)
+        return solve_with_target(backend, self, target)
 
     def check_assignment(
         self, values: Sequence[float], tol: float = 1e-6
@@ -314,5 +317,28 @@ class MilpBackend:
 
     name = "abstract"
 
-    def solve(self, model: MilpModel) -> MilpSolution:
+    def solve(
+        self, model: MilpModel, target: float | None = None
+    ) -> MilpSolution:
+        """Solve ``model`` (canonical sense: maximise).
+
+        With ``target`` set, a backend may stop as soon as it holds an
+        incumbent whose objective exceeds the target and report
+        :attr:`SolveStatus.TARGET_REACHED` with the target as the
+        objective. A backend without target support ignores it and
+        returns the exact optimum, which answers the same question.
+        """
         raise NotImplementedError
+
+
+def solve_with_target(
+    backend: MilpBackend, model: MilpModel, target: float | None
+) -> MilpSolution:
+    """``backend.solve(model, target=target)``, omitting an unset target.
+
+    Backends written against the one-argument ``solve(model)`` keep
+    working for every exact solve.
+    """
+    if target is None:
+        return backend.solve(model)
+    return backend.solve(model, target=target)

@@ -67,7 +67,10 @@ class LpRelaxationBackend(MilpBackend):
 
     name = "lp_relaxation"
 
-    def solve(self, model: MilpModel) -> MilpSolution:
+    def solve(
+        self, model: MilpModel, target: float | None = None
+    ) -> MilpSolution:
+        del target  # unsupported: the usual relaxation bound is returned
         return self.solve_compiled(model.compile())
 
     def solve_compiled(self, compiled: CompiledMilp) -> MilpSolution:

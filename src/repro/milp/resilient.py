@@ -18,9 +18,11 @@ thousands of solves. :class:`ResilientBackend` wraps any
    degraded answer is more pessimistic, never optimistic. The level
    used is recorded in :attr:`MilpSolution.degradation`.
 
-Definitive outcomes (``OPTIMAL``, ``INFEASIBLE``, ``UNBOUNDED``, or a
-``TIME_LIMIT`` with an incumbent/dual bound) are never retried: they
-are answers, not faults.
+Definitive outcomes (``OPTIMAL``, ``INFEASIBLE``, ``UNBOUNDED``,
+``TARGET_REACHED``, or a ``TIME_LIMIT`` with an incumbent/dual bound)
+are never retried: they are answers, not faults. A solve's objective
+target travels with every attempt — primary, perturbed retries and
+fallback rungs alike.
 
 The closed-form rung needs task-set context a backend does not have,
 so it is injected as a callable by the analysis layer (keeping
@@ -41,7 +43,7 @@ from typing import Callable, Sequence
 from repro.errors import BackendUnavailableError, SolverTimeoutError
 from repro.faults import injection as faults
 from repro.milp.highs import HighsBackend
-from repro.milp.model import MilpBackend, MilpModel
+from repro.milp.model import MilpBackend, MilpModel, solve_with_target
 from repro.milp.relaxation import LpRelaxationBackend
 from repro.milp.solution import DegradationLevel, MilpSolution, SolveStatus
 from repro.obs import events as obs
@@ -241,7 +243,12 @@ class ResilientBackend(MilpBackend):
             return "nonfinite_objective"
         return None
 
-    def _guarded(self, backend: MilpBackend, model: MilpModel) -> MilpSolution:
+    def _guarded(
+        self,
+        backend: MilpBackend,
+        model: MilpModel,
+        target: float | None,
+    ) -> MilpSolution:
         """One solve attempt under the wall-clock watchdog.
 
         The solve runs in a worker thread (SciPy releases the GIL
@@ -264,10 +271,10 @@ class ResilientBackend(MilpBackend):
                 backend="injected-garbage",
             )
         if self.watchdog_seconds is None:
-            return backend.solve(model)
+            return solve_with_target(backend, model, target)
         executor = ThreadPoolExecutor(max_workers=1)
         try:
-            future = executor.submit(backend.solve, model)
+            future = executor.submit(solve_with_target, backend, model, target)
             try:
                 return future.result(timeout=self.watchdog_seconds)
             except _FutureTimeout:
@@ -300,14 +307,16 @@ class ResilientBackend(MilpBackend):
             },
         )
 
-    def solve(self, model: MilpModel) -> MilpSolution:
+    def solve(
+        self, model: MilpModel, target: float | None = None
+    ) -> MilpSolution:
         history: list[str] = []
         backoffs: list[float] = []
 
         for attempt in range(self.max_retries + 1):
             backend = self.primary if attempt == 0 else self._perturbed(attempt)
             try:
-                solution = self._guarded(backend, model)
+                solution = self._guarded(backend, model, target)
             except (SolverTimeoutError, BackendUnavailableError) as exc:
                 history.append(f"attempt {attempt}: {type(exc).__name__}: {exc}")
                 obs.emit(
@@ -338,7 +347,7 @@ class ResilientBackend(MilpBackend):
         for level, backend in self.fallbacks:
             deepest = level
             try:
-                solution = self._guarded(backend, model)
+                solution = self._guarded(backend, model, target)
             except (SolverTimeoutError, BackendUnavailableError) as exc:
                 history.append(f"{level.name}: {type(exc).__name__}: {exc}")
                 continue

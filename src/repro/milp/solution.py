@@ -31,6 +31,10 @@ class SolveStatus(enum.Enum):
     INFEASIBLE = "infeasible"
     UNBOUNDED = "unbounded"
     TIME_LIMIT = "time_limit"
+    #: The solve stopped at its objective target: an incumbent beat the
+    #: target, so the optimum exceeds it. ``objective`` is the target,
+    #: a lower bound on the optimum; no variable values are reported.
+    TARGET_REACHED = "target_reached"
     ERROR = "error"
 
     @property

@@ -93,6 +93,7 @@ EVENT_NAMES: dict[str, dict[str, str]] = {
     "cache.persistent.hits": {"amount": "int"},
     "cache.persistent.corrupt": {"amount": "int"},
     "cache.milp_solves": {"amount": "int"},
+    "cache.milp_target_stops": {"amount": "int"},
     "cache.lp_solves": {"amount": "int"},
     "cache.milp_warm_starts": {"amount": "int"},
     "cache.closed_form_screens": {"amount": "int"},

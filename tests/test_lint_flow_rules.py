@@ -378,8 +378,8 @@ class TestScreenSoundnessRule:
         store = modules["repro.analysis.store"]
         source = Path(store.path).read_text()
         tampered = source.replace(
-            'ENTRY_RANKS = {"lp": 1, "milp": 2}',
-            'ENTRY_RANKS = {"lp": 3, "milp": 2}',
+            'ENTRY_RANKS = {"lp": 1, "lb": 2, "milp": 3}',
+            'ENTRY_RANKS = {"lp": 1, "lb": 3, "milp": 2}',
         )
         assert tampered != source
         modules["repro.analysis.store"] = SourceModule.parse(

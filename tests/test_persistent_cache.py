@@ -267,5 +267,7 @@ class TestBitIdentityAcrossCacheConfigs:
         stats = PersistentStore(seq_db).stats()
         assert stats["entries"] > 0
         assert stats["entries"] == (
-            stats["exact_entries"] + stats["screen_entries"]
+            stats["exact_entries"]
+            + stats["screen_entries"]
+            + stats["lower_bound_entries"]
         )
