@@ -136,8 +136,8 @@ from pathlib import Path
 def test_persistent_cache_cold_warm(benchmark, tmp_path):
     """Unscreened baseline vs cold screened run vs warm persistent rerun.
 
-    Three sequential passes over the reduced fig2a sweep (the
-    ``BENCH_parallel.json`` configuration):
+    Three sequential passes over the reduced fig2a sweep (U=0.2..0.5,
+    8 sets per point):
 
     1. **baseline** — ``AnalysisOptions(screening=False)``, no store:
        every verdict decided by the plain bottom-up MILP fixpoint;

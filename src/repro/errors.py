@@ -86,7 +86,7 @@ class ExperimentError(ReproError):
 class WorkerCrashError(ExperimentError):
     """Raised when a sweep work unit repeatedly kills its worker process.
 
-    The parallel engine survives worker deaths (pool respawn + unit
+    The sweep engine survives worker deaths (worker respawn + unit
     requeue); a unit that keeps crashing workers past its retry budget
     is quarantined into the failure ledger with this error type — or,
     under the ``RAISE`` failure policy, aborts the sweep with this

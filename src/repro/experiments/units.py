@@ -1,27 +1,26 @@
-"""Dispatch-agnostic (point, task set) work units and their scheduler.
+"""(Point, task set) work units and the scheduler that completes points.
 
-The sweep engines — sequential, ``--jobs N`` process pool, and the
-:mod:`repro.service` coordinator — all decompose an experiment into the
+Every sweep — ``run_experiment`` at any ``jobs`` and the
+:mod:`repro.service` coordinator — decomposes an experiment into the
 same pure work unit: evaluate every protocol on one task set of one
 sweep point. This module owns everything about those units that does
-*not* depend on how they are shipped to a CPU:
+*not* depend on where they run:
 
 * the result dataclasses (:class:`PointResult`, :class:`SweepResult`,
   :class:`FailureRecord`, :class:`_UnitResult`) and the
   :class:`FailurePolicy` that decides how failures enter the ratios;
-* :func:`_evaluate_unit` — the one evaluation function every engine
-  calls, inside a fresh per-unit cache scope, so verdicts, failure
-  ledgers, and cache counters are bit-identical across engines;
+* :func:`_evaluate_unit` — the one evaluation function, called
+  in-process under ``jobs=1`` and by every worker process, inside a
+  fresh per-unit cache scope, so verdicts, failure ledgers and cache
+  counters are bit-identical however units are placed;
 * :func:`_merge_units` — the completion-order-independent fold of unit
   results into a point result;
-* :class:`UnitScheduler` — the engine-independent bookkeeping half of
-  the PR 5 crash-recovery protocol: which units are pending at which
-  attempt, which have crashed how often, requeue-or-quarantine
-  decisions, point completion (trace append in task-set order, one
-  atomic checkpoint write, progress callback). The process-pool engine
-  drives it from a ``ProcessPoolExecutor`` loop; the sweep service
-  drives it from an asyncio dispatch loop; both inherit identical
-  recovery semantics;
+* :class:`UnitScheduler` — the single place a point is completed:
+  which units are pending at which attempt, which have crashed how
+  often, requeue-or-quarantine decisions, and point completion (trace
+  append in task-set order, one atomic checkpoint write, progress
+  callback). The in-process ``jobs=1`` loop and the sweep service's
+  dispatch loop both drive it;
 * :func:`unit_digest` / the unit payload codec — the content address
   under which the sweep service memoises *finished unit results* in the
   persistent store. The digest covers everything the unit's counts
@@ -31,6 +30,8 @@ sweep point. This module owns everything about those units that does
   draws sequentially from one seeded stream, so task set ``i`` is
   identical no matter how many sets a sweep requests — an overlapping
   (larger) sweep re-uses every unit the smaller one already solved.
+  Only ``SweepService.process_sweep`` reads and writes these entries;
+  ``run_experiment`` never does.
 """
 
 from __future__ import annotations
@@ -220,19 +221,19 @@ def _evaluate_unit(
 ) -> _UnitResult:
     """Evaluate every protocol on one task set, inside a fresh cache scope.
 
-    Shared by the sequential and the parallel path, so both produce
+    Shared by the in-process path and every worker, so all produce
     the same verdicts, the same failure records in the same order, and
-    the same cache counters (the scope is per unit in both). With a
+    the same cache counters (the scope is per unit everywhere). With a
     ``store`` the unit's fresh memory cache is backed by the shared
     on-disk tier — the scoping stays per unit either way, which is what
-    keeps the counters deterministic across engines. With a
+    keeps the counters deterministic across ``jobs``. With a
     ``recorder`` the unit's analysis events (solves, cache traffic,
     fixpoint iterations, per-protocol verdicts) are buffered and
-    returned on the unit result. ``death_check`` is the process-pool
-    path's ``worker.death`` injection hook (called at unit start and
-    before each protocol with the protocol name); it simulates the
-    worker dying at that instant, so it exists only where a real crash
-    could — sequential runs never pass one.
+    returned on the unit result. ``death_check`` is the workers'
+    ``worker.death`` injection hook (called at unit start and before
+    each protocol with the protocol name); it simulates the worker
+    dying at that instant, so it exists only where a real crash could
+    — in-process units never take it.
     """
     start = time.perf_counter()
     counts = {protocol: 0 for protocol in config.protocols}
@@ -340,7 +341,7 @@ def _merge_units(
 
 
 # ----------------------------------------------------------------------
-# per-process memos shared by every parallel engine
+# per-process memos of the worker processes
 # ----------------------------------------------------------------------
 @lru_cache(maxsize=4)
 def _tasksets_for(
@@ -350,7 +351,7 @@ def _tasksets_for(
 
     Workers receive only (point index, task set index) and regenerate
     the sample from the deterministic seed — identical to the
-    sequential path's — so task sets never cross process boundaries;
+    in-process path's — so task sets never cross process boundaries;
     the memo amortises the generation over a point's many units.
     """
     return tuple(generate_tasksets(generation, count, seed))
@@ -361,8 +362,10 @@ def _store_for(path: str) -> PersistentStore:
     """Per-process memo of the shared on-disk cache tier.
 
     Workers receive the database *path*, never a live store (sqlite
-    handles must not cross ``fork``); each process opens its own
-    connection once and reuses it across all its units.
+    handles must not cross ``fork``); each worker opens its own
+    connection once and reuses it across all its units. The parent
+    never calls this: an in-process run opens (and closes) its own
+    store, so no memoised handle outlives it or crosses a fork.
     """
     return PersistentStore(path)
 
@@ -412,7 +415,7 @@ def _failed_unit(
 ) -> _UnitResult:
     """Synthetic unit result for work no worker could complete.
 
-    Used for quarantined pool-killer units and for units whose worker
+    Used for quarantined worker-killer units and for units whose worker
     kept raising unexpected (non-Repro) exceptions: the parent
     regenerates the task set — generation is deterministic and cheap
     next to analysis — so the ledger still carries the digest needed
@@ -575,18 +578,16 @@ def unit_to_wire(unit: _UnitResult) -> dict:
 # the dispatch-agnostic scheduler
 # ----------------------------------------------------------------------
 class UnitScheduler:
-    """Engine-independent unit bookkeeping and crash recovery.
+    """Unit bookkeeping, crash accounting and point completion.
 
     Owns the pending-unit ledger (unit key → next attempt number), the
     per-unit crash counts, the per-point result buckets, and the point
     completion pipeline (merge in task-set order → trace append →
     atomic checkpoint write → progress callback). It never dispatches
-    anything itself: the process-pool engine submits pending units to a
-    ``ProcessPoolExecutor`` and feeds outcomes back through
-    :meth:`record_unit`/:meth:`record_crash`; the sweep-service
-    coordinator does the same from an asyncio loop over remote workers.
-    Both therefore share the exact requeue → probe/retry → quarantine
-    semantics the chaos tests pin.
+    anything itself: ``run_experiment(jobs=1)`` evaluates pending units
+    in-process and the sweep service's dispatch loop sends them to
+    worker processes; both feed outcomes back through
+    :meth:`record_unit`/:meth:`record_crash`.
     """
 
     def __init__(
@@ -622,6 +623,12 @@ class UnitScheduler:
             for taskset_index in range(config.sets_per_point)
         }
         self.crash_counts: dict[tuple[int, int], int] = {}
+        #: Units this run has to deliver (resumed points excluded).
+        self.total_units = len(self.pending)
+
+    def start_point(self, point_index: int) -> None:
+        """Restart a point's clock (for drivers that run points in turn)."""
+        self._point_started[point_index] = time.perf_counter()
 
     @property
     def done(self) -> bool:
@@ -669,6 +676,7 @@ class UnitScheduler:
         bucket[unit.taskset_index] = unit
         if len(bucket) < self.config.sets_per_point:
             return
+        del self._unit_results[point_index]
         result = _merge_units(
             self.config.points[point_index],
             self.config,

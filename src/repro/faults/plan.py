@@ -43,7 +43,7 @@ SITES: dict[str, tuple[str, ...]] = {
     #   garbage -> an OPTIMAL solution with a non-finite objective
     "solver.fault": ("crash", "timeout", "garbage"),
     # The worker process evaluating a (point, unit) pair dies:
-    #   exit  -> os._exit mid-unit (the pool breaks; no cleanup runs)
+    #   exit  -> os._exit mid-unit (its connection drops; no cleanup runs)
     #   raise -> an unexpected non-Repro exception escapes the unit
     "worker.death": ("exit", "raise"),
     # A checkpoint write is torn between temp-write and rename:

@@ -2,7 +2,7 @@
 
 Generic linters cannot know that this repo's analysis cache must digest
 *every* semantic input of the MILP formulation, that code reachable
-from the process-pool work units must be deterministic, or that every
+from the worker work units must be deterministic, or that every
 ``os.replace`` needs an fsync proof. These rules encode exactly those
 invariants; they run as ``repro lint``, as ``python
 tools/lint_rules.py``, and in CI alongside ruff and mypy.
@@ -31,7 +31,7 @@ Rules
     from aliasing across solver configurations or store formats.
 ``worker-determinism``
     No unseeded randomness or wall-clock-dependent values in code
-    statically reachable from the process-pool work units. See
+    statically reachable from the worker work units. See
     :mod:`repro.lint.determinism`.
 ``float-time-equality``
     No ``==``/``!=`` between time-valued floats (windows, WCRTs,
@@ -47,8 +47,9 @@ Rules
     ``COUNTER_NAMES`` and the sweep report. See
     :mod:`repro.lint.trace_contract`.
 ``fork-safety``
-    Nothing pickled across the ``ProcessPoolExecutor`` boundary holds
-    a database connection, open file handle, or unseeded RNG; the
+    Nothing pickled across a process boundary (a pool ``submit`` or a
+    ``Process(target=...)`` spawn) holds a database connection, open
+    file handle, or unseeded RNG; the
     module-level scope stacks are only mutated inside
     ``@contextmanager`` functions. See :mod:`repro.lint.fork_safety`.
 ``durable-write``

@@ -1,9 +1,9 @@
-"""Worker-determinism rule: no nondeterminism in process-pool work.
+"""Worker-determinism rule: no nondeterminism in worker-side work.
 
-The parallel sweep engine promises bit-identical results between
+The sweep engine promises bit-identical results between
 ``--jobs 1`` and ``--jobs N``; that promise dies the moment anything a
 worker computes reads the wall clock or an unseeded RNG. This rule
-walks the static import graph from the process-pool work-unit modules
+walks the static import graph from the worker work-unit modules
 (:data:`WORKER_ROOTS`) and flags, in every reachable module:
 
 * any import of the stdlib ``random`` module (its global state is
@@ -28,7 +28,7 @@ from typing import Mapping
 from repro.lint.dataflow import dotted
 from repro.lint.engine import LintViolation, SourceModule
 
-#: Modules holding the process-pool work units; everything they can
+#: Modules holding the worker work units; everything they can
 #: statically reach must stay deterministic.
 WORKER_ROOTS = ("repro.experiments.runner",)
 

@@ -1,10 +1,9 @@
 """Fork-safety and concurrency-discipline checks (``fork-safety``).
 
-The parallel sweep engine ships work units to a
-``ProcessPoolExecutor``: every argument of every ``pool.submit(...)``
-call is pickled, sent over a pipe, and unpickled in a worker that
-shares nothing with the parent. Three classes of state silently
-survive that trip in a broken form:
+Code that ships work to a ``ProcessPoolExecutor`` pickles every
+argument of every ``pool.submit(...)`` call, sends it over a pipe,
+and unpickles it in a worker that shares nothing with the parent.
+Three classes of state silently survive that trip in a broken form:
 
 * ``sqlite3`` connections — unpicklable in theory, but easily smuggled
   inside a wrapper object whose ``__reduce__`` hides them; the store
@@ -20,7 +19,7 @@ collects the project classes its annotations mention, transitively
 closes over their field annotations, and flags any class in that
 pickled surface whose methods assign a connection, handle, or unseeded
 RNG to ``self`` (classes that curate their state via ``__getstate__``
-or ``__reduce__`` are exempt). The sweep service added a second spawn
+or ``__reduce__`` are exempt). The sweep workers cross the other spawn
 boundary with the same pickling semantics: a
 ``multiprocessing.Process(target=...)`` worker is forked/spawned with
 its target and args pickled exactly like a pool submission, so

@@ -104,16 +104,14 @@ EVENT_NAMES: dict[str, dict[str, str]] = {
     "worker.unit": {"pid": "int"},
     "worker.requeued": {"attempt": "int", "error": "str"},
     "worker.quarantined": {"crashes": "int", "error": "str"},
-    "worker.pool_broken": {"suspects": "int"},
     "worker.crash": {"attempt": "int", "crashes": "int"},
-    "worker.markers_swept": {"dirs": "int"},
     # sweep service (coordinator-side lifecycle; see repro.service)
     "service.start": {"port": "int", "workers": "int"},
     "service.submit": {"points": "int", "units": "int", "resumed": "int"},
     "service.unit.served": {},
     "service.unit.dispatched": {"worker": "int"},
     "service.worker.joined": {"worker": "int"},
-    "service.worker.left": {"worker": "int", "inflight": "int"},
+    "service.worker.left": {"worker": "int", "mid_unit": "int"},
     "service.sweep.done": {"served": "int", "dispatched": "int"},
     # checkpoints
     "checkpoint.saved": {},

@@ -25,50 +25,53 @@ The dispatch pipeline per submitted sweep:
    single solve or dispatch. With a fault plan active the probe and
    the store writes are disabled — injected faults must actually
    execute, and their outcomes must not poison the store.
-3. **Dispatch.** Remaining units go to idle workers in sorted order.
-   A worker connection dying mid-unit is a crash of that unit: the
-   same requeue → solo re-run → quarantine ladder as the local pool
-   (the :class:`~repro.experiments.units.UnitScheduler` is shared
-   code), with the socket itself playing the inflight-marker role —
-   connection loss attributes the crash precisely, no filesystem
-   forensics needed.
-4. **Merge.** Unit results merge through the scheduler's parent-only
+3. **Dispatch.** Remaining units go to idle workers in sorted order
+   (:meth:`SweepService.dispatch`). A worker holds one unit at a time,
+   so a connection dying mid-unit is a crash of exactly that unit: it
+   is requeued with an incremented attempt and re-run alone, and
+   quarantined into the ledger once it has killed two workers. Dead
+   workers are replaced within a per-sweep respawn budget.
+4. **Merge.** Unit results merge through the
+   :class:`~repro.experiments.units.UnitScheduler`'s parent-only
    checkpoint path; solved units are written back to the store so the
    next overlapping sweep starts warmer.
+
+The dispatch step is also ``run_experiment(jobs=N)``'s engine
+(:func:`run_local_sweep`): an unstarted service connects ``N`` local
+workers over socketpairs and runs steps 3 and 4 only — local sweeps
+neither probe nor fill the unit-result store.
 """
 
 from __future__ import annotations
 
 import asyncio
+import multiprocessing
 import os
-import time
-from contextlib import nullcontext
-from typing import Awaitable, Callable
+import socket
+from typing import Awaitable, Callable, TypeVar
 
 from repro.analysis.interface import AnalysisOptions
 from repro.analysis.store import PersistentStore
-from repro.errors import ExperimentError, ReproError
+from repro.errors import ExperimentError
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.persistence import (
     _config_from_dict,
-    cleanup_stale_tmp,
     config_digest,
-    load_checkpoint_recovering,
     sweep_to_dict,
 )
-from repro.experiments.runner import sweep_stale_marker_dirs
+from repro.experiments.runner import sweep_session
 from repro.experiments.units import (
     FailurePolicy,
     PointResult,
     SweepResult,
     UnitScheduler,
     _coerce_policy,
+    _UnitResult,
     served_unit,
     unit_digest,
     unit_from_wire,
     unit_to_payload,
 )
-from repro.faults import injection as faults
 from repro.faults.plan import FaultPlan
 from repro.obs.events import TraceWriter
 from repro.service.wire import (
@@ -76,7 +79,17 @@ from repro.service.wire import (
     recv_message_async,
     send_message_async,
 )
-from repro.service.worker import options_from_dict, options_to_dict, spawn_worker
+from repro.service.worker import (
+    options_from_dict,
+    options_to_dict,
+    spawn_local_worker,
+    spawn_worker,
+)
+
+_T = TypeVar("_T")
+
+#: Callback that sees every unit a worker finished (unit key, result).
+_OnUnit = Callable[[tuple[int, int], _UnitResult], None]
 
 
 class _WorkerConn:
@@ -95,18 +108,18 @@ class _WorkerConn:
         #: Sweep ids whose config this worker already holds.
         self.known_sweeps: set[str] = set()
         #: Unit key currently dispatched to this worker, if any.
-        self.inflight: "tuple[int, int] | None" = None
+        self.unit: "tuple[int, int] | None" = None
         self.closed = asyncio.Event()
 
 
 class SweepService:
     """The coordinator: owns workers, the store, and sweep processing.
 
-    ``worker_spawner`` (when set) is invoked to replace dead local
-    workers, bounded per sweep by the same ``4 + 2 * units`` respawn
-    budget the process-pool engine uses; without a spawner the service
-    runs with whatever workers connect (remote mode) and fails loudly
-    when none remain.
+    Workers are local processes the service spawns itself: a started
+    service (``repro serve``) has them connect to its port, an
+    unstarted one (the local fleet of :func:`run_local_sweep`) gives
+    each its own socketpair and never listens. Dead workers are
+    replaced, bounded per sweep by a ``4 + 2 * units`` respawn budget.
     """
 
     def __init__(
@@ -118,7 +131,6 @@ class SweepService:
         checkpoint_dir: "str | None" = None,
         trace_dir: "str | None" = None,
         fault_plan: FaultPlan | None = None,
-        worker_spawner: "Callable[[str, int], object] | None" = None,
     ) -> None:
         self.host = host
         self.port = port
@@ -129,7 +141,6 @@ class SweepService:
         self.store = (
             PersistentStore(cache_path) if cache_path is not None else None
         )
-        self._spawner = worker_spawner
         self._server: "asyncio.AbstractServer | None" = None
         self._workers: dict[int, _WorkerConn] = {}
         self._idle: "asyncio.Queue[_WorkerConn]" = asyncio.Queue()
@@ -139,10 +150,11 @@ class SweepService:
         self._writer: TraceWriter | None = None
         self._respawns = 0
         self._respawn_budget = 0
-        #: A replacement worker process we spawned that has not joined
-        #: yet (None when none is outstanding) — one at a time, so a
-        #: slow-booting replacement is not mistaken for a dead one.
-        self._spawn_probe: object | None = None
+        self._processes: list[multiprocessing.Process] = []
+        #: Spawned worker processes that have not joined yet — a
+        #: slow-booting worker is waited for, not replaced.
+        self._joining: list[multiprocessing.Process] = []
+        self._pair_tasks: list[asyncio.Task] = []
         self.sweeps_done = 0
         self._sweep_finished = asyncio.Event()
 
@@ -154,9 +166,6 @@ class SweepService:
         self.port = self._server.sockets[0].getsockname()[1]
 
     async def stop(self) -> None:
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
         for worker in list(self._workers.values()):
             try:
                 await send_message_async(worker.writer, {"type": "shutdown"})
@@ -166,6 +175,29 @@ class SweepService:
             worker.closed.set()
             worker.writer.close()
         self._workers.clear()
+        if self._server is not None:
+            self._server.close()
+            await self._server.wait_closed()
+        for task in self._pair_tasks:
+            task.cancel()
+        await asyncio.gather(*self._pair_tasks, return_exceptions=True)
+        for process in self._processes:
+            if process.is_alive():
+                process.terminate()
+            process.join(timeout=5)
+
+    def spawn_workers(self, count: int) -> None:
+        """Start ``count`` local worker processes."""
+        for _ in range(count):
+            if self._server is None:
+                process, sock = spawn_local_worker()
+                self._pair_tasks.append(
+                    asyncio.create_task(self._on_pair(sock))
+                )
+            else:
+                process = spawn_worker(self.host, self.port)
+            self._processes.append(process)
+            self._joining.append(process)
 
     async def wait_for_sweeps(self, count: int) -> None:
         """Block until ``count`` sweeps have been processed."""
@@ -178,6 +210,10 @@ class SweepService:
         return sum(1 for w in self._workers.values() if w.alive)
 
     # -- connection handling -------------------------------------------
+    async def _on_pair(self, sock: socket.socket) -> None:
+        reader, writer = await asyncio.open_connection(sock=sock)
+        await self._on_connection(reader, writer)
+
     async def _on_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
@@ -186,6 +222,8 @@ class SweepService:
             writer.close()
             return
         if hello.get("role") == "worker":
+            pid = hello.get("pid")
+            self._joining = [p for p in self._joining if p.pid != pid]
             await self._handle_worker(reader, writer)
         else:
             await self._handle_client(reader, writer)
@@ -196,7 +234,6 @@ class SweepService:
         worker = _WorkerConn(self._next_worker_id, reader, writer)
         self._next_worker_id += 1
         self._workers[worker.id] = worker
-        self._spawn_probe = None
         try:
             await send_message_async(writer, {
                 "type": "welcome",
@@ -225,7 +262,7 @@ class SweepService:
         self._emit(
             "service.worker.left",
             worker=worker.id,
-            inflight=0 if worker.inflight is None else 1,
+            mid_unit=0 if worker.unit is None else 1,
         )
         try:
             worker.writer.close()
@@ -235,33 +272,19 @@ class SweepService:
     async def _acquire_worker(self) -> _WorkerConn:
         while True:
             if self.live_workers == 0:
-                probe = self._spawn_probe
-                if probe is not None:
-                    alive = getattr(probe, "is_alive", None)
-                    if callable(alive) and not alive():
-                        self._spawn_probe = None  # died before joining
-                if self._spawn_probe is None:
-                    if (
-                        self._spawner is not None
-                        and self._respawns < self._respawn_budget
-                    ):
-                        self._respawns += 1
-                        self._spawn_probe = self._spawner(
-                            self.host, self.port
-                        )
-                    elif self._spawner is not None:
+                # Spawn a replacement only when no spawned worker is
+                # still on its way in.
+                self._joining = [p for p in self._joining if p.is_alive()]
+                if not self._joining:
+                    if self._respawns >= self._respawn_budget:
                         raise ExperimentError(
-                            f"sweep service aborted: workers kept dying "
+                            f"sweep aborted: workers kept dying "
                             f"({self._respawns} respawns) — the "
                             f"environment is killing workers faster than "
                             f"quarantine can isolate the cause"
                         )
-                    else:
-                        raise ExperimentError(
-                            "sweep service has no live workers and no way "
-                            "to spawn replacements; connect workers and "
-                            "resubmit"
-                        )
+                    self._respawns += 1
+                    self.spawn_workers(1)
             try:
                 worker = await asyncio.wait_for(self._idle.get(), timeout=0.05)
             except asyncio.TimeoutError:
@@ -313,7 +336,7 @@ class SweepService:
                 progress=point_progress,
                 unit_progress=unit_progress,
             )
-        except ReproError as exc:
+        except Exception as exc:  # noqa: BLE001 - reported to the submitter
             try:
                 await send_message_async(writer, {
                     "type": "error",
@@ -385,13 +408,6 @@ class SweepService:
             checkpoint_path = os.path.join(
                 self.checkpoint_dir, f"{digest}.json"
             )
-            cleanup_stale_tmp(checkpoint_path)
-        completed: dict[int, PointResult] = {}
-        recovered: list[str] = []
-        if checkpoint_path is not None:
-            completed, recovered = load_checkpoint_recovering(
-                checkpoint_path, config
-            )
         if trace_path is None and self.trace_dir is not None:
             os.makedirs(self.trace_dir, exist_ok=True)
             # One file per *sweep*, not per config: a repeat submit of
@@ -400,51 +416,27 @@ class SweepService:
             trace_path = os.path.join(
                 self.trace_dir, f"{digest}.{sweep_id}.trace.jsonl"
             )
-        writer = (
-            TraceWriter(trace_path, run_id=digest[:12])
-            if trace_path is not None
-            else None
-        )
-        self._writer = writer
-        plan_scope = (
-            faults.injecting(self.fault_plan)
-            if self.fault_plan is not None
-            else nullcontext()
-        )
-        try:
-            with plan_scope:
-                if writer is not None:
-                    writer.emit(
-                        "run.start",
-                        points=len(config.points),
-                        sets=config.sets_per_point,
-                        jobs=self.live_workers,
-                        resumed=len(completed),
-                    )
-                    for problem in recovered:
-                        writer.emit("checkpoint.recovered", detail=problem)
-                sweep_stale_marker_dirs(writer)
-                run_start = time.perf_counter()
+        with sweep_session(
+            config,
+            policy,
+            jobs=self.live_workers,
+            checkpoint_path=checkpoint_path,
+            resume=True,
+            trace_path=trace_path,
+            fault_plan=self.fault_plan,
+            progress=progress,
+        ) as scheduler:
+            self._writer = scheduler.writer
+            try:
                 self._emit(
                     "service.start", port=self.port, workers=self.live_workers
                 )
-                scheduler = UnitScheduler(
-                    config,
-                    policy,
-                    completed,
-                    checkpoint_path=checkpoint_path,
-                    writer=writer,
-                    fault_plan=self.fault_plan,
-                    progress=progress,
-                )
-                total_units = len(scheduler.pending)
-                self._respawns = 0
-                self._respawn_budget = 4 + 2 * total_units
+                total_units = scheduler.total_units
                 self._emit(
                     "service.submit",
                     points=len(config.points),
                     units=total_units,
-                    resumed=len(completed),
+                    resumed=len(scheduler.completed),
                 )
 
                 def report_units(served: int) -> None:
@@ -456,20 +448,20 @@ class SweepService:
                         )
 
                 served = 0
-                dispatched = 0
                 digests: dict[tuple[int, int], str] = {}
                 # Pre-dispatch store probe: with a fault plan active the
                 # store is bypassed entirely (reads *and* writes) so
                 # injected faults execute and their outcomes stay out of
                 # the store.
-                if self.store is not None and self.fault_plan is None:
+                store = self.store if self.fault_plan is None else None
+                if store is not None:
                     digests = {
                         key: unit_digest(
                             config, key[0], key[1], options, policy
                         )
                         for key in scheduler.pending
                     }
-                    hits = self.store.fetch_many(digests.values())
+                    hits = store.fetch_many(digests.values())
                     for key in sorted(digests):
                         value = hits.get(digests[key])
                         if (
@@ -485,64 +477,75 @@ class SweepService:
                             scheduler.record_unit(
                                 key[0],
                                 served_unit(
-                                    value[1], trace=writer is not None
+                                    value[1],
+                                    trace=scheduler.writer is not None,
                                 ),
                             )
                             served += 1
                             report_units(served)
-                sweep_context = {
-                    "type": "sweep",
-                    "sweep": sweep_id,
-                    "config": message_config(config),
-                    "options": options_to_dict(options),
-                    "policy": policy.value,
-                    "trace": writer is not None,
-                }
-                while not scheduler.done:
-                    # Crash-implicated units re-run alone (the probe
-                    # semantics of the local pool): an isolated repeat
-                    # crash is unambiguous, innocent collateral passes.
-                    suspect_keys = scheduler.suspects()
-                    batch = (
-                        [suspect_keys[0]]
-                        if suspect_keys
-                        else sorted(scheduler.pending)
-                    )
-                    batch_attempts = {
-                        key: scheduler.pending[key] for key in batch
-                    }
-                    outcomes = await asyncio.gather(
-                        *(
-                            self._run_unit(
-                                sweep_context,
-                                key,
-                                attempt,
-                                scheduler,
-                                digests,
-                            )
-                            for key, attempt in batch_attempts.items()
-                        ),
-                        return_exceptions=True,
-                    )
-                    for outcome in outcomes:
-                        if isinstance(outcome, BaseException):
-                            raise outcome
-                        if outcome:
-                            dispatched += 1
-                            report_units(served)
+
+                def solved(key: "tuple[int, int]", unit: _UnitResult) -> None:
+                    if store is not None:
+                        store.store(
+                            digests[key], ("unit", unit_to_payload(unit))
+                        )
+                    report_units(served)
+
+                dispatched = await self.dispatch(
+                    scheduler, sweep_id, options, on_unit=solved
+                )
                 self._emit(
                     "service.sweep.done", served=served, dispatched=dispatched
                 )
-                result = scheduler.result()
-                if writer is not None:
-                    writer.emit(
-                        "run.end", dur=time.perf_counter() - run_start
+                return scheduler.result()
+            finally:
+                self._writer = None
+
+    async def dispatch(
+        self,
+        scheduler: UnitScheduler,
+        sweep_id: str,
+        options: AnalysisOptions | None,
+        on_unit: "_OnUnit | None" = None,
+    ) -> int:
+        """Run the scheduler's pending units on the workers until done.
+
+        Returns how many units a worker evaluated. A unit implicated in
+        a crash re-runs alone, so a repeat crash is unambiguous and
+        innocent collateral passes. ``on_unit`` sees every unit a
+        worker finished, after the scheduler recorded it.
+        """
+        self._respawns = 0
+        self._respawn_budget = 4 + 2 * scheduler.total_units
+        sweep_context = {
+            "type": "sweep",
+            "sweep": sweep_id,
+            "config": message_config(scheduler.config),
+            "options": options_to_dict(options),
+            "policy": scheduler.policy.value,
+            "trace": scheduler.writer is not None,
+        }
+        dispatched = 0
+        while not scheduler.done:
+            batch = scheduler.suspects()[:1] or sorted(scheduler.pending)
+            outcomes = await asyncio.gather(
+                *(
+                    self._run_unit(
+                        sweep_context,
+                        key,
+                        scheduler.pending[key],
+                        scheduler,
+                        on_unit,
                     )
-                return result
-        finally:
-            self._writer = None
-            if writer is not None:
-                writer.close()
+                    for key in batch
+                ),
+                return_exceptions=True,
+            )
+            for outcome in outcomes:
+                if isinstance(outcome, BaseException):
+                    raise outcome
+                dispatched += outcome
+        return dispatched
 
     async def _run_unit(
         self,
@@ -550,13 +553,13 @@ class SweepService:
         key: "tuple[int, int]",
         attempt: int,
         scheduler: UnitScheduler,
-        digests: "dict[tuple[int, int], str]",
+        on_unit: "_OnUnit | None",
     ) -> bool:
         """Dispatch one unit to a worker; returns True when evaluated.
 
         A worker connection dying before the result frame lands is this
         unit's crash: the worker is dropped and the scheduler decides
-        requeue vs. quarantine, exactly as a broken local pool would.
+        requeue vs. quarantine.
         """
         sweep_id = sweep_context["sweep"]
         worker = await self._acquire_worker()
@@ -565,7 +568,7 @@ class SweepService:
             if sweep_id not in worker.known_sweeps:
                 await send_message_async(worker.writer, sweep_context)
                 worker.known_sweeps.add(sweep_id)
-            worker.inflight = key
+            worker.unit = key
             await send_message_async(worker.writer, {
                 "type": "unit", "sweep": sweep_id,
                 "point": key[0], "unit": key[1], "attempt": attempt,
@@ -592,28 +595,30 @@ class SweepService:
                 key,
                 attempt,
                 "WorkerCrashError",
-                "service worker disconnected while evaluating this task set",
+                "worker disconnected while evaluating this task set",
             )
             return False
-        worker.inflight = None
+        worker.unit = None
         self._idle.put_nowait(worker)
         error = reply.get("error")
         if error is not None:
-            if error.get("repro") or scheduler.policy is FailurePolicy.RAISE:
-                raise ExperimentError(
-                    f"worker failed evaluating (point {key[0]}, set "
-                    f"{key[1]}): {error['type']}: {error['message']}"
-                )
+            message = (
+                f"worker failed evaluating (point {key[0]}, set "
+                f"{key[1]}): {error['type']}: {error['message']}"
+            )
+            if error.get("repro"):
+                raise ExperimentError(message)
+            if scheduler.policy is FailurePolicy.RAISE:
+                # An unexpected (non-Repro) exception escaped the worker.
+                raise RuntimeError(message)
             scheduler.record_crash(
                 key, attempt, error["type"], error["message"]
             )
             return False
         unit = unit_from_wire(reply["payload"])
         scheduler.record_unit(key[0], unit)
-        if self.store is not None and self.fault_plan is None:
-            self.store.store(
-                digests[key], ("unit", unit_to_payload(unit))
-            )
+        if on_unit is not None:
+            on_unit(key, unit)
         return True
 
 
@@ -628,16 +633,16 @@ def message_config(config: ExperimentConfig) -> dict:
 # entry points
 # ----------------------------------------------------------------------
 async def _with_service(
-    body: "Callable[[SweepService], Awaitable[SweepResult]]",
+    body: "Callable[[SweepService], Awaitable[_T]]",
     *,
     workers: int,
+    host: str = "127.0.0.1",
+    port: int = 0,
     cache_path: "str | None",
     checkpoint_dir: "str | None",
     trace_dir: "str | None",
     fault_plan: FaultPlan | None,
-    host: str = "127.0.0.1",
-    port: int = 0,
-) -> SweepResult:
+) -> _T:
     service = SweepService(
         host,
         port,
@@ -645,20 +650,44 @@ async def _with_service(
         checkpoint_dir=checkpoint_dir,
         trace_dir=trace_dir,
         fault_plan=fault_plan,
-        worker_spawner=spawn_worker,
     )
     await service.start()
-    processes = [
-        spawn_worker(service.host, service.port) for _ in range(workers)
-    ]
+    service.spawn_workers(workers)
     try:
         return await body(service)
     finally:
         await service.stop()
-        for process in processes:
-            if process.is_alive():
-                process.terminate()
-            process.join(timeout=5)
+
+
+def run_local_sweep(
+    scheduler: UnitScheduler,
+    *,
+    jobs: int,
+    options: AnalysisOptions | None,
+    cache_path: "str | None",
+) -> None:
+    """Drive ``scheduler`` to completion on ``jobs`` local workers.
+
+    The engine behind ``run_experiment(jobs=N)``: an unstarted service
+    connects each worker over its own socketpair (nothing listens, so
+    no other process can reach the fleet) and runs the same dispatch
+    loop, crash accounting and respawn policy as ``repro serve``.
+    Workers use ``cache_path`` as their analysis store; the unit-result
+    tier of :meth:`SweepService.process_sweep` is not involved.
+    """
+
+    async def main() -> None:
+        service = SweepService(
+            cache_path=cache_path, fault_plan=scheduler.fault_plan
+        )
+        service._writer = scheduler.writer
+        service.spawn_workers(min(jobs, len(scheduler.pending)))
+        try:
+            await service.dispatch(scheduler, "s0", options)
+        finally:
+            await service.stop()
+
+    asyncio.run(main())
 
 
 def run_service_sweep(
@@ -721,36 +750,25 @@ def serve(
     tests a deterministic exit.
     """
 
-    async def main() -> None:
-        service = SweepService(
-            host,
-            port,
+    async def body(service: SweepService) -> None:
+        if ready is not None:
+            ready(service.port)
+        if max_sweeps is not None:
+            await service.wait_for_sweeps(max_sweeps)
+        else:
+            assert service._server is not None
+            await service._server.serve_forever()
+
+    try:
+        asyncio.run(_with_service(
+            body,
+            workers=workers,
+            host=host,
+            port=port,
             cache_path=cache_path,
             checkpoint_dir=checkpoint_dir,
             trace_dir=trace_dir,
             fault_plan=fault_plan,
-            worker_spawner=spawn_worker,
-        )
-        await service.start()
-        processes = [
-            spawn_worker(service.host, service.port) for _ in range(workers)
-        ]
-        if ready is not None:
-            ready(service.port)
-        try:
-            if max_sweeps is not None:
-                await service.wait_for_sweeps(max_sweeps)
-            else:
-                assert service._server is not None
-                await service._server.serve_forever()
-        finally:
-            await service.stop()
-            for process in processes:
-                if process.is_alive():
-                    process.terminate()
-                process.join(timeout=5)
-
-    try:
-        asyncio.run(main())
+        ))
     except KeyboardInterrupt:
         pass

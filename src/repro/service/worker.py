@@ -1,21 +1,22 @@
 """Sweep-service worker: a synchronous unit-evaluation loop.
 
-A worker is one OS process holding one socket to the coordinator. It
-announces itself (``hello``), receives the run context (``welcome``:
-persistent-cache path, fault plan), then loops: receive a ``unit``
-message, evaluate it through the exact same
-:func:`repro.experiments.runner._worker_evaluate` entry point the
-``--jobs N`` process pool uses (fresh per-unit analysis-cache scope,
-per-unit fault-injection scope, buffered trace events), and send the
-``result`` frame back. Sweep configs travel once per (worker, sweep)
-in a ``sweep`` frame and are cached by id, so steady-state unit frames
-are a few dozen bytes.
+A worker is one OS process holding one socket to the coordinator —
+a TCP connection for ``repro serve`` workers, one end of a
+``socket.socketpair()`` for the local fleet behind
+``run_experiment(jobs=N)``. It announces itself (``hello``), receives
+the run context (``welcome``: persistent-cache path, fault plan), then
+loops: receive a ``unit`` message, evaluate it through
+:func:`repro.experiments.runner._worker_evaluate` (fresh per-unit
+analysis-cache scope, per-unit fault-injection scope, buffered trace
+events), and send the ``result`` frame back. Sweep configs travel once
+per (worker, sweep) in a ``sweep`` frame and are cached by id, so
+steady-state unit frames are a few dozen bytes.
 
-Crash semantics are inherited wholesale: an injected ``worker.death``
-(``exit`` mode) calls ``os._exit`` mid-unit, the socket dies with the
-process, and the coordinator's connection-loss path plays the role the
-broken-pool marker protocol plays for the local pool — requeue with an
-incremented attempt, probe, quarantine. The service-specific
+A worker holds at most one unit, so its socket names the unit it dies
+on: an injected ``worker.death`` (``exit`` mode) calls ``os._exit``
+mid-unit, the socket closes with the process, and the coordinator
+counts the loss as a crash of exactly that unit — requeue with an
+incremented attempt, solo re-run, quarantine. The
 ``service.disconnect`` fault site additionally models a *network*
 failure: the worker drops its connection on the way into a unit and
 exits without evaluating anything.
@@ -104,13 +105,21 @@ def _check_disconnect(
 
 
 def worker_main(host: str, port: int) -> None:
-    """Connect to the coordinator and evaluate units until told to stop.
+    """Connect to the coordinator at ``host:port`` and serve units.
 
-    Process entry point (see :func:`spawn_worker`); exits when the
-    coordinator sends ``shutdown``, closes the connection, or an
-    injected fault drops/kills this worker.
+    Process entry point of ``repro serve`` workers (see
+    :func:`spawn_worker`).
     """
-    sock = socket.create_connection((host, port))
+    serve_socket(socket.create_connection((host, port)))
+
+
+def serve_socket(sock: socket.socket) -> None:
+    """Evaluate units arriving on ``sock`` until told to stop.
+
+    Exits when the coordinator sends ``shutdown``, closes the
+    connection, or an injected fault drops/kills this worker; the
+    socket is closed on the way out.
+    """
     try:
         send_message(sock, {"type": "hello", "role": "worker",
                             "pid": os.getpid()})
@@ -154,7 +163,7 @@ def worker_main(host: str, port: int) -> None:
                     sock.close()
                     os._exit(70)
                 try:
-                    _, result = _worker_evaluate(
+                    result = _worker_evaluate(
                         context["config"],
                         point,
                         unit,
@@ -163,7 +172,6 @@ def worker_main(host: str, port: int) -> None:
                         context["trace"],
                         fault_plan,
                         attempt,
-                        None,  # no marker files: the socket is the marker
                         cache_path,
                     )
                 except ReproError as exc:
@@ -200,3 +208,31 @@ def spawn_worker(host: str, port: int) -> multiprocessing.Process:
     )
     process.start()
     return process
+
+
+def spawn_local_worker() -> "tuple[multiprocessing.Process, socket.socket]":
+    """Start one worker process over a private socketpair.
+
+    Returns the process and the coordinator's end of the pair. No
+    listener is opened, so no other local process can reach the
+    worker; the child's end is closed in the parent so that the
+    worker's death reads as end-of-stream on the returned socket.
+    """
+    parent, child = socket.socketpair()
+    process = multiprocessing.Process(
+        target=_serve_pair, args=(child, parent), daemon=True
+    )
+    process.start()
+    child.close()
+    return process, parent
+
+
+def _serve_pair(sock: socket.socket, peer: socket.socket) -> None:
+    """Socketpair worker entry point: serve ``sock``.
+
+    A forked child inherits the coordinator's end of its own pair;
+    closing that copy first is what lets the worker read end-of-stream,
+    and exit, when the coordinator goes away without a ``shutdown``.
+    """
+    peer.close()
+    serve_socket(sock)

@@ -1,9 +1,9 @@
-"""Chaos: worker death, pool recovery, requeue, probe, quarantine.
+"""Chaos: worker death, crash recovery, requeue, solo re-run, quarantine.
 
 The ``worker.death`` site kills the process evaluating a (point, task
-set) unit — ``exit`` via ``os._exit`` (the pool breaks, taking every
-in-flight unit's future with it), ``raise`` via an unexpected
-non-Repro exception. The engine's contract:
+set) unit — ``exit`` via ``os._exit`` (its connection drops, which
+names the unit it held), ``raise`` via an unexpected non-Repro
+exception. The engine's contract:
 
 * a unit whose worker died once is requeued (attempt + 1) and, being
   deterministic, merges bit-identically — the sweep equals the
@@ -70,7 +70,7 @@ class TestDeathOnce:
         _identical(result, baseline)
         events = read_trace(trace)
         names = [e["name"] for e in events]
-        assert "worker.pool_broken" in names
+        assert "worker.crash" in names
         assert "worker.requeued" in names
         # The worker's own fault event died with it; the parent
         # synthesised the proof from the plan.

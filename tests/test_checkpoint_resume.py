@@ -97,31 +97,32 @@ class TestResume:
         baseline = run_experiment(config)
 
         path = tmp_path / "ck.json"
-        original_run_point = runner_module.run_point
-        calls = []
+        original_evaluate = runner_module._evaluate_unit
+        sets = config.sets_per_point
+        calls = []  # the x of every evaluated unit's point
 
-        def counting_run_point(point, *args, **kwargs):
+        def counting_evaluate(point, *args, **kwargs):
             calls.append(point.x)
-            if len(calls) == 2:
+            if point.x == 0.4:
                 raise KeyboardInterrupt  # simulate a mid-sweep kill
-            return original_run_point(point, *args, **kwargs)
+            return original_evaluate(point, *args, **kwargs)
 
-        monkeypatch.setattr(runner_module, "run_point", counting_run_point)
+        monkeypatch.setattr(runner_module, "_evaluate_unit", counting_evaluate)
         with pytest.raises(KeyboardInterrupt):
             run_experiment(config, checkpoint_path=str(path))
-        assert calls == [0.2, 0.4]
+        assert calls == [0.2] * sets + [0.4]
         # Point 0 was persisted before the kill.
         assert set(load_checkpoint(path, config)) == {0}
 
         calls.clear()
         monkeypatch.setattr(
             runner_module,
-            "run_point",
-            lambda *a, **k: (calls.append(a[0].x), original_run_point(*a, **k))[1],
+            "_evaluate_unit",
+            lambda *a, **k: (calls.append(a[0].x), original_evaluate(*a, **k))[1],
         )
         resumed = run_experiment(config, checkpoint_path=str(path), resume=True)
         # Only the unfinished points were re-evaluated.
-        assert calls == [0.4, 0.6]
+        assert calls == [0.4] * sets + [0.6] * sets
         for got, expected in zip(resumed.points, baseline.points):
             assert got.x == expected.x
             assert got.ratios == expected.ratios  # bit-identical floats
@@ -131,10 +132,10 @@ class TestResume:
         path = tmp_path / "ck.json"
         first = run_experiment(config, checkpoint_path=str(path))
 
-        def exploding_run_point(*args, **kwargs):
+        def exploding_evaluate(*args, **kwargs):
             raise AssertionError("no point should be re-evaluated")
 
-        monkeypatch.setattr(runner_module, "run_point", exploding_run_point)
+        monkeypatch.setattr(runner_module, "_evaluate_unit", exploding_evaluate)
         second = run_experiment(config, checkpoint_path=str(path), resume=True)
         for got, expected in zip(second.points, first.points):
             assert got.ratios == expected.ratios

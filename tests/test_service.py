@@ -11,11 +11,8 @@ worker died mid-unit. These tests pin that contract alongside the
 
 import dataclasses
 import json
-import multiprocessing
-import os
 import socket
 import struct
-import tempfile
 import threading
 
 import pytest
@@ -34,7 +31,6 @@ from repro.experiments.persistence import (
     _point_to_dict,
     config_digest,
 )
-from repro.experiments.runner import sweep_stale_marker_dirs
 from repro.experiments.units import unit_digest
 from repro.faults import FaultPlan, FaultSpec
 from repro.generator.taskset_gen import GenerationConfig
@@ -416,6 +412,50 @@ class TestServiceChaos:
         assert result.points[1].sets_evaluated == config.sets_per_point
 
 
+class TestColdStartJoins:
+    """Regression: a cold start waits for the workers it spawned.
+
+    The first dispatch used to run before any worker had connected,
+    see no live worker, and spawn a replacement — one join too many.
+    """
+
+    @pytest.fixture
+    def config(self):
+        points = tuple(
+            SweepPoint(u, GenerationConfig(n=3, utilization=u, gamma=0.1))
+            for u in (0.2, 0.3, 0.4, 0.5)
+        )
+        return ExperimentConfig(
+            name="svc-joins",
+            x_label="U",
+            points=points,
+            sets_per_point=2,
+            seed=11,
+            method="closed_form",
+        )
+
+    @staticmethod
+    def _joins(trace) -> int:
+        names = [e["name"] for e in read_trace(trace)]
+        return names.count("service.worker.joined")
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_service_sweep_joins_exactly_its_workers(
+        self, config, tmp_path, workers
+    ):
+        trace = tmp_path / "svc.trace.jsonl"
+        run_service_sweep(config, workers=workers, trace_path=str(trace))
+        assert self._joins(trace) == workers
+
+    @pytest.mark.parametrize("jobs", [2, 3])
+    def test_local_fleet_joins_exactly_its_workers(
+        self, config, tmp_path, jobs
+    ):
+        trace = tmp_path / "local.trace.jsonl"
+        run_experiment(config, jobs=jobs, trace_path=str(trace))
+        assert self._joins(trace) == jobs
+
+
 class TestServiceResume:
     """Checkpoint recovery through the service path (v1 and torn)."""
 
@@ -454,52 +494,6 @@ class TestServiceResume:
         )
         _identical(first, again)
         assert json.loads(path.read_text())["checkpoint_version"] == 2
-
-
-def _exit_immediately() -> None:
-    """Child that dies at once: its PID becomes a dead owner stamp."""
-
-
-class TestStaleMarkerSweep:
-    """Satellite: orphaned inflight-marker dirs are reaped on startup."""
-
-    class _Writer:
-        def __init__(self):
-            self.events = []
-
-        def emit(self, name, **fields):
-            self.events.append((name, fields))
-
-    def _owned_dir(self, root, name, owner) -> None:
-        path = root / name
-        path.mkdir()
-        if owner is not None:
-            (path / ".owner").write_text(str(owner), encoding="utf-8")
-
-    def test_only_dead_owners_are_reaped(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
-        child = multiprocessing.Process(target=_exit_immediately)
-        child.start()
-        child.join()
-        self._owned_dir(tmp_path, "repro-inflight-dead", child.pid)
-        self._owned_dir(tmp_path, "repro-inflight-live", os.getpid())
-        self._owned_dir(tmp_path, "repro-inflight-orphan", None)
-        self._owned_dir(tmp_path, "unrelated-dir", child.pid)
-        writer = self._Writer()
-        assert sweep_stale_marker_dirs(writer) == 1
-        assert not (tmp_path / "repro-inflight-dead").exists()
-        assert (tmp_path / "repro-inflight-live").exists()
-        # Unattributable and foreign directories are never touched.
-        assert (tmp_path / "repro-inflight-orphan").exists()
-        assert (tmp_path / "unrelated-dir").exists()
-        assert writer.events == [("worker.markers_swept", {"dirs": 1})]
-
-    def test_no_event_when_nothing_swept(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
-        self._owned_dir(tmp_path, "repro-inflight-live", os.getpid())
-        writer = self._Writer()
-        assert sweep_stale_marker_dirs(writer) == 0
-        assert writer.events == []
 
 
 class TestServeSubmitLoop:
