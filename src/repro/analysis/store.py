@@ -16,12 +16,16 @@ Design notes
   below makes the race outcome order-independent.
 * **Entry ranks.** An entry is an exact solved optimum
   (``milp``-tagged, rank 3), a lower bound from an integer solve that
-  stopped at its objective target (``lb``-tagged, rank 2), or an
-  LP-relaxation screening bound (``lp``-tagged, rank 1). An upsert
-  only replaces a row when the new rank is strictly higher — an exact
-  optimum upgrades either bound, never the other way around — or, for
-  two lower bounds, when the new bound is larger. The store therefore
-  converges to the same content regardless of writer interleaving.
+  stopped at its objective target (``lb``-tagged, rank 2), an
+  LP-relaxation screening bound (``lp``-tagged, rank 1), or a finished
+  sweep unit (``unit``-tagged, rank 4: one (point, task set) row
+  holding every stored protocol's verdict, see
+  :mod:`repro.experiments.units`). An upsert only replaces a row when
+  the new rank is strictly higher — an exact optimum upgrades either
+  bound, never the other way around — or, at equal rank, when the new
+  ``bound`` column is larger: a larger lower bound, or a unit row
+  covering more protocols. The store therefore converges to the same
+  content regardless of writer interleaving.
 * **Corruption.** Every payload is stored next to its sha256; a reader
   that finds a mismatch (torn write, bit rot, injected fault) deletes
   the row and reports it to the caller, which re-solves. A corrupted
@@ -49,23 +53,26 @@ from repro.faults import injection
 
 #: Bump when the payload encoding, digest inputs, or table layout
 #: change; mismatching stores are discarded on open (see module notes).
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 #: Rank of each entry tag; upserts replace a row only with a strictly
-#: higher rank (exact optima upgrade bounds, never vice versa) or with
-#: a larger lower bound, which makes concurrent writes order-independent.
-ENTRY_RANKS = {"lp": 1, "lb": 2, "milp": 3}
+#: higher rank (exact optima upgrade bounds, never vice versa) or, at
+#: equal rank, with a larger ``bound`` (a larger lower bound, a unit
+#: row covering more protocols), which makes concurrent writes
+#: order-independent. Unit rows never share a digest with solver
+#: entries; their rank only tells them apart.
+ENTRY_RANKS = {"lp": 1, "lb": 2, "milp": 3, "unit": 4}
 
 
 def _encode(value: object) -> str:
     """Canonical JSON text of one cache entry.
 
     Entries are tuples ``("milp", objective, n, stats, degradation)``,
-    ``("lp", bound)``, ``("lb", bound)``, or bare floats (the case-(b)
-    memo); tuples are
-    JSON lists. ``json`` round-trips Python floats exactly (it emits
-    ``repr`` and parses back the identical double), so a decoded entry
-    is bit-identical to the stored one.
+    ``("lp", bound)``, ``("lb", bound)``, ``("unit", payload)``, or bare
+    floats (the case-(b) memo); tuples are JSON lists. ``json``
+    round-trips Python floats exactly (it emits ``repr`` and parses back
+    the identical double), so a decoded entry is bit-identical to the
+    stored one.
     """
     if isinstance(value, tuple):
         return json.dumps(
@@ -88,10 +95,13 @@ def entry_rank(value: object) -> int:
     return ENTRY_RANKS["milp"]  # bare floats are exact solved values
 
 
-def _lower_bound(value: object) -> float | None:
-    """The bound of an ``("lb", bound)`` entry, else ``None``."""
+def _bound(value: object) -> float | None:
+    """The ``bound`` column: an ``("lb", bound)`` entry's bound, a unit
+    row's protocol count, else ``None``."""
     if isinstance(value, tuple) and value and value[0] == "lb":
         return float(value[1])
+    if isinstance(value, tuple) and value and value[0] == "unit":
+        return float(len(value[1]["verdicts"]))
     return None
 
 
@@ -160,6 +170,11 @@ class PersistentStore:
             " rank INTEGER NOT NULL,"
             " bound REAL,"
             " created REAL NOT NULL)"
+        )
+        # ``store`` reads MAX(created) on every upsert and ``gc`` orders
+        # by it; without the index both scan the whole table.
+        conn.execute(
+            "CREATE INDEX IF NOT EXISTS entries_created ON entries(created)"
         )
         conn.commit()
         self._conn = conn
@@ -245,9 +260,10 @@ class PersistentStore:
         Equal-rank payloads for one digest are identical by
         content-addressing, so skipping the write loses nothing and
         keeps concurrent writers convergent. The one exception is the
-        ``lb`` tier: two verdicts with different deadlines may stop one
-        digest's solve at different targets, and the larger bound wins
-        (the ``bound`` column), whichever was written first.
+        ``bound`` column: two verdicts with different deadlines may stop
+        one digest's solve at different targets, and the larger ``lb``
+        bound wins; a unit row is replaced only by one covering more
+        protocols — whichever was written first.
         """
         payload = _encode(value)
         sha = _sha(payload)
@@ -276,7 +292,7 @@ class PersistentStore:
             " WHERE excluded.rank > entries.rank"
             " OR (excluded.rank = entries.rank"
             "     AND excluded.bound > entries.bound)",
-            (digest, payload, sha, entry_rank(value), _lower_bound(value)),
+            (digest, payload, sha, entry_rank(value), _bound(value)),
         )
         conn.commit()
 
@@ -299,6 +315,7 @@ class PersistentStore:
             "exact_entries": by_rank["milp"],
             "lower_bound_entries": by_rank["lb"],
             "screen_entries": by_rank["lp"],
+            "unit_entries": by_rank["unit"],
             "file_bytes": size,
         }
 

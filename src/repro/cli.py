@@ -205,8 +205,6 @@ def _cmd_figure(args: argparse.Namespace) -> int:
         options=options,
         progress=progress,
         failure_policy=args.failure_policy,
-        checkpoint_path=args.checkpoint or None,
-        resume=args.resume,
         jobs=args.jobs,
         trace_path=args.trace or None,
         fault_plan=fault_plan,
@@ -258,7 +256,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         args.port,
         workers=args.workers,
         cache_path=args.cache or None,
-        checkpoint_dir=args.checkpoint_dir or None,
         trace_dir=args.trace_dir or None,
         fault_plan=fault_plan,
         max_sweeps=args.sweeps,
@@ -362,30 +359,26 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     report = aggregate_events(events)
     report.corruption = corruption.as_dict()
     print(render_profile(report, timings=not args.no_timings))
-    if args.checkpoint:
-        from repro.experiments.persistence import read_checkpoint_points
-
-        points = read_checkpoint_points(args.checkpoint, tolerant=True)
-        problems = reconcile(report, points.values())
-        print()
-        if problems and not corruption.total:
-            for problem in problems:
-                print(f"reconciliation MISMATCH: {problem}")
-            return 1
-        if corruption.total:
-            # A corrupt trace legitimately under-reports: say exactly
-            # how much was lost instead of failing the reconciliation.
-            print(
-                f"note: {corruption.total} corrupt trace line(s) "
-                f"skipped; counters may under-report"
-            )
-            for problem in problems:
-                print(f"reconciliation gap (corrupt trace): {problem}")
-            return 0
+    problems = reconcile(report)
+    print()
+    if problems and not corruption.total:
+        for problem in problems:
+            print(f"reconciliation MISMATCH: {problem}")
+        return 1
+    if corruption.total:
+        # A corrupt trace legitimately under-reports: say exactly how
+        # much was lost instead of failing the reconciliation.
         print(
-            f"trace reconciles with {args.checkpoint}: "
-            f"cache counters and failure ledger match exactly"
+            f"note: {corruption.total} corrupt trace line(s) "
+            f"skipped; counters may under-report"
         )
+        for problem in problems:
+            print(f"reconciliation gap (corrupt trace): {problem}")
+        return 0
+    print(
+        "trace reconciles with its point.end records: "
+        "cache counters and failure ledger match exactly"
+    )
     return 0
 
 
@@ -654,16 +647,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(one series per protocol)",
     )
     p_fig.add_argument(
-        "--checkpoint",
-        default="",
-        help="persist each completed point to this JSON file (atomic)",
-    )
-    p_fig.add_argument(
-        "--resume",
-        action="store_true",
-        help="reload --checkpoint and re-evaluate only unfinished points",
-    )
-    p_fig.add_argument(
         "--failure-policy",
         choices=[p.value for p in FailurePolicy],
         default=FailurePolicy.COUNT_UNSCHEDULABLE.value,
@@ -691,9 +674,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_fig.add_argument(
         "--cache",
         default="",
-        help="back the analysis cache with this persistent sqlite "
-        "store, shared across runs and --jobs workers (results are "
-        "bit-identical with or without it)",
+        help="run on this persistent sqlite store, shared across runs "
+        "and --jobs workers: finished units are kept there, so rerunning "
+        "an interrupted sweep resumes it (results are bit-identical with "
+        "or without it)",
     )
     p_fig.set_defaults(func=_cmd_figure)
 
@@ -714,11 +698,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--cache", default="",
         help="persistent sqlite store backing both the per-solve cache "
         "and the finished-unit tier (repeat submits are served from it)",
-    )
-    p_srv.add_argument(
-        "--checkpoint-dir", default="",
-        help="directory of per-sweep checkpoints (keyed by config "
-        "digest); a restarted coordinator resumes from them",
     )
     p_srv.add_argument(
         "--trace-dir", default="",
@@ -791,7 +770,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_prof = sub.add_parser(
         "profile",
-        help="aggregate a --trace event log into a per-phase report",
+        help="aggregate a --trace event log into a per-phase report "
+        "and reconcile it against its point.end records (exit 1 on any "
+        "counter mismatch)",
     )
     p_prof.add_argument("trace", help="JSONL trace written by --trace")
     p_prof.add_argument(
@@ -799,12 +780,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="render only the deterministic sections (identical for "
         "--jobs 1 and --jobs N runs of the same config)",
-    )
-    p_prof.add_argument(
-        "--checkpoint",
-        default="",
-        help="reconcile the trace against this run checkpoint "
-        "(exit 1 on any counter mismatch)",
     )
     p_prof.set_defaults(func=_cmd_profile)
 

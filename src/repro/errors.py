@@ -102,18 +102,6 @@ class FaultPlanError(ReproError):
     """
 
 
-class InjectedCrashError(ReproError):
-    """A simulated process crash raised by a fired parent-side fault.
-
-    Stands in for "the process was killed here" at sites where really
-    dying would take the test harness with it (torn checkpoint writes).
-    It derives from :class:`ReproError` so the CLI reports it as a
-    one-line error instead of a traceback, but the experiment engine
-    never catches it: like a real crash, it aborts the run — recovery
-    happens on the next ``--resume``.
-    """
-
-
 class ObservabilityError(ReproError):
     """Raised for invalid trace events, files, or profile operations.
 

@@ -1,39 +1,22 @@
-"""Persistence for experiment results.
+"""Persistence for experiment results: the sweep export format.
 
 Long sweeps are expensive; this module serialises a
 :class:`~repro.experiments.runner.SweepResult` to JSON (losslessly for
-the ratio data and the generation parameters) so partial runs can be
+the ratio data and the generation parameters) so finished runs can be
 archived, reloaded for re-plotting, and merged — e.g. two 25-set runs
-with disjoint seeds combine into one 50-set series.
+with disjoint seeds combine into one 50-set series. Resuming an
+interrupted sweep is not this module's job: the unit rows of the
+persistent store are the sweep's durable state (see
+:mod:`repro.experiments.units`).
 
-It also implements the sweep **checkpoint** format: a JSON file keyed
-by a digest of the experiment configuration, holding every completed
-point (including its failure ledger). The format is crash-consistent
-by construction:
-
-* **Durable atomic writes.** Every checkpoint/sweep write goes to a
-  temp file in the target directory, is flushed and ``fsync``\\ ed,
-  renamed over the target with ``os.replace`` (atomic on POSIX), and
-  the containing directory is ``fsync``\\ ed after the rename — so
-  neither a process kill nor a power cut mid-write can leave a
-  truncated target, and a completed rename survives the page cache.
-  Transient filesystem errors are retried with a short bounded backoff
-  before giving up.
-* **Versioned payloads with per-point content digests.** Each stored
-  point carries a SHA-256 digest of its canonical JSON
-  (``checkpoint_version`` 2; version-1 files written by older builds
-  still load, just without per-point verification). A reader can
-  therefore detect a silently garbled point — torn sector, bit rot,
-  a non-atomic writer — and, in tolerant mode, *skip exactly the
-  corrupt points* so a resumed sweep re-solves only those instead of
-  crashing or resuming from garbage.
-* **Stale temp cleanup.** A crash between temp-write and rename leaves
-  a ``*.tmp`` file behind; :func:`cleanup_stale_tmp` removes it on the
-  next run's startup (the target file is still the last good state).
-
-Fault-injection hooks (:mod:`repro.faults`) cover exactly these
-hazards — ``checkpoint.torn``, ``fs.error`` — so the chaos suite can
-prove the recovery paths instead of trusting them.
+Every write is durable and atomic: it goes to a temp file in the
+target directory, is flushed and ``fsync``\\ ed, renamed over the
+target with ``os.replace`` (atomic on POSIX), and the containing
+directory is ``fsync``\\ ed after the rename — so neither a process
+kill nor a power cut mid-write can leave a truncated target. Transient
+filesystem errors are retried with a short bounded backoff before
+giving up; the ``fs.error`` fault site of :mod:`repro.faults` lets the
+chaos suite prove that path.
 """
 
 from __future__ import annotations
@@ -44,9 +27,8 @@ import json
 import os
 import time
 from pathlib import Path
-from typing import Mapping
 
-from repro.errors import ExperimentError, InjectedCrashError
+from repro.errors import ExperimentError
 from repro.experiments.config import ExperimentConfig, SweepPoint
 from repro.experiments.units import FailureRecord, PointResult, SweepResult
 from repro.faults import injection as faults
@@ -54,9 +36,6 @@ from repro.generator.taskset_gen import GenerationConfig
 from repro.obs import events as obs
 
 _FORMAT_VERSION = 1
-_CHECKPOINT_VERSION = 2
-#: Payload versions this build can read (1 = pre-digest format).
-_SUPPORTED_CHECKPOINT_VERSIONS = (1, 2)
 #: Durable-write attempts before a filesystem error is fatal.
 _WRITE_ATTEMPTS = 3
 
@@ -121,12 +100,6 @@ def _point_from_dict(raw: dict) -> PointResult:
         ),
         analysis_stats=raw.get("analysis_stats", {}),
     )
-
-
-def point_digest(payload: Mapping[str, object]) -> str:
-    """Content digest of one serialised point (checkpoint v2 field)."""
-    canonical = json.dumps(payload, sort_keys=True)
-    return hashlib.sha256(canonical.encode()).hexdigest()
 
 
 def sweep_to_dict(result: SweepResult) -> dict:
@@ -209,24 +182,6 @@ def _durable_replace(path: Path, text: str) -> None:
     ) from last_error
 
 
-def cleanup_stale_tmp(path: str | Path) -> bool:
-    """Remove a ``*.tmp`` file a crashed prior run left next to ``path``.
-
-    A crash between temp-write and rename leaves the temp file behind
-    while the target still holds the last durable state; the leftover
-    is dead weight (and would shadow debugging), so runs clear it on
-    startup. Returns whether anything was removed.
-    """
-    tmp = Path(path).with_name(Path(path).name + ".tmp")
-    try:
-        tmp.unlink()
-    except FileNotFoundError:
-        return False
-    except OSError:
-        return False
-    return True
-
-
 def save_sweep(result: SweepResult, path: str | Path) -> None:
     """Write a sweep result to a JSON file (durable atomic write)."""
     _durable_replace(
@@ -249,16 +204,18 @@ def load_sweep(path: str | Path) -> SweepResult:
 def merge_sweeps(a: SweepResult, b: SweepResult) -> SweepResult:
     """Pool two runs of the same experiment into one larger sample.
 
-    The runs must share the experiment definition (name, sweep points,
-    protocols, method) but should use different seeds — the merged
-    ratios are the sample-size-weighted averages.
+    The runs must share the experiment definition (name, sweep points
+    and their generation parameters, protocols, LS policy, method) but
+    should use different seeds — the merged ratios are the
+    sample-size-weighted averages.
     """
     ca, cb = a.config, b.config
     if (
         ca.name != cb.name
         or ca.x_label != cb.x_label
-        or [p.x for p in ca.points] != [p.x for p in cb.points]
+        or ca.points != cb.points
         or ca.protocols != cb.protocols
+        or ca.ls_policy != cb.ls_policy
         or ca.method != cb.method
     ):
         raise ExperimentError("cannot merge results of different experiments")
@@ -297,224 +254,12 @@ def merge_sweeps(a: SweepResult, b: SweepResult) -> SweepResult:
     return SweepResult(config=merged_config, points=tuple(merged_points))
 
 
-# ----------------------------------------------------------------------
-# checkpoint / resume
-# ----------------------------------------------------------------------
 def config_digest(config: ExperimentConfig) -> str:
     """Stable digest identifying an experiment configuration.
 
     Two configs with the same digest generate the same task sets and
-    evaluate the same protocols, so their per-point results are
-    interchangeable — the property checkpoint resume relies on.
+    evaluate the same protocols; traces carry it (truncated) as their
+    run id.
     """
     canonical = json.dumps(_config_to_dict(config), sort_keys=True)
     return hashlib.sha256(canonical.encode()).hexdigest()
-
-
-def _apply_torn_write(
-    spec: "faults.FaultSpec",
-    path: Path,
-    text: str,
-    payload: dict,
-    point: int | None,
-) -> None:
-    """Simulate a checkpoint write torn mid-flight, then "crash".
-
-    ``lost``: the temp file is written but the rename never happens —
-    the crash signature the atomic-write protocol is designed for.
-    ``truncate``: the target itself ends up holding a truncated payload
-    (what a *non*-atomic writer would leave). ``corrupt_point``: the
-    write completes but one point's payload was silently garbled in
-    flight — caught later by its content digest. All three end in an
-    :class:`~repro.errors.InjectedCrashError` standing in for the
-    process dying at this instant.
-    """
-    if spec.mode == "lost":
-        path.with_name(path.name + ".tmp").write_text(text)
-    elif spec.mode == "truncate":
-        path.write_text(text[: max(1, len(text) // 2)])
-    else:  # corrupt_point: valid JSON, one point's content garbled
-        keys = sorted(payload["points"], key=int)
-        key = str(point) if str(point) in payload["points"] else keys[-1]
-        entry = payload["points"][key]
-        entry["point"] = {**entry["point"], "x": -1.0, "ratios": {}}
-        path.write_text(json.dumps(payload, indent=2))
-    raise InjectedCrashError(
-        f"injected crash: checkpoint write to {path} torn "
-        f"(mode={spec.mode})"
-    )
-
-
-def save_checkpoint(
-    path: str | Path,
-    config: ExperimentConfig,
-    completed: Mapping[int, PointResult],
-    point: int | None = None,
-) -> None:
-    """Atomically and durably persist the completed points of a sweep.
-
-    See the module docstring for the durability protocol. ``point`` is
-    the just-completed point index — pure context, used to stamp
-    injected faults and to target ``corrupt_point`` injections; it does
-    not affect what is written.
-    """
-    path = Path(path)
-    points_payload: dict[str, dict] = {}
-    for index, point_result in sorted(completed.items()):
-        data = _point_to_dict(point_result)
-        points_payload[str(index)] = {
-            "digest": point_digest(data),
-            "point": data,
-        }
-    payload = {
-        "checkpoint_version": _CHECKPOINT_VERSION,
-        "config_digest": config_digest(config),
-        "config": _config_to_dict(config),
-        "points": points_payload,
-    }
-    text = json.dumps(payload, indent=2)
-    spec = faults.fire("checkpoint.torn", point=point)
-    if spec is not None and completed:
-        _apply_torn_write(spec, path, text, payload, point)
-    _durable_replace(path, text)
-
-
-def _read_checkpoint_payload(
-    path: Path, tolerant: bool
-) -> "tuple[dict | None, list[str]]":
-    """Parse a checkpoint file; ``(None, problems)`` when unusable."""
-    try:
-        payload = json.loads(path.read_text())
-    except (json.JSONDecodeError, OSError) as exc:
-        message = f"unreadable checkpoint {path}: {exc}"
-        if tolerant:
-            return None, [message]
-        raise ExperimentError(message) from exc
-    version = payload.get("checkpoint_version")
-    if version not in _SUPPORTED_CHECKPOINT_VERSIONS:
-        message = (
-            f"unsupported checkpoint version {version!r} in {path} "
-            f"(supported: {list(_SUPPORTED_CHECKPOINT_VERSIONS)})"
-        )
-        if tolerant:
-            return None, [message]
-        raise ExperimentError(message)
-    return payload, []
-
-
-def _points_from_payload(
-    payload: dict, path: Path, tolerant: bool
-) -> "tuple[dict[int, PointResult], list[str]]":
-    """Decode and digest-verify a payload's points.
-
-    Version-2 entries (``{"digest": ..., "point": {...}}``) are
-    verified against their content digest; version-1 entries are plain
-    point dicts and pass through unverified. In tolerant mode a corrupt
-    point is *skipped* (reported in the problem list) so the caller
-    re-solves exactly the damaged points; in strict mode it raises.
-    """
-    points: dict[int, PointResult] = {}
-    problems: list[str] = []
-    for index, entry in payload.get("points", {}).items():
-        versioned = (
-            isinstance(entry, dict) and "digest" in entry and "point" in entry
-        )
-        data = entry["point"] if versioned else entry
-        if versioned and point_digest(data) != entry["digest"]:
-            message = (
-                f"checkpoint {path}: point {index} failed its content "
-                f"digest — skipping (will be re-solved)"
-            )
-            if not tolerant:
-                raise ExperimentError(message)
-            problems.append(message)
-            continue
-        try:
-            points[int(index)] = _point_from_dict(data)
-        except (KeyError, TypeError, ValueError) as exc:
-            message = (
-                f"checkpoint {path}: point {index} is undecodable "
-                f"({type(exc).__name__}: {exc}) — skipping"
-            )
-            if not tolerant:
-                raise ExperimentError(message) from exc
-            problems.append(message)
-    return points, problems
-
-
-def load_checkpoint(
-    path: str | Path,
-    config: ExperimentConfig,
-    missing_ok: bool = False,
-    tolerant: bool = False,
-) -> dict[int, PointResult]:
-    """Load the completed points of a checkpoint for ``config``.
-
-    Raises :class:`ExperimentError` when the file belongs to a
-    different configuration (digest mismatch — resuming against the
-    wrong checkpoint would silently mix incompatible samples), and, in
-    strict mode, when it is unreadable, an unsupported version, or any
-    point fails its content digest. With ``tolerant=True`` unreadable
-    files count as empty and corrupt points are skipped (the resume
-    path then re-solves exactly those); use
-    :func:`load_checkpoint_recovering` to also see what was skipped.
-    """
-    points, _ = load_checkpoint_recovering(
-        path, config, missing_ok=missing_ok, tolerant=tolerant
-    )
-    return points
-
-
-def load_checkpoint_recovering(
-    path: str | Path,
-    config: ExperimentConfig,
-    missing_ok: bool = True,
-    tolerant: bool = True,
-) -> "tuple[dict[int, PointResult], list[str]]":
-    """Like :func:`load_checkpoint`, returning recovery problems too.
-
-    The second element lists every corruption the loader healed around
-    (unreadable file, digest-failed or undecodable points); empty for
-    a pristine checkpoint.
-    """
-    path = Path(path)
-    if not path.exists():
-        if missing_ok:
-            return {}, []
-        raise ExperimentError(f"checkpoint file not found: {path}")
-    payload, problems = _read_checkpoint_payload(path, tolerant)
-    if payload is None:
-        return {}, problems
-    expected = config_digest(config)
-    found = payload.get("config_digest")
-    if found != expected:
-        # Never healed around, even in tolerant mode: a wrong-config
-        # checkpoint is caller error, not corruption.
-        raise ExperimentError(
-            f"checkpoint {path} belongs to a different experiment "
-            f"(config digest {found!r} != {expected!r}); delete it or "
-            f"point --checkpoint elsewhere"
-        )
-    points, point_problems = _points_from_payload(payload, path, tolerant)
-    return points, problems + point_problems
-
-
-def read_checkpoint_points(
-    path: str | Path, tolerant: bool = False
-) -> dict[int, PointResult]:
-    """Load a checkpoint's points without knowing its configuration.
-
-    ``repro profile --checkpoint`` reconciles a trace against whatever
-    run produced the checkpoint, so unlike :func:`load_checkpoint`
-    there is no expected config to verify the digest against — payload
-    version, JSON validity, and per-point content digests are still
-    enforced (or healed around with ``tolerant=True``).
-    """
-    path = Path(path)
-    if not path.exists():
-        raise ExperimentError(f"checkpoint file not found: {path}")
-    payload, _ = _read_checkpoint_payload(path, tolerant)
-    if payload is None:
-        return {}
-    points, _ = _points_from_payload(payload, path, tolerant)
-    return points

@@ -4,22 +4,23 @@ Long sweeps are thousands of MILP solves; this runner isolates faults
 per taskset/protocol pair instead of letting one bad solve abort the
 sweep. Each failure is captured as a structured :class:`FailureRecord`
 in a ledger on the point result, and a :class:`FailurePolicy` decides
-how the failed pair enters the ratios. With ``checkpoint_path`` set,
-every completed point is persisted atomically so an interrupted sweep
-resumes from where it stopped (see
-:mod:`repro.experiments.persistence`).
+how the failed pair enters the ratios. With ``cache_path`` set, every
+finished unit is written to the persistent store as it completes, so
+an interrupted sweep resumes by rerunning it on the same store (see
+the unit store in :mod:`repro.experiments.units`).
 
 One scheduler, two drivers
 --------------------------
 A sweep is a set of (point, task set) work units. The
 :class:`~repro.experiments.units.UnitScheduler` is the only place that
-turns finished units into points: it merges them in task-set order,
-appends their trace events, writes the checkpoint and reports
-progress. The ``jobs`` argument only decides who evaluates the units:
+turns finished units into points: it serves stored units, writes
+finished ones back, merges them in task-set order, appends their trace
+events and reports progress. The ``jobs`` argument only decides who
+evaluates the units the store did not answer:
 
 * ``jobs=1`` evaluates them in this process, point by point, through
-  :func:`~repro.experiments.units._evaluate_unit`, with one
-  persistent-store handle for the whole run.
+  :func:`~repro.experiments.units._evaluate_unit`, on the run's one
+  persistent-store handle.
 * ``jobs=N`` hands the scheduler to the sweep service's dispatch loop
   (:func:`repro.service.coordinator.run_local_sweep`). ``N`` worker
   processes, each on its own socketpair, evaluate units through
@@ -92,11 +93,7 @@ def _unit_scope(
     )
 
 
-def _run_in_process(
-    scheduler: UnitScheduler,
-    options: AnalysisOptions | None,
-    store: PersistentStore | None,
-) -> None:
+def _run_in_process(scheduler: UnitScheduler) -> None:
     """Evaluate every pending unit in this process, point by point.
 
     Each point's sample is generated once. Every unit gets its own
@@ -122,6 +119,9 @@ def _run_in_process(
                 sets=len(tasksets),
             )
         for index, taskset in enumerate(tasksets):
+            key = (point_index, index)
+            if key not in scheduler.pending:
+                continue  # answered by the store
             with _unit_scope(scheduler.fault_plan, point_index, index, 0):
                 unit = _evaluate_unit(
                     point,
@@ -130,9 +130,10 @@ def _run_in_process(
                     index,
                     taskset,
                     scheduler.policy,
-                    options,
+                    scheduler.options,
                     recorder=EventRecorder() if writer is not None else None,
-                    store=store,
+                    store=scheduler.store,
+                    protocols=scheduler.missing(key),
                 )
             scheduler.record_unit(point_index, unit)
 
@@ -152,8 +153,10 @@ def run_point(
     and enters the ratio per ``failure_policy``.
     """
     single = dataclasses.replace(config, points=(point,), seed=seed)
-    scheduler = UnitScheduler(single, _coerce_policy(failure_policy), {})
-    _run_in_process(scheduler, options, store=None)
+    scheduler = UnitScheduler(
+        single, _coerce_policy(failure_policy), options=options
+    )
+    _run_in_process(scheduler)
     return scheduler.completed[0]
 
 
@@ -188,12 +191,15 @@ def _worker_evaluate(
     fault_plan: FaultPlan | None = None,
     attempt: int = 0,
     cache_path: "str | None" = None,
+    protocols: "tuple[str, ...] | None" = None,
 ) -> _UnitResult:
     """Worker entry point: evaluate one (point, task set) unit.
 
-    The task set is regenerated from the point's seed (memoised per
-    process) and the persistent store is this process's own handle on
-    ``cache_path``. With a ``fault_plan`` the evaluation runs under a
+    Only ``protocols`` are evaluated (default: all of the config's);
+    the parent joins them with the unit's stored part. The task set is
+    regenerated from the point's seed (memoised per process) and the
+    persistent store is this process's own handle on ``cache_path``.
+    With a ``fault_plan`` the evaluation runs under a
     fresh per-unit injection scope carrying the (point, unit, attempt)
     context, and takes the ``worker.death`` hook.
     """
@@ -226,6 +232,7 @@ def _worker_evaluate(
                 else None
             ),
             store=_store_for(cache_path) if cache_path is not None else None,
+            protocols=protocols,
         )
 
 
@@ -234,8 +241,6 @@ def run_experiment(
     options: AnalysisOptions | None = None,
     progress: Callable[[PointResult], None] | None = None,
     failure_policy: FailurePolicy | str = FailurePolicy.COUNT_UNSCHEDULABLE,
-    checkpoint_path: "str | None" = None,
-    resume: bool = False,
     jobs: int = 1,
     trace_path: "str | None" = None,
     fault_plan: FaultPlan | None = None,
@@ -246,48 +251,38 @@ def run_experiment(
     Args:
         config: The experiment definition.
         options: Analysis options (e.g. per-MILP time limits).
-        progress: Optional callback invoked after each point this run
-            completes (points loaded by ``resume`` are not reported),
-            for long-running CLI feedback. Under ``jobs > 1`` points
-            are reported in completion order (the returned sweep is
-            always in point order).
+        progress: Optional callback invoked after each point completes,
+            for long-running CLI feedback. Points are reported in
+            completion order (the returned sweep is always in point
+            order).
         failure_policy: How failed taskset/protocol pairs enter the
             ratios (see :class:`FailurePolicy`).
-        checkpoint_path: When set, each completed point is persisted
-            there atomically and durably (JSON keyed by a config
-            digest, per-point content digests, fsync'd temp-and-rename
-            writes); only the parent process ever writes it. Stale
-            ``*.tmp`` leftovers of a crashed prior run are cleaned up
-            on startup.
-        resume: Reload ``checkpoint_path`` and skip the points it
-            already holds; point ``i`` always uses ``config.seed + i``,
-            so a resumed sweep is bit-identical to an uninterrupted
-            one. The load is tolerant: points that fail their content
-            digest (torn by a crash, bit rot) are dropped — and hence
-            re-solved — instead of aborting the resume; each recovery
-            is surfaced as a ``checkpoint.recovered`` trace event.
         jobs: Worker processes. ``1`` (the default) runs in-process;
             ``N > 1`` dispatches (point, task set) units to ``N`` local
             worker processes with bit-identical results (see the
             module docstring), including across worker crashes.
         trace_path: When set, a structured JSONL event trace of the
             run is written there (see :mod:`repro.obs`). The run id
-            stamped on every event is the config digest, so a trace is
-            attributable to its checkpoint. Points skipped via
-            ``resume`` emit nothing.
+            stamped on every event is the config digest.
         fault_plan: When set, the run executes under deterministic
             fault injection (see :mod:`repro.faults`): a run-level
-            scope in the parent covers checkpoint/trace/filesystem
-            sites, and every work unit — worker-side or sequential —
-            gets its own (point, unit, attempt)-scoped activation.
-        cache_path: When set, every unit's analysis cache is backed by
-            the persistent sqlite store at this path (see
-            :mod:`repro.analysis.store`), shared across runs, points,
-            and worker processes. Verdicts and ratios are bit-identical
-            with the store enabled, disabled, or pre-populated — the
-            store only changes which tier answers a lookup — and the
-            ``persistent.*`` counters in ``analysis_stats`` surface how
-            much work it saved.
+            scope in the parent covers trace/filesystem sites, and
+            every work unit — worker-side or sequential — gets its own
+            (point, unit, attempt)-scoped activation. Unit rows are
+            then neither read nor written.
+        cache_path: When set, the sweep runs on the persistent sqlite
+            store at this path (see :mod:`repro.analysis.store`),
+            shared across runs, points, and worker processes. It backs
+            every unit's analysis cache, and it holds one row per
+            finished (point, task set) unit with each protocol's
+            verdict: stored protocols are served, only missing ones
+            are evaluated, and each finished unit is written back. An
+            interrupted sweep therefore resumes by rerunning it on the
+            same store. Verdicts and ratios are bit-identical with the
+            store enabled, disabled, or pre-populated — the store only
+            changes which tier answers — and the ``persistent.*`` and
+            ``unit_store.hits`` counters in ``analysis_stats`` surface
+            how much work it saved.
     """
     policy = _coerce_policy(failure_policy)
     if jobs < 1:
@@ -296,31 +291,19 @@ def run_experiment(
         config,
         policy,
         jobs=jobs,
-        checkpoint_path=checkpoint_path,
-        resume=resume,
+        options=options,
+        cache_path=cache_path,
         trace_path=trace_path,
         fault_plan=fault_plan,
         progress=progress,
     ) as scheduler:
         if jobs == 1:
-            store = (
-                PersistentStore(cache_path) if cache_path is not None else None
-            )
-            try:
-                _run_in_process(scheduler, options, store)
-            finally:
-                if store is not None:
-                    store.close()
+            _run_in_process(scheduler)
         elif not scheduler.done:
             # Imported here: the service imports this module.
             from repro.service.coordinator import run_local_sweep
 
-            run_local_sweep(
-                scheduler,
-                jobs=jobs,
-                options=options,
-                cache_path=cache_path,
-            )
+            run_local_sweep(scheduler, jobs=jobs, cache_path=cache_path)
     return scheduler.result()
 
 
@@ -330,68 +313,60 @@ def sweep_session(
     policy: FailurePolicy,
     *,
     jobs: int,
-    checkpoint_path: "str | None" = None,
-    resume: bool = False,
+    options: AnalysisOptions | None = None,
+    cache_path: "str | None" = None,
     trace_path: "str | None" = None,
     fault_plan: FaultPlan | None = None,
     progress: Callable[[PointResult], None] | None = None,
 ) -> Iterator[UnitScheduler]:
     """The parent's side of one sweep, around whatever runs its units.
 
-    Activates the run-level fault scope, removes stale checkpoint temp
-    files, loads the checkpoint when resuming, opens the trace (run id
-    = config digest) with its ``run.start`` event, and yields the
-    :class:`UnitScheduler`. A clean exit emits ``run.end``; the trace
-    is closed either way. Shared by :func:`run_experiment` and
-    ``SweepService.process_sweep``; ``jobs`` is only reported.
+    Activates the run-level fault scope, opens the run's one
+    :class:`PersistentStore` on ``cache_path``, opens the trace (run id
+    = config digest) with its ``run.start`` event, builds the
+    :class:`UnitScheduler`, lets it serve every unit the store already
+    holds, and yields it. A clean exit emits ``run.end``; the trace and
+    the store are closed either way. Shared by :func:`run_experiment`
+    and ``SweepService.process_sweep``; ``jobs`` is only reported.
     """
-    from repro.experiments.persistence import (
-        cleanup_stale_tmp,
-        config_digest,
-        load_checkpoint_recovering,
-    )
+    from repro.experiments.persistence import config_digest
 
     plan_scope = (
         faults.injecting(fault_plan) if fault_plan is not None else nullcontext()
     )
+    store = PersistentStore(cache_path) if cache_path is not None else None
+    writer: TraceWriter | None = None
     with plan_scope:
-        completed: dict[int, PointResult] = {}
-        recovered: list[str] = []
-        if checkpoint_path is not None:
-            cleanup_stale_tmp(checkpoint_path)
-            if resume:
-                completed, recovered = load_checkpoint_recovering(
-                    checkpoint_path, config
-                )
-        writer: TraceWriter | None = None
-        if trace_path is not None:
-            writer = TraceWriter(trace_path, run_id=config_digest(config)[:12])
         try:
-            if writer is not None:
+            if trace_path is not None:
+                writer = TraceWriter(
+                    trace_path, run_id=config_digest(config)[:12]
+                )
                 writer.emit(
                     "run.start",
                     points=len(config.points),
                     sets=config.sets_per_point,
                     jobs=jobs,
-                    resumed=len(completed),
                 )
-                for problem in recovered:
-                    writer.emit("checkpoint.recovered", detail=problem)
             run_start = time.perf_counter()
-            yield UnitScheduler(
+            scheduler = UnitScheduler(
                 config,
                 policy,
-                completed,
-                checkpoint_path=checkpoint_path,
+                options=options,
+                store=store,
                 writer=writer,
                 fault_plan=fault_plan,
                 progress=progress,
             )
+            scheduler.serve_stored()
+            yield scheduler
             if writer is not None:
                 writer.emit("run.end", dur=time.perf_counter() - run_start)
         finally:
             if writer is not None:
                 writer.close()
+            if store is not None:
+                store.close()
 
 
 def compare_on_taskset(

@@ -2,7 +2,7 @@
 
 Every sweep — ``run_experiment`` at any ``jobs`` and the
 :mod:`repro.service` coordinator — decomposes an experiment into the
-same pure work unit: evaluate every protocol on one task set of one
+same pure work unit: evaluate the protocols on one task set of one
 sweep point. This module owns everything about those units that does
 *not* depend on where they run:
 
@@ -16,22 +16,29 @@ sweep point. This module owns everything about those units that does
 * :func:`_merge_units` — the completion-order-independent fold of unit
   results into a point result;
 * :class:`UnitScheduler` — the single place a point is completed:
-  which units are pending at which attempt, which have crashed how
-  often, requeue-or-quarantine decisions, and point completion (trace
-  append in task-set order, one atomic checkpoint write, progress
-  callback). The in-process ``jobs=1`` loop and the sweep service's
-  dispatch loop both drive it;
-* :func:`unit_digest` / the unit payload codec — the content address
-  under which the sweep service memoises *finished unit results* in the
-  persistent store. The digest covers everything the unit's counts
-  depend on (generation parameters, seed, task-set index, protocols,
-  policy, analysis options) and deliberately **excludes**
-  ``sets_per_point``: :func:`repro.generator.taskset_gen.generate_tasksets`
-  draws sequentially from one seeded stream, so task set ``i`` is
-  identical no matter how many sets a sweep requests — an overlapping
-  (larger) sweep re-uses every unit the smaller one already solved.
-  Only ``SweepService.process_sweep`` reads and writes these entries;
-  ``run_experiment`` never does.
+  which units are pending at which attempt (and which of their
+  protocols are still missing), which have crashed how often,
+  requeue-or-quarantine decisions, and point completion (trace append
+  in task-set order, progress callback). The in-process ``jobs=1``
+  loop and the sweep service's dispatch loop both drive it;
+* the unit store — the sweep's only durable state. Finished units live
+  in the persistent store as one row per (point, task set), under
+  :func:`unit_digest`, holding every stored protocol's (count,
+  attempted) pair and the unit's failure records. Before dispatch the
+  scheduler reads every pending unit's row (:meth:`UnitScheduler.
+  serve_stored`); a row covering all protocols answers its unit, a
+  row covering some leaves only the missing protocols to evaluate.
+  Each finished unit is written back as the union of its row and the
+  fresh verdicts, so an interrupted sweep resumes by rerunning it on
+  the same store, and a sweep extended with new protocols evaluates
+  only those. The digest covers everything a protocol's verdict on the
+  unit depends on (generation parameters, seed, task-set index,
+  policy, analysis options) and deliberately **excludes** the protocol
+  list and ``sets_per_point``:
+  :func:`repro.generator.taskset_gen.generate_tasksets` draws
+  sequentially from one seeded stream, so task set ``i`` is identical
+  no matter how many sets a sweep requests — an overlapping (larger)
+  sweep re-uses every unit the smaller one already solved.
 """
 
 from __future__ import annotations
@@ -42,7 +49,7 @@ import time
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Mapping
+from typing import Any, Callable, Iterable, Mapping
 
 from repro.analysis.cache import AnalysisCache, cache_scope
 from repro.analysis.cache import digest as _cache_digest
@@ -137,7 +144,7 @@ class SweepResult:
 
     Points are normalised to ascending x on construction, so a result
     assembled from out-of-order completions (parallel execution,
-    merged checkpoints) yields the same ``series()``/``x_values`` as a
+    merged sweep exports) yields the same ``series()``/``x_values`` as a
     strictly sequential run.
     """
 
@@ -218,8 +225,10 @@ def _evaluate_unit(
     recorder: EventRecorder | None = None,
     death_check: "Callable[[str | None], None] | None" = None,
     store: PersistentStore | None = None,
+    protocols: "tuple[str, ...] | None" = None,
 ) -> _UnitResult:
-    """Evaluate every protocol on one task set, inside a fresh cache scope.
+    """Evaluate ``protocols`` (default: all of the config's) on one task
+    set, inside a fresh cache scope.
 
     Shared by the in-process path and every worker, so all produce
     the same verdicts, the same failure records in the same order, and
@@ -233,17 +242,20 @@ def _evaluate_unit(
     ``worker.death`` injection hook (called at unit start and before
     each protocol with the protocol name); it simulates the worker
     dying at that instant, so it exists only where a real crash could
-    — in-process units never take it.
+    — in-process units never take it. A unit whose stored row already
+    holds some protocols' verdicts is evaluated for the rest only.
     """
     start = time.perf_counter()
-    counts = {protocol: 0 for protocol in config.protocols}
-    attempted = {protocol: 0 for protocol in config.protocols}
+    if protocols is None:
+        protocols = config.protocols
+    counts = {protocol: 0 for protocol in protocols}
+    attempted = {protocol: 0 for protocol in protocols}
     failures: list[FailureRecord] = []
     scope = obs.recording(recorder) if recorder is not None else nullcontext()
     with scope, cache_scope(AnalysisCache(persistent=store)) as cache:
         if death_check is not None:
             death_check(None)
-        for protocol in config.protocols:
+        for protocol in protocols:
             if death_check is not None:
                 death_check(protocol)
             protocol_start = time.perf_counter()
@@ -374,37 +386,6 @@ def _store_for(path: str) -> PersistentStore:
 _CRASH_QUARANTINE_AT = 2
 
 
-def _save_checkpoint_traced(
-    checkpoint_path: str,
-    config: ExperimentConfig,
-    completed: "dict[int, PointResult]",
-    point_index: int,
-    writer: TraceWriter | None,
-) -> None:
-    """One atomic checkpoint save, with its obs events on the trace.
-
-    The persistence layer emits through the module-level recorder
-    (retry attempts, injected torn writes); the parent normally has no
-    recorder installed, so one is scoped around the save and flushed
-    to the trace writer in a ``finally`` — fault events must reach the
-    trace even when the injected fault escalates to a simulated crash.
-    """
-    from repro.experiments.persistence import save_checkpoint
-
-    if writer is None:
-        save_checkpoint(checkpoint_path, config, completed, point=point_index)
-        return
-    recorder = EventRecorder()
-    try:
-        with obs.recording(recorder):
-            save_checkpoint(
-                checkpoint_path, config, completed, point=point_index
-            )
-    finally:
-        writer.write_events(recorder.drain(), point=point_index)
-    writer.emit("checkpoint.saved", point=point_index)
-
-
 def _failed_unit(
     config: ExperimentConfig,
     point_index: int,
@@ -412,6 +393,7 @@ def _failed_unit(
     policy: FailurePolicy,
     error_type: str,
     message: str,
+    protocols: "tuple[str, ...]",
 ) -> _UnitResult:
     """Synthetic unit result for work no worker could complete.
 
@@ -419,8 +401,9 @@ def _failed_unit(
     kept raising unexpected (non-Repro) exceptions: the parent
     regenerates the task set — generation is deterministic and cheap
     next to analysis — so the ledger still carries the digest needed
-    to reproduce the failure offline, and every protocol records one
-    :class:`FailureRecord` entering the ratios per the policy.
+    to reproduce the failure offline, and every protocol the unit still
+    had to evaluate records one :class:`FailureRecord` entering the
+    ratios per the policy.
     """
     point = config.points[point_index]
     seed = config.seed + point_index
@@ -430,10 +413,8 @@ def _failed_unit(
     count_it = policy is FailurePolicy.COUNT_UNSCHEDULABLE
     return _UnitResult(
         taskset_index=taskset_index,
-        counts={protocol: 0 for protocol in config.protocols},
-        attempted={
-            protocol: 1 if count_it else 0 for protocol in config.protocols
-        },
+        counts={protocol: 0 for protocol in protocols},
+        attempted={protocol: 1 if count_it else 0 for protocol in protocols},
         failures=tuple(
             FailureRecord(
                 x=point.x,
@@ -444,7 +425,7 @@ def _failed_unit(
                 error_type=error_type,
                 message=message,
             )
-            for protocol in config.protocols
+            for protocol in protocols
         ),
         cache_stats={},
         elapsed_seconds=0.0,
@@ -452,7 +433,7 @@ def _failed_unit(
 
 
 # ----------------------------------------------------------------------
-# content addressing of finished units (the sweep-service store tier)
+# the unit store: one row per (point, task set), every protocol's verdict
 # ----------------------------------------------------------------------
 def unit_digest(
     config: ExperimentConfig,
@@ -461,18 +442,19 @@ def unit_digest(
     options: AnalysisOptions | None,
     policy: "FailurePolicy | str",
 ) -> str:
-    """Content address of one unit's *finished result*.
+    """Content address of one unit's stored row.
 
-    Covers everything the unit's counts, ledger entries, and verdicts
-    are a function of: the point's generation parameters and x value,
-    the derived seed, the task-set index, the protocol list, the LS
-    policy, the analysis method and options, and the failure policy
-    (which decides how failures enter ``attempted``). Deliberately
-    absent: ``sets_per_point`` (task set ``i`` is identical regardless
-    of how many sets are drawn after it — sequential seeded stream) and
-    the experiment's name/x-label (pure labels). Two sweeps that
-    overlap in these inputs share unit entries, which is what lets the
-    sweep service answer a repeated or widened sweep from the store.
+    Covers everything a protocol's count, ledger entry and verdict on
+    the unit are a function of: the point's generation parameters and
+    x value, the derived seed, the task-set index, the LS policy, the
+    analysis method and options, and the failure policy (which decides
+    how failures enter ``attempted``). Deliberately absent: the
+    protocol list (the row keeps each protocol's verdict separately and
+    grows as sweeps add protocols), ``sets_per_point`` (task set ``i``
+    is identical regardless of how many sets are drawn after it —
+    sequential seeded stream) and the experiment's name/x-label (pure
+    labels). Two sweeps that overlap in these inputs share rows, which
+    is what lets a repeated, widened or extended sweep start warm.
     """
     point = config.points[point_index]
     generation = dataclasses.asdict(point.generation)
@@ -483,7 +465,6 @@ def unit_digest(
             point.x,
             config.seed + point_index,
             taskset_index,
-            tuple(config.protocols),
             config.ls_policy,
             config.method,
             repr(options if options is not None else AnalysisOptions()),
@@ -492,56 +473,105 @@ def unit_digest(
     )
 
 
-def unit_to_payload(unit: _UnitResult) -> dict:
-    """The store payload of a finished unit: its pure content.
+def _in_protocol_order(
+    config: ExperimentConfig, failures: "Iterable[FailureRecord]"
+) -> tuple[FailureRecord, ...]:
+    """Failure records in ``config.protocols`` order — the order a full
+    evaluation appends them in (a unit has at most one per protocol)."""
+    order = config.protocols.index
+    return tuple(sorted(failures, key=lambda f: order(f.protocol)))
 
-    Only the deterministic substance is persisted — verdict counts,
-    attempted counts, and the failure ledger. Cache counters, elapsed
-    wall-clock, and buffered events are *runtime* descriptions of how
-    the result was obtained and are synthesised afresh when the unit is
-    served (see :func:`served_unit`); storing them would make a warm
-    sweep report solves it never performed.
+
+def _stored_part(
+    config: ExperimentConfig,
+    taskset_index: int,
+    row: Mapping[str, Any],
+    trace: bool,
+) -> _UnitResult:
+    """The part of a unit its stored row answers, as a served result.
+
+    Holds the row's (count, attempted) pairs and failure records for
+    the config's protocols it covers. Cache counters, elapsed time and
+    events are *runtime* descriptions of how a result was obtained, so
+    the row stores none: the served part synthesises exactly one
+    counter, ``unit_store.hits``, bumped through a scratch
+    :class:`AnalysisCache` under a recorder scope, and replays one
+    ``protocol.failure`` event per served ledger record — the trace's
+    cache counters and failure events then reconcile with its
+    ``point.end`` records by the same construction as for evaluated
+    units.
     """
-    return {
-        "taskset_index": unit.taskset_index,
-        "counts": dict(unit.counts),
-        "attempted": dict(unit.attempted),
-        "failures": [dataclasses.asdict(f) for f in unit.failures],
-    }
-
-
-def served_unit(payload: Mapping[str, object], trace: bool = False) -> _UnitResult:
-    """Rebuild a stored unit payload as a freshly *served* unit result.
-
-    The served unit's ``cache_stats`` contain exactly one nonzero
-    counter — ``unit_store.hits`` — bumped through a scratch
-    :class:`AnalysisCache` under a recorder scope, so the trace carries
-    the matching ``cache.unit_store.hits`` event and the profiler's
-    trace-vs-checkpoint reconciliation holds for warm sweeps by the
-    same construction as for cold ones. Elapsed time is zero: the unit
-    cost no analysis.
-    """
+    verdicts = row["verdicts"]
+    failures = row["failures"]
+    if not isinstance(verdicts, dict) or not isinstance(failures, list):
+        raise ExperimentError(f"malformed stored unit row: {row!r}")
+    protocols = [p for p in config.protocols if p in verdicts]
+    served = _in_protocol_order(
+        config,
+        [FailureRecord(**f) for f in failures if f["protocol"] in protocols],
+    )
     recorder = EventRecorder() if trace else None
     scratch = AnalysisCache()
     scope = obs.recording(recorder) if recorder is not None else nullcontext()
     with scope:
         scratch.bump("unit_store.hits")
-    failures = payload.get("failures", [])
-    if not isinstance(failures, list):
-        raise ExperimentError(
-            f"stored unit payload has malformed failures: {failures!r}"
-        )
+        for failure in served:
+            obs.emit(
+                "protocol.failure",
+                protocol=failure.protocol,
+                error=failure.error_type,
+            )
     return _UnitResult(
-        taskset_index=int(payload["taskset_index"]),  # type: ignore[arg-type]
-        counts={str(k): int(v) for k, v in dict(payload["counts"]).items()},  # type: ignore[arg-type]
-        attempted={
-            str(k): int(v) for k, v in dict(payload["attempted"]).items()  # type: ignore[arg-type]
-        },
-        failures=tuple(FailureRecord(**f) for f in failures),
+        taskset_index=taskset_index,
+        counts={p: int(verdicts[p][0]) for p in protocols},
+        attempted={p: int(verdicts[p][1]) for p in protocols},
+        failures=served,
         cache_stats=scratch.stats(),
         elapsed_seconds=0.0,
         events=recorder.drain() if recorder is not None else (),
     )
+
+
+def _join_units(
+    config: ExperimentConfig, stored: _UnitResult, fresh: _UnitResult
+) -> _UnitResult:
+    """One unit from its stored part and its freshly evaluated rest.
+
+    Failure records come out in ``config.protocols`` order, so ledgers
+    stay bit-identical however a unit was split between the store and
+    a worker.
+    """
+    counts = {**stored.counts, **fresh.counts}
+    attempted = {**stored.attempted, **fresh.attempted}
+    stats = dict(stored.cache_stats)
+    for name, value in fresh.cache_stats.items():
+        stats[name] = stats.get(name, 0) + value
+    return _UnitResult(
+        taskset_index=fresh.taskset_index,
+        counts={p: counts[p] for p in config.protocols},
+        attempted={p: attempted[p] for p in config.protocols},
+        failures=_in_protocol_order(config, stored.failures + fresh.failures),
+        cache_stats=stats,
+        elapsed_seconds=fresh.elapsed_seconds,
+        events=stored.events + fresh.events,
+    )
+
+
+def _grown_row(row: "Mapping[str, Any] | None", fresh: _UnitResult) -> dict:
+    """A stored row extended by freshly evaluated protocols.
+
+    The fresh protocols are exactly the ones the row lacked, so the
+    union covers strictly more protocols and wins the store's
+    larger-``bound`` upsert.
+    """
+    verdicts = dict(row["verdicts"]) if row is not None else {}
+    failures = list(row["failures"]) if row is not None else []
+    for protocol in fresh.counts:
+        verdicts[protocol] = [
+            fresh.counts[protocol], fresh.attempted[protocol]
+        ]
+    failures.extend(dataclasses.asdict(f) for f in fresh.failures)
+    return {"verdicts": verdicts, "failures": failures}
 
 
 def unit_from_wire(raw: Mapping[str, object]) -> _UnitResult:
@@ -578,40 +608,50 @@ def unit_to_wire(unit: _UnitResult) -> dict:
 # the dispatch-agnostic scheduler
 # ----------------------------------------------------------------------
 class UnitScheduler:
-    """Unit bookkeeping, crash accounting and point completion.
+    """Unit bookkeeping, the unit store, crash accounting, point completion.
 
     Owns the pending-unit ledger (unit key → next attempt number), the
-    per-unit crash counts, the per-point result buckets, and the point
-    completion pipeline (merge in task-set order → trace append →
-    atomic checkpoint write → progress callback). It never dispatches
-    anything itself: ``run_experiment(jobs=1)`` evaluates pending units
-    in-process and the sweep service's dispatch loop sends them to
-    worker processes; both feed outcomes back through
-    :meth:`record_unit`/:meth:`record_crash`.
+    stored part of each partially stored unit, the per-unit crash
+    counts, the per-point result buckets, and the point completion
+    pipeline (merge in task-set order → trace append → progress
+    callback). It never dispatches anything itself:
+    ``run_experiment(jobs=1)`` evaluates pending units in-process and
+    the sweep service's dispatch loop sends them to worker processes;
+    both feed outcomes back through :meth:`record_unit`/
+    :meth:`record_crash`.
+
+    ``store`` is the run's one :class:`PersistentStore` handle (opened
+    and closed by :func:`repro.experiments.runner.sweep_session`). The
+    scheduler alone reads unit rows (:meth:`serve_stored`) and writes
+    them back (:meth:`record_unit`), so every driver shares one probe
+    and one write-back. With a fault plan active it does neither:
+    injected faults must actually execute, and their outcomes must not
+    poison the store. Quarantined and worker-error units are never
+    stored either.
     """
 
     def __init__(
         self,
         config: ExperimentConfig,
         policy: FailurePolicy,
-        completed: "dict[int, PointResult]",
         *,
-        checkpoint_path: "str | None" = None,
+        options: AnalysisOptions | None = None,
+        store: PersistentStore | None = None,
         writer: TraceWriter | None = None,
         fault_plan: FaultPlan | None = None,
         progress: "Callable[[PointResult], None] | None" = None,
     ) -> None:
         self.config = config
         self.policy = policy
-        self.completed = completed
-        self.checkpoint_path = checkpoint_path
+        self.options = options
+        self.store = store
         self.writer = writer
         self.fault_plan = fault_plan
         self.progress = progress
+        self._rows = store if fault_plan is None else None
+        self.completed: dict[int, PointResult] = {}
         self._point_started = {
-            index: time.perf_counter()
-            for index in range(len(config.points))
-            if index not in completed
+            index: time.perf_counter() for index in range(len(config.points))
         }
         self._unit_results: dict[int, dict[int, _UnitResult]] = {
             index: {} for index in self._point_started
@@ -623,8 +663,61 @@ class UnitScheduler:
             for taskset_index in range(config.sets_per_point)
         }
         self.crash_counts: dict[tuple[int, int], int] = {}
-        #: Units this run has to deliver (resumed points excluded).
         self.total_units = len(self.pending)
+        #: Units the store answered, in full or in part.
+        self.served = 0
+        #: Unit key -> its stored row (kept for the write-back union).
+        self._row_of: dict[tuple[int, int], Mapping[str, Any]] = {}
+        #: Unit key -> the part of a partially stored unit its row answers.
+        self._stored: dict[tuple[int, int], _UnitResult] = {}
+
+    def _digest(self, key: "tuple[int, int]") -> str:
+        return unit_digest(
+            self.config, key[0], key[1], self.options, self.policy
+        )
+
+    def serve_stored(self) -> None:
+        """Answer pending units from their stored rows, before dispatch.
+
+        One batched read covers every pending unit. A row holding all
+        of the sweep's protocols completes its unit here; a row holding
+        some leaves the unit pending for the missing ones
+        (:meth:`missing`). Either way the unit counts one
+        ``unit_store.hits``; a miss, or a row holding none of the
+        sweep's protocols, counts nothing.
+        """
+        if self._rows is None or not self.pending:
+            return
+        digests = {key: self._digest(key) for key in self.pending}
+        rows = self._rows.fetch_many(digests.values())
+        trace = self.writer is not None
+        for key in sorted(digests):
+            value = rows.get(digests[key])
+            if not (
+                isinstance(value, tuple)
+                and len(value) == 2
+                and value[0] == "unit"
+            ):
+                continue
+            row = value[1]
+            self._row_of[key] = row
+            part = _stored_part(self.config, key[1], row, trace)
+            if not part.counts:
+                continue
+            self.served += 1
+            if len(part.counts) == len(self.config.protocols):
+                self._complete(key, part)
+            else:
+                self._stored[key] = part
+
+    def missing(self, key: "tuple[int, int]") -> "tuple[str, ...]":
+        """The protocols a pending unit still has to evaluate."""
+        stored = self._stored.get(key)
+        if stored is None:
+            return self.config.protocols
+        return tuple(
+            p for p in self.config.protocols if p not in stored.counts
+        )
 
     def start_point(self, point_index: int) -> None:
         """Restart a point's clock (for drivers that run points in turn)."""
@@ -667,11 +760,24 @@ class UnitScheduler:
             )
 
     def record_unit(self, point_index: int, unit: _UnitResult) -> None:
-        """Accept one finished unit; complete the point on its last one."""
+        """Accept one evaluated unit (its missing protocols only) and
+        write it back to the store as its row grown by those protocols."""
         key = (point_index, unit.taskset_index)
         if key not in self.pending:
             return  # duplicate of a unit already satisfied
+        if self._rows is not None:
+            row = _grown_row(self._row_of.get(key), unit)
+            self._rows.store(self._digest(key), ("unit", row))
+        self._complete(key, unit)
+
+    def _complete(self, key: "tuple[int, int]", unit: _UnitResult) -> None:
+        """Settle one unit; complete its point on the point's last one."""
+        point_index = key[0]
         del self.pending[key]
+        self._row_of.pop(key, None)
+        stored = self._stored.pop(key, None)
+        if stored is not None:
+            unit = _join_units(self.config, stored, unit)
         bucket = self._unit_results[point_index]
         bucket[unit.taskset_index] = unit
         if len(bucket) < self.config.sets_per_point:
@@ -695,14 +801,7 @@ class UnitScheduler:
                 point=point_index,
                 x=result.x,
                 failures=len(result.failures),
-            )
-        if self.checkpoint_path is not None:
-            _save_checkpoint_traced(
-                self.checkpoint_path,
-                self.config,
-                self.completed,
-                point_index,
-                self.writer,
+                stats=dict(result.analysis_stats),
             )
         if self.progress is not None:
             self.progress(result)
@@ -738,10 +837,11 @@ class UnitScheduler:
             crashes=self.crash_counts[key],
             error=error_type,
         )
-        self.record_unit(
-            key[0],
+        self._complete(
+            key,
             _failed_unit(
-                self.config, key[0], key[1], self.policy, error_type, message
+                self.config, key[0], key[1], self.policy, error_type,
+                message, self.missing(key),
             ),
         )
 

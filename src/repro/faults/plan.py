@@ -2,8 +2,8 @@
 
 A :class:`FaultPlan` is a declarative script of faults to inject into a
 run — "crash the solver once on point 2", "kill the worker evaluating
-unit 1 every time it starts", "tear the third checkpoint write between
-temp file and rename". Plans are plain frozen dataclasses, picklable
+unit 1 every time it starts", "garble the third persistent-store row
+written". Plans are plain frozen dataclasses, picklable
 (they cross process boundaries to sweep workers) and serialisable to
 JSON (``repro figure --inject plan.json``).
 
@@ -46,11 +46,6 @@ SITES: dict[str, tuple[str, ...]] = {
     #   exit  -> os._exit mid-unit (its connection drops; no cleanup runs)
     #   raise -> an unexpected non-Repro exception escapes the unit
     "worker.death": ("exit", "raise"),
-    # A checkpoint write is torn between temp-write and rename:
-    #   lost          -> temp file written, rename never happens, crash
-    #   truncate      -> target replaced by a truncated payload, crash
-    #   corrupt_point -> one point's payload is silently garbled, crash
-    "checkpoint.torn": ("lost", "truncate", "corrupt_point"),
     # One JSONL trace line is corrupted as it is written:
     #   truncate -> only a prefix of the line reaches the file
     #   garbage  -> a non-JSON line is written instead
@@ -88,7 +83,7 @@ class FaultSpec:
             (``None`` = unlimited). Work-unit sites get a fresh scope
             per unit — in every process — so the budget is per unit,
             which is what keeps ``--jobs 1`` and ``--jobs N`` behaviour
-            identical; run-level sites (checkpoint, trace, fs) count
+            identical; run-level sites (trace, fs) count
             across the whole run.
         probability: When set, an eligible hit fires with this
             probability, drawn from a generator seeded by

@@ -1,6 +1,6 @@
 """Durable-write discipline (the ``durable-write`` rule).
 
-PR 5's crash-consistency tests prove the checkpoint protocol durable
+The chaos tests prove the sweep-export write protocol durable
 *dynamically*; this rule pins the protocol *statically* so a
 refactoring cannot quietly drop a sync. For every ``os.replace(src,
 dst)`` in the project the rule demands a dataflow proof of the full

@@ -1,7 +1,7 @@
 """Trace-event contract checker (the ``trace-contract`` rule).
 
 PR 4 made traces a load-bearing artifact: the profiler reconciles
-``cache.*`` sums against checkpoint stats, CI schema-validates every
+``cache.*`` sums against ``point.end`` stats, CI schema-validates every
 line, and chaos tests assert on event payloads. Nothing, however,
 tied the *call sites* to the contract — renaming an event, dropping a
 payload key, or adding a counter nobody aggregates would ship

@@ -68,7 +68,7 @@ class TaskSet:
         """Short stable hex digest of the task parameters.
 
         Unlike :func:`hash`, the value is stable across processes, so
-        failure ledgers and checkpoints can name the exact task set a
+        failure ledgers and stored unit rows can name the exact task set a
         fault occurred on.
         """
         h = hashlib.sha256()

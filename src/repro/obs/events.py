@@ -14,7 +14,7 @@ and worker lifecycle. Three pieces cooperate:
   hot paths pay one list lookup when tracing is off.
 * :class:`TraceWriter` — the **single writer** of a trace file. Only
   the parent experiment process ever holds one (the same discipline as
-  sweep checkpoints): workers buffer events in their own recorder and
+  the store's unit rows): workers buffer events in their own recorder and
   ship them back inside their unit results; the parent stamps the
   run/point/unit correlation ids and appends them in task-set order,
   so a ``--jobs N`` trace is identical in content and order to the
@@ -25,8 +25,8 @@ and worker lifecycle. Three pieces cooperate:
 
 Event names are dot-namespaced. Names matching
 :data:`RUNTIME_PREFIXES` describe *runtime* behaviour (which process
-generated a sample, how often a solver was retried, when checkpoints
-were written) whose event counts legitimately vary with worker count
+generated a sample, how often a solver or a durable write was
+retried) whose event counts legitimately vary with worker count
 and machine load; every other name is a *work* event whose aggregate
 counts are deterministic — identical between ``--jobs 1`` and
 ``--jobs N`` runs of the same configuration.
@@ -69,10 +69,9 @@ RUNTIME_PREFIXES = (
 #: a catalogued name nothing emits all fail ``repro lint``.
 EVENT_NAMES: dict[str, dict[str, str]] = {
     # run / point lifecycle (parent process)
-    "run.start": {"points": "int", "sets": "int", "jobs": "int",
-                  "resumed": "int"},
+    "run.start": {"points": "int", "sets": "int", "jobs": "int"},
     "run.end": {},
-    "point.end": {"x": "number", "failures": "int"},
+    "point.end": {"x": "number", "failures": "int", "stats": "object"},
     "gen.tasksets": {"sets": "int"},
     # per-unit protocol evaluation
     "protocol.verdict": {"protocol": "str", "schedulable": "bool"},
@@ -107,15 +106,12 @@ EVENT_NAMES: dict[str, dict[str, str]] = {
     "worker.crash": {"attempt": "int", "crashes": "int"},
     # sweep service (coordinator-side lifecycle; see repro.service)
     "service.start": {"port": "int", "workers": "int"},
-    "service.submit": {"points": "int", "units": "int", "resumed": "int"},
-    "service.unit.served": {},
+    "service.submit": {"points": "int", "units": "int"},
     "service.unit.dispatched": {"worker": "int"},
     "service.worker.joined": {"worker": "int"},
     "service.worker.left": {"worker": "int", "mid_unit": "int"},
     "service.sweep.done": {"served": "int", "dispatched": "int"},
-    # checkpoints
-    "checkpoint.saved": {},
-    "checkpoint.recovered": {"detail": "str"},
+    # durable sweep-export writes
     "checkpoint.retry": {"attempt": "int", "error": "str", "path": "str"},
     # resilient solver backend
     "resilience.watchdog": {"model": "str", "backend": "str",
@@ -133,7 +129,6 @@ EVENT_NAMES: dict[str, dict[str, str]] = {
                            "backend": "str"},
     "fault.worker.death": {"mode": "str", "spec": "int?", "plan": "str",
                            "synthesized": "bool?"},
-    "fault.checkpoint.torn": {"mode": "str", "spec": "int", "plan": "str"},
     "fault.trace.corrupt": {"mode": "str", "spec": "int?", "plan": "str?",
                             "name": "str?"},
     "fault.fs.error": {"mode": "str", "spec": "int", "plan": "str",

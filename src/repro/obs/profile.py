@@ -13,7 +13,9 @@ the result with :func:`render_profile`:
   They reconcile *exactly* with the ``PointResult.analysis_stats``
   of the same run (both count the same
   :meth:`repro.analysis.cache.AnalysisCache.bump` calls), which
-  :func:`reconcile` verifies.
+  :func:`reconcile` verifies — against the trace's own ``point.end``
+  records (each carries its point's ``stats`` and ``failures``) or
+  against point results.
 * **solve outcomes** — solver status and degradation-level breakdown.
 * **timings** — wall-time totals/means/maxima per event name plus a
   solve-duration histogram. Timing values are measurements, not part
@@ -70,6 +72,9 @@ class ProfileReport:
     #: :class:`repro.obs.events.TraceCorruption.as_dict`); empty for a
     #: clean trace or a strict read.
     corruption: dict[str, int] = field(default_factory=dict)
+    #: Summed ``stats`` and ``failures`` of the ``point.end`` records.
+    point_stats: dict[str, int] = field(default_factory=dict)
+    point_failures: int = 0
 
     @property
     def failures(self) -> int:
@@ -114,6 +119,17 @@ def aggregate_events(events: Iterable[Mapping[str, object]]) -> ProfileReport:
             report.cache_counters[counter] = (
                 report.cache_counters.get(counter, 0) + amount
             )
+        if name == "point.end":
+            stats = fields.get("stats")
+            stats = stats if isinstance(stats, dict) else {}
+            for counter, value in stats.items():
+                if isinstance(value, int):
+                    report.point_stats[counter] = (
+                        report.point_stats.get(counter, 0) + value
+                    )
+            failures = fields.get("failures")
+            if isinstance(failures, int):
+                report.point_failures += failures
         duration = event.get("dur")
         if isinstance(duration, (int, float)):
             report.timings.setdefault(name, PhaseTiming()).add(float(duration))
@@ -205,14 +221,15 @@ def render_profile(report: ProfileReport, timings: bool = True) -> str:
 
 def reconcile(
     report: ProfileReport,
-    points: "Iterable[object]",
+    points: "Iterable[object] | None" = None,
 ) -> list[str]:
     """Cross-check a trace profile against the run's point results.
 
     ``points`` is an iterable of
     :class:`repro.experiments.runner.PointResult` (duck-typed: only
-    ``analysis_stats`` and ``failures`` are read). Returns a list of
-    mismatch descriptions — empty when the trace's cache counters
+    ``analysis_stats`` and ``failures`` are read); by default the
+    trace's own ``point.end`` records stand in for them. Returns a list
+    of mismatch descriptions — empty when the trace's cache counters
     equal the summed ``analysis_stats`` and the ``protocol.failure``
     event count equals the failure-ledger record count. Points loaded
     from artifacts that predate ``analysis_stats`` cannot reconcile
@@ -220,7 +237,10 @@ def reconcile(
     """
     expected: dict[str, int] = {}
     ledger = 0
-    for point in points:
+    if points is None:
+        expected = dict(report.point_stats)
+        ledger = report.point_failures
+    for point in points or ():
         stats = getattr(point, "analysis_stats", {}) or {}
         for name, value in stats.items():
             expected[name] = expected.get(name, 0) + int(value)

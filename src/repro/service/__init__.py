@@ -3,9 +3,9 @@
 The distributed face of the experiment engine (``repro serve`` /
 ``repro submit``). The coordinator shards a sweep into the same pure
 (point, task set) units the local engines use, answers already-solved
-units straight from the content-addressed persistent store, dispatches
-only unseen digests to socket-connected workers, and merges through
-the parent-only checkpoint path — bit-identical to a sequential run.
+units straight from the unit rows of the persistent store, dispatches
+only the missing work to socket-connected workers, and merges through
+the same parent-side scheduler — bit-identical to a sequential run.
 See :mod:`repro.service.coordinator` for the pipeline and
 :mod:`repro.service.wire` for the protocol.
 """

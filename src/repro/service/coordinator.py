@@ -1,45 +1,36 @@
-"""Sweep-service coordinator: shard, probe the store, dispatch, merge.
+"""Sweep-service coordinator: shard, dispatch, merge.
 
 One asyncio server accepts both roles on one port (the first frame's
 ``hello`` names the role). Workers register into an idle pool; clients
 submit sweep configs and stream progress back. Sweeps are processed
 one at a time — the coordinator is the *parent* of the sweep in
 exactly the sense the local engines use the word: the only writer of
-the trace, the checkpoint, and the unit-result store.
+the trace and of the unit rows in the store.
 
-The dispatch pipeline per submitted sweep:
+The pipeline per submitted sweep:
 
-1. **Resume.** The sweep's checkpoint (``checkpoint_dir/<config
-   digest>.json``) is loaded tolerantly; points it already holds are
-   skipped, digest-failed points are dropped and re-solved — the same
-   ``checkpoint_version`` 1/2 recovery the CLI ``--resume`` path uses,
-   which is what makes a *coordinator* restart survivable: resubmit,
-   and only the lost tail is recomputed.
-2. **Store probe.** Every pending (point, task set) unit's content
-   address (:func:`repro.experiments.units.unit_digest`) is probed
-   against the persistent store in one batched ``fetch_many`` *before
-   anything is dispatched*. Hits are recorded immediately as served
-   units (zero analysis, a ``unit_store.hits`` counter, a
-   ``service.unit.served`` trace event); only unseen digests reach a
-   worker. A fully-warm repeat submit therefore completes without a
-   single solve or dispatch. With a fault plan active the probe and
-   the store writes are disabled — injected faults must actually
-   execute, and their outcomes must not poison the store.
-3. **Dispatch.** Remaining units go to idle workers in sorted order
+1. **Store.** The sweep's session (:func:`repro.experiments.runner.
+   sweep_session`, the same one ``run_experiment`` uses) opens the
+   store on ``cache_path`` and serves every unit whose stored row
+   already holds its verdicts, before anything is dispatched; a unit
+   whose row holds some protocols is dispatched for the missing ones
+   only. A fully-warm repeat submit therefore completes without a
+   single solve or dispatch, and a coordinator restart is survivable:
+   resubmit, and only the units that never finished are recomputed.
+2. **Dispatch.** Remaining units go to idle workers in sorted order
    (:meth:`SweepService.dispatch`). A worker holds one unit at a time,
    so a connection dying mid-unit is a crash of exactly that unit: it
    is requeued with an incremented attempt and re-run alone, and
    quarantined into the ledger once it has killed two workers. Dead
    workers are replaced within a per-sweep respawn budget.
-4. **Merge.** Unit results merge through the
-   :class:`~repro.experiments.units.UnitScheduler`'s parent-only
-   checkpoint path; solved units are written back to the store so the
-   next overlapping sweep starts warmer.
+3. **Merge.** Unit results merge through the
+   :class:`~repro.experiments.units.UnitScheduler`, which also writes
+   each finished unit back to the store, so the next overlapping sweep
+   starts warmer.
 
 The dispatch step is also ``run_experiment(jobs=N)``'s engine
 (:func:`run_local_sweep`): an unstarted service connects ``N`` local
-workers over socketpairs and runs steps 3 and 4 only — local sweeps
-neither probe nor fill the unit-result store.
+workers over socketpairs and runs the same dispatch loop.
 """
 
 from __future__ import annotations
@@ -51,7 +42,6 @@ import socket
 from typing import Awaitable, Callable, TypeVar
 
 from repro.analysis.interface import AnalysisOptions
-from repro.analysis.store import PersistentStore
 from repro.errors import ExperimentError
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.persistence import (
@@ -66,11 +56,7 @@ from repro.experiments.units import (
     SweepResult,
     UnitScheduler,
     _coerce_policy,
-    _UnitResult,
-    served_unit,
-    unit_digest,
     unit_from_wire,
-    unit_to_payload,
 )
 from repro.faults.plan import FaultPlan
 from repro.obs.events import TraceWriter
@@ -87,9 +73,6 @@ from repro.service.worker import (
 )
 
 _T = TypeVar("_T")
-
-#: Callback that sees every unit a worker finished (unit key, result).
-_OnUnit = Callable[[tuple[int, int], _UnitResult], None]
 
 
 class _WorkerConn:
@@ -113,7 +96,7 @@ class _WorkerConn:
 
 
 class SweepService:
-    """The coordinator: owns workers, the store, and sweep processing.
+    """The coordinator: owns the workers and processes sweeps.
 
     Workers are local processes the service spawns itself: a started
     service (``repro serve``) has them connect to its port, an
@@ -128,19 +111,14 @@ class SweepService:
         port: int = 0,
         *,
         cache_path: "str | None" = None,
-        checkpoint_dir: "str | None" = None,
         trace_dir: "str | None" = None,
         fault_plan: FaultPlan | None = None,
     ) -> None:
         self.host = host
         self.port = port
         self.cache_path = cache_path
-        self.checkpoint_dir = checkpoint_dir
         self.trace_dir = trace_dir
         self.fault_plan = fault_plan
-        self.store = (
-            PersistentStore(cache_path) if cache_path is not None else None
-        )
         self._server: "asyncio.AbstractServer | None" = None
         self._workers: dict[int, _WorkerConn] = {}
         self._idle: "asyncio.Queue[_WorkerConn]" = asyncio.Queue()
@@ -373,12 +351,12 @@ class SweepService:
         unit_progress: "Callable[[int, int, int], None] | None" = None,
         trace_path: "str | None" = None,
     ) -> SweepResult:
-        """Run one sweep through probe → dispatch → merge.
+        """Run one sweep through store → dispatch → merge.
 
         Serialised: concurrent submits queue on the sweep lock. The
         full experiment contract of :func:`repro.experiments.runner.
-        run_experiment` applies — same unit decomposition, same
-        checkpoint format, same trace schema, bit-identical results.
+        run_experiment` applies — same unit decomposition, same unit
+        store, same trace schema, bit-identical results.
         """
         async with self._sweep_lock:
             try:
@@ -399,29 +377,23 @@ class SweepService:
         unit_progress: "Callable[[int, int, int], None] | None",
         trace_path: "str | None",
     ) -> SweepResult:
-        digest = config_digest(config)
         sweep_id = f"s{self._next_sweep}"
         self._next_sweep += 1
-        checkpoint_path: "str | None" = None
-        if self.checkpoint_dir is not None:
-            os.makedirs(self.checkpoint_dir, exist_ok=True)
-            checkpoint_path = os.path.join(
-                self.checkpoint_dir, f"{digest}.json"
-            )
         if trace_path is None and self.trace_dir is not None:
             os.makedirs(self.trace_dir, exist_ok=True)
             # One file per *sweep*, not per config: a repeat submit of
-            # the same config (resumed or store-served, hence a nearly
-            # empty trace) must not clobber the cold run's full trace.
+            # the same config (store-served, hence a nearly empty
+            # trace) must not clobber the cold run's full trace.
             trace_path = os.path.join(
-                self.trace_dir, f"{digest}.{sweep_id}.trace.jsonl"
+                self.trace_dir,
+                f"{config_digest(config)}.{sweep_id}.trace.jsonl",
             )
         with sweep_session(
             config,
             policy,
             jobs=self.live_workers,
-            checkpoint_path=checkpoint_path,
-            resume=True,
+            options=options,
+            cache_path=self.cache_path,
             trace_path=trace_path,
             fault_plan=self.fault_plan,
             progress=progress,
@@ -431,71 +403,29 @@ class SweepService:
                 self._emit(
                     "service.start", port=self.port, workers=self.live_workers
                 )
-                total_units = scheduler.total_units
                 self._emit(
                     "service.submit",
                     points=len(config.points),
-                    units=total_units,
-                    resumed=len(scheduler.completed),
+                    units=scheduler.total_units,
                 )
 
-                def report_units(served: int) -> None:
+                def report_units() -> None:
                     if unit_progress is not None:
                         unit_progress(
-                            total_units - len(scheduler.pending),
-                            total_units,
-                            served,
+                            scheduler.total_units - len(scheduler.pending),
+                            scheduler.total_units,
+                            scheduler.served,
                         )
 
-                served = 0
-                digests: dict[tuple[int, int], str] = {}
-                # Pre-dispatch store probe: with a fault plan active the
-                # store is bypassed entirely (reads *and* writes) so
-                # injected faults execute and their outcomes stay out of
-                # the store.
-                store = self.store if self.fault_plan is None else None
-                if store is not None:
-                    digests = {
-                        key: unit_digest(
-                            config, key[0], key[1], options, policy
-                        )
-                        for key in scheduler.pending
-                    }
-                    hits = store.fetch_many(digests.values())
-                    for key in sorted(digests):
-                        value = hits.get(digests[key])
-                        if (
-                            isinstance(value, tuple)
-                            and len(value) == 2
-                            and value[0] == "unit"
-                        ):
-                            self._emit(
-                                "service.unit.served",
-                                point=key[0],
-                                unit=key[1],
-                            )
-                            scheduler.record_unit(
-                                key[0],
-                                served_unit(
-                                    value[1],
-                                    trace=scheduler.writer is not None,
-                                ),
-                            )
-                            served += 1
-                            report_units(served)
-
-                def solved(key: "tuple[int, int]", unit: _UnitResult) -> None:
-                    if store is not None:
-                        store.store(
-                            digests[key], ("unit", unit_to_payload(unit))
-                        )
-                    report_units(served)
-
+                if scheduler.served:
+                    report_units()
                 dispatched = await self.dispatch(
-                    scheduler, sweep_id, options, on_unit=solved
+                    scheduler, sweep_id, on_unit=report_units
                 )
                 self._emit(
-                    "service.sweep.done", served=served, dispatched=dispatched
+                    "service.sweep.done",
+                    served=scheduler.served,
+                    dispatched=dispatched,
                 )
                 return scheduler.result()
             finally:
@@ -505,15 +435,14 @@ class SweepService:
         self,
         scheduler: UnitScheduler,
         sweep_id: str,
-        options: AnalysisOptions | None,
-        on_unit: "_OnUnit | None" = None,
+        on_unit: "Callable[[], None] | None" = None,
     ) -> int:
         """Run the scheduler's pending units on the workers until done.
 
         Returns how many units a worker evaluated. A unit implicated in
         a crash re-runs alone, so a repeat crash is unambiguous and
-        innocent collateral passes. ``on_unit`` sees every unit a
-        worker finished, after the scheduler recorded it.
+        innocent collateral passes. ``on_unit`` is called after the
+        scheduler recorded each unit a worker finished.
         """
         self._respawns = 0
         self._respawn_budget = 4 + 2 * scheduler.total_units
@@ -521,7 +450,7 @@ class SweepService:
             "type": "sweep",
             "sweep": sweep_id,
             "config": message_config(scheduler.config),
-            "options": options_to_dict(options),
+            "options": options_to_dict(scheduler.options),
             "policy": scheduler.policy.value,
             "trace": scheduler.writer is not None,
         }
@@ -553,7 +482,7 @@ class SweepService:
         key: "tuple[int, int]",
         attempt: int,
         scheduler: UnitScheduler,
-        on_unit: "_OnUnit | None",
+        on_unit: "Callable[[], None] | None",
     ) -> bool:
         """Dispatch one unit to a worker; returns True when evaluated.
 
@@ -572,6 +501,7 @@ class SweepService:
             await send_message_async(worker.writer, {
                 "type": "unit", "sweep": sweep_id,
                 "point": key[0], "unit": key[1], "attempt": attempt,
+                "protocols": list(scheduler.missing(key)),
             })
             self._emit(
                 "service.unit.dispatched",
@@ -615,15 +545,14 @@ class SweepService:
                 key, attempt, error["type"], error["message"]
             )
             return False
-        unit = unit_from_wire(reply["payload"])
-        scheduler.record_unit(key[0], unit)
+        scheduler.record_unit(key[0], unit_from_wire(reply["payload"]))
         if on_unit is not None:
-            on_unit(key, unit)
+            on_unit()
         return True
 
 
 def message_config(config: ExperimentConfig) -> dict:
-    """The wire form of a sweep config (persistence's checkpoint form)."""
+    """The wire form of a sweep config (the sweep export's form)."""
     from repro.experiments.persistence import _config_to_dict
 
     return _config_to_dict(config)
@@ -639,7 +568,6 @@ async def _with_service(
     host: str = "127.0.0.1",
     port: int = 0,
     cache_path: "str | None",
-    checkpoint_dir: "str | None",
     trace_dir: "str | None",
     fault_plan: FaultPlan | None,
 ) -> _T:
@@ -647,7 +575,6 @@ async def _with_service(
         host,
         port,
         cache_path=cache_path,
-        checkpoint_dir=checkpoint_dir,
         trace_dir=trace_dir,
         fault_plan=fault_plan,
     )
@@ -663,7 +590,6 @@ def run_local_sweep(
     scheduler: UnitScheduler,
     *,
     jobs: int,
-    options: AnalysisOptions | None,
     cache_path: "str | None",
 ) -> None:
     """Drive ``scheduler`` to completion on ``jobs`` local workers.
@@ -672,8 +598,8 @@ def run_local_sweep(
     connects each worker over its own socketpair (nothing listens, so
     no other process can reach the fleet) and runs the same dispatch
     loop, crash accounting and respawn policy as ``repro serve``.
-    Workers use ``cache_path`` as their analysis store; the unit-result
-    tier of :meth:`SweepService.process_sweep` is not involved.
+    Workers use ``cache_path`` as their analysis store; the scheduler
+    (the parent) alone reads and writes unit rows.
     """
 
     async def main() -> None:
@@ -683,7 +609,7 @@ def run_local_sweep(
         service._writer = scheduler.writer
         service.spawn_workers(min(jobs, len(scheduler.pending)))
         try:
-            await service.dispatch(scheduler, "s0", options)
+            await service.dispatch(scheduler, "s0")
         finally:
             await service.stop()
 
@@ -697,7 +623,6 @@ def run_service_sweep(
     options: AnalysisOptions | None = None,
     failure_policy: "FailurePolicy | str" = FailurePolicy.COUNT_UNSCHEDULABLE,
     cache_path: "str | None" = None,
-    checkpoint_dir: "str | None" = None,
     trace_path: "str | None" = None,
     fault_plan: FaultPlan | None = None,
     progress: "Callable[[PointResult], None] | None" = None,
@@ -724,7 +649,6 @@ def run_service_sweep(
         body,
         workers=workers,
         cache_path=cache_path,
-        checkpoint_dir=checkpoint_dir,
         trace_dir=None,
         fault_plan=fault_plan,
     ))
@@ -736,7 +660,6 @@ def serve(
     *,
     workers: int = 2,
     cache_path: "str | None" = None,
-    checkpoint_dir: "str | None" = None,
     trace_dir: "str | None" = None,
     fault_plan: FaultPlan | None = None,
     max_sweeps: "int | None" = None,
@@ -766,7 +689,6 @@ def serve(
             host=host,
             port=port,
             cache_path=cache_path,
-            checkpoint_dir=checkpoint_dir,
             trace_dir=trace_dir,
             fault_plan=fault_plan,
         ))

@@ -5,7 +5,9 @@ a TCP connection for ``repro serve`` workers, one end of a
 ``socket.socketpair()`` for the local fleet behind
 ``run_experiment(jobs=N)``. It announces itself (``hello``), receives
 the run context (``welcome``: persistent-cache path, fault plan), then
-loops: receive a ``unit`` message, evaluate it through
+loops: receive a ``unit`` message naming the protocols still to
+evaluate (the parent serves the rest from the unit store), evaluate it
+through
 :func:`repro.experiments.runner._worker_evaluate` (fresh per-unit
 analysis-cache scope, per-unit fault-injection scope, buffered trace
 events), and send the ``result`` frame back. Sweep configs travel once
@@ -21,9 +23,10 @@ incremented attempt, solo re-run, quarantine. The
 failure: the worker drops its connection on the way into a unit and
 exits without evaluating anything.
 
-Workers never write trace files, checkpoints, or the unit-result store
-— they ship buffered events and counters on the result frame and the
-coordinator (the single writer) persists everything.
+Workers never write trace files or unit rows — they ship buffered
+events and counters on the result frame and the coordinator (the
+single writer) persists everything. They do read and write the
+solver-level entries of the persistent store.
 """
 
 from __future__ import annotations
@@ -173,6 +176,7 @@ def serve_socket(sock: socket.socket) -> None:
                         fault_plan,
                         attempt,
                         cache_path,
+                        tuple(message["protocols"]),
                     )
                 except ReproError as exc:
                     send_message(sock, {

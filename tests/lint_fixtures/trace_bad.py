@@ -12,7 +12,7 @@ def emits_unknown_event() -> None:
 
 
 def emits_undeclared_payload_key() -> None:
-    obs.emit("checkpoint.saved", bogus_key=1)
+    obs.emit("run.end", bogus_key=1)
 
 
 def emits_wrong_literal_type() -> None:

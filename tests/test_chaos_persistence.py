@@ -1,33 +1,30 @@
-"""Chaos: torn checkpoint writes, fs errors, durable atomic persistence.
+"""Chaos: torn unit rows, fs errors, durable atomic sweep exports.
 
-The ``checkpoint.torn`` site simulates a crash between temp-write and
-rename (``lost``), a non-atomic writer leaving a truncated target
-(``truncate``), and silent payload garbling caught only by the
-per-point content digests (``corrupt_point``); ``fs.error`` simulates
-transient filesystem failures. Contract: resume after any of them
-re-solves exactly the damaged points and converges to the fault-free
-result.
+The unit rows of the persistent store are a sweep's only durable
+state. A row whose payload bytes were garbled — a torn write, bit rot —
+fails its sha256 on read, is dropped, and its unit is re-solved; a
+rerun on the damaged store converges to the fault-free result.
+``fs.error`` simulates transient filesystem failures under the sweep
+export's durable temp-and-rename write.
 """
 
-import json
+import dataclasses
 import os
+import sqlite3
 
 import pytest
 
-from repro.errors import ExperimentError, InjectedCrashError
+from repro.analysis.store import SCHEMA_VERSION, PersistentStore
+from repro.errors import ExperimentError
 from repro.experiments import ExperimentConfig, SweepPoint, run_experiment
-from repro.experiments.persistence import (
-    cleanup_stale_tmp,
-    config_digest,
-    load_checkpoint,
-    load_checkpoint_recovering,
-    read_checkpoint_points,
-    save_checkpoint,
-)
+from repro.experiments.persistence import load_sweep, save_sweep
+from repro.experiments.units import unit_digest
 from repro.faults import FaultPlan, FaultSpec, injecting
 from repro.generator.taskset_gen import GenerationConfig
 from repro.obs import events as obs
 from repro.obs import read_trace
+
+POLICY = "count_unschedulable"
 
 
 @pytest.fixture
@@ -37,7 +34,7 @@ def config():
         for u in (0.2, 0.4)
     )
     return ExperimentConfig(
-        name="chaos-ckpt",
+        name="chaos-store",
         x_label="U",
         points=points,
         sets_per_point=2,
@@ -51,182 +48,135 @@ def _identical(a, b):
     for pa, pb in zip(a.points, b.points):
         assert pa.ratios == pb.ratios
         assert pa.failures == pb.failures
-        assert dict(pa.analysis_stats) == dict(pb.analysis_stats)
+        assert pa.sets_evaluated == pb.sets_evaluated
+
+
+def _tear_rows(path, digests=None):
+    """Garble stored payload bytes in place, leaving the sha column."""
+    with sqlite3.connect(path) as conn:
+        if digests is None:
+            conn.execute("UPDATE entries SET payload = substr(payload, 1, 9)")
+        for digest in digests or ():
+            conn.execute(
+                "UPDATE entries SET payload = substr(payload, 1, 9)"
+                " WHERE digest = ?",
+                (digest,),
+            )
+    conn.close()
+
+
+def _served(result):
+    return [dict(p.analysis_stats).get("unit_store.hits", 0) for p in result.points]
 
 
 class TestDurableWrites:
     def test_save_fsyncs_file_and_directory(
         self, config, tmp_path, monkeypatch
     ):
-        baseline = run_experiment(config)
+        result = run_experiment(config)
         synced = []
         real_fsync = os.fsync
         monkeypatch.setattr(
             os, "fsync", lambda fd: (synced.append(fd), real_fsync(fd))[1]
         )
-        save_checkpoint(
-            tmp_path / "c.json", config, {0: baseline.points[0]}
-        )
+        save_sweep(result, tmp_path / "sweep.json")
         # Once for the temp file, once for the containing directory.
         assert len(synced) >= 2
 
-    def test_stale_tmp_cleanup(self, tmp_path):
-        path = tmp_path / "c.json"
-        tmp = tmp_path / "c.json.tmp"
-        tmp.write_text("{half-written")
-        assert cleanup_stale_tmp(path) is True
-        assert not tmp.exists()
-        assert cleanup_stale_tmp(path) is False
-
-    def test_run_experiment_cleans_stale_tmp_on_startup(
-        self, config, tmp_path
-    ):
-        path = tmp_path / "c.json"
-        (tmp_path / "c.json.tmp").write_text("{half-written")
-        run_experiment(config, checkpoint_path=str(path))
-        assert not (tmp_path / "c.json.tmp").exists()
-        assert load_checkpoint(path, config).keys() == {0, 1}
-
     def test_transient_fs_error_is_retried(self, config, tmp_path):
-        baseline = run_experiment(config)
+        result = run_experiment(config)
         plan = FaultPlan(
             specs=(FaultSpec(site="fs.error", times=2),), name="flaky-fs"
         )
-        path = tmp_path / "c.json"
+        path = tmp_path / "sweep.json"
         recorder = obs.EventRecorder()
         with injecting(plan), obs.recording(recorder):
-            save_checkpoint(path, config, {0: baseline.points[0]})
-        assert load_checkpoint(path, config).keys() == {0}
+            save_sweep(result, path)
+        assert load_sweep(path).points == result.points
         retries = [
             e for e in recorder.events if e["name"] == "checkpoint.retry"
         ]
         assert len(retries) == 2
 
     def test_persistent_fs_error_fails_loudly(self, config, tmp_path):
-        baseline = run_experiment(config)
+        result = run_experiment(config)
         plan = FaultPlan(
             specs=(FaultSpec(site="fs.error", times=None),), name="dead-fs"
         )
         with injecting(plan):
             with pytest.raises(ExperimentError, match="cannot write"):
-                save_checkpoint(
-                    tmp_path / "c.json", config, {0: baseline.points[0]}
-                )
+                save_sweep(result, tmp_path / "sweep.json")
 
 
 class TestTornWrites:
-    def _crash_then_resume(self, config, tmp_path, mode, point=None):
-        plan = FaultPlan(
-            specs=(FaultSpec(site="checkpoint.torn", mode=mode, point=point),),
-            name=f"torn-{mode}",
-        )
-        path = tmp_path / "c.json"
-        with pytest.raises(InjectedCrashError, match="torn"):
-            run_experiment(config, checkpoint_path=str(path), fault_plan=plan)
-        return path
-
-    def test_lost_rename_leaves_tmp_and_resumes(self, config, tmp_path):
+    def test_corrupt_point_resolves_only_that_point(self, config, tmp_path):
         baseline = run_experiment(config)
-        path = self._crash_then_resume(config, tmp_path, "lost")
-        # The crash signature atomic writes are designed for: temp file
-        # on disk, target untouched (here: never created).
-        assert (tmp_path / "c.json.tmp").exists()
-        assert not path.exists()
-        resumed = run_experiment(
-            config, checkpoint_path=str(path), resume=True
-        )
-        _identical(resumed, baseline)
-        assert not (tmp_path / "c.json.tmp").exists()  # startup cleanup
+        for jobs in (1, 2):
+            path = str(tmp_path / f"store-{jobs}.db")
+            run_experiment(config, cache_path=path)
+            # Tear the row of (point 1, set 0): every other row stays
+            # pristine, that one no longer matches its sha256.
+            _tear_rows(path, [unit_digest(config, 1, 0, None, POLICY)])
+            trace = tmp_path / f"resume-{jobs}.jsonl"
+            resumed = run_experiment(
+                config, jobs=jobs, cache_path=path, trace_path=str(trace)
+            )
+            _identical(resumed, baseline)
+            # Only the damaged unit was re-solved...
+            assert _served(resumed) == [2, 1]
+            verdicts = {
+                (e["point"], e["unit"])
+                for e in read_trace(trace)
+                if e["name"] == "protocol.verdict"
+            }
+            assert verdicts == {(1, 0)}
+            # ...and its row was written back whole.
+            again = run_experiment(config, cache_path=path)
+            assert _served(again) == [2, 2]
+            _identical(again, baseline)
 
     def test_truncated_target_resumes_from_scratch(self, config, tmp_path):
         baseline = run_experiment(config)
-        path = self._crash_then_resume(config, tmp_path, "truncate")
-        with pytest.raises(ExperimentError, match="unreadable checkpoint"):
-            load_checkpoint(path, config)
-        resumed = run_experiment(
-            config, checkpoint_path=str(path), resume=True
+        path = str(tmp_path / "store.db")
+        run_experiment(config, cache_path=path)
+        _tear_rows(path)
+        store = PersistentStore(path)
+        assert store.fetch(unit_digest(config, 0, 0, None, POLICY)) == (
+            None,
+            True,
         )
+        store.close()
+        resumed = run_experiment(config, cache_path=path)
         _identical(resumed, baseline)
-
-    def test_corrupt_point_resolves_only_that_point(self, config, tmp_path):
-        baseline = run_experiment(config)
-        # Tear the write that completes point 1: point 0's entry stays
-        # pristine, point 1's payload no longer matches its digest.
-        path = self._crash_then_resume(config, tmp_path, "corrupt_point", point=1)
-        points, problems = load_checkpoint_recovering(path, config)
-        assert points.keys() == {0}
-        assert len(problems) == 1 and "digest" in problems[0]
-        trace = tmp_path / "resume.jsonl"
-        resumed = run_experiment(
-            config,
-            checkpoint_path=str(path),
-            resume=True,
-            trace_path=str(trace),
-        )
-        _identical(resumed, baseline)
-        events = read_trace(trace)
-        # Only the damaged point was re-solved...
-        assert [e["point"] for e in events if e["name"] == "point.end"] == [1]
-        # ...and the recovery is visible in the trace.
-        assert any(
-            e["name"] == "checkpoint.recovered" for e in events
-        )
+        assert _served(resumed) == [0, 0]
 
 
 class TestDigestVerification:
-    def test_strict_load_raises_on_garbled_point(self, config, tmp_path):
-        baseline = run_experiment(config)
-        path = tmp_path / "c.json"
-        save_checkpoint(path, config, {0: baseline.points[0]})
-        payload = json.loads(path.read_text())
-        payload["points"]["0"]["point"]["ratios"] = {"nps": 1.0}
-        path.write_text(json.dumps(payload))
-        with pytest.raises(ExperimentError, match="content digest"):
-            load_checkpoint(path, config)
-        # The tolerant reader heals around exactly that point.
-        assert load_checkpoint(path, config, tolerant=True) == {}
-        assert read_checkpoint_points(path, tolerant=True) == {}
-        with pytest.raises(ExperimentError, match="content digest"):
-            read_checkpoint_points(path)
-
     def test_wrong_config_digest_never_healed(self, config, tmp_path):
-        import dataclasses
-
-        baseline = run_experiment(config)
-        path = tmp_path / "c.json"
-        save_checkpoint(path, config, {0: baseline.points[0]})
+        # Rows of another configuration are neither served nor
+        # dropped: a different digest is another unit, not damage.
+        path = str(tmp_path / "store.db")
+        run_experiment(config, cache_path=path)
         other = dataclasses.replace(config, seed=999)
-        with pytest.raises(ExperimentError, match="different experiment"):
-            load_checkpoint_recovering(path, other)
-
-    def test_version_1_checkpoints_still_load(self, config, tmp_path):
-        from repro.experiments.persistence import (
-            _config_to_dict,
-            _point_to_dict,
-        )
-
-        baseline = run_experiment(config)
-        path = tmp_path / "v1.json"
-        path.write_text(
-            json.dumps(
-                {
-                    "checkpoint_version": 1,
-                    "config_digest": config_digest(config),
-                    "config": _config_to_dict(config),
-                    # v1: plain point dicts, no per-point digest.
-                    "points": {"0": _point_to_dict(baseline.points[0])},
-                }
-            )
-        )
-        loaded = load_checkpoint(path, config)
-        assert loaded[0].ratios == baseline.points[0].ratios
+        result = run_experiment(other, cache_path=path)
+        assert _served(result) == [0, 0]
+        _identical(result, run_experiment(other))
+        store = PersistentStore(path)
+        assert store.fetch(unit_digest(config, 0, 0, None, POLICY))[0] is not None
+        assert len(store) == 2 * 4
+        store.close()
 
     def test_unsupported_version_rejected(self, config, tmp_path):
-        path = tmp_path / "vX.json"
-        path.write_text(
-            json.dumps(
-                {"checkpoint_version": 99, "config_digest": "x", "points": {}}
+        path = str(tmp_path / "store.db")
+        first = run_experiment(config, cache_path=path)
+        with sqlite3.connect(path) as conn:
+            conn.execute(
+                "UPDATE meta SET value = ? WHERE key = 'schema_version'",
+                (str(SCHEMA_VERSION - 1),),
             )
-        )
-        with pytest.raises(ExperimentError, match="unsupported checkpoint"):
-            load_checkpoint(path, config)
+        conn.close()
+        # A store written under another schema is discarded on open:
+        # nothing is served, everything is re-solved identically.
+        again = run_experiment(config, cache_path=path)
+        assert _served(again) == [0, 0]
+        _identical(again, first)

@@ -190,9 +190,10 @@ class TestQuarantine:
 
 class TestCheckpointDuringRecovery:
     def test_checkpoint_survives_crash_recovery(self, config, tmp_path):
-        from repro.experiments.persistence import load_checkpoint
-
-        path = tmp_path / "sweep.ckpt"
+        # Under a fault plan the unit rows are neither read nor written;
+        # the rerun without one stores the recovered sweep's units, and
+        # the next rerun is served all of them, identically.
+        path = str(tmp_path / "store.sqlite")
         plan = FaultPlan(
             specs=(
                 FaultSpec(
@@ -203,11 +204,20 @@ class TestCheckpointDuringRecovery:
             name="death-once",
         )
         result = run_experiment(
-            config, jobs=2, fault_plan=plan, checkpoint_path=str(path)
+            config, jobs=2, fault_plan=plan, cache_path=path
         )
-        stored = load_checkpoint(path, config)
-        assert stored.keys() == {0, 1}
-        assert stored[0].ratios == result.points[0].ratios
+        first = run_experiment(config, jobs=2, cache_path=path)
+        again = run_experiment(config, jobs=2, cache_path=path)
+        for point in first.points:
+            assert dict(point.analysis_stats).get("unit_store.hits", 0) == 0
+        for point in again.points:
+            assert dict(point.analysis_stats)["unit_store.hits"] == (
+                config.sets_per_point
+            )
+        _identical(result, first)
+        assert [p.ratios for p in again.points] == [
+            p.ratios for p in result.points
+        ]
 
 
 class TestSequentialEquivalence:

@@ -1,27 +1,28 @@
-"""Sweep checkpoint/resume: atomicity, config keying, bit-identical ratios."""
+"""Sweep resume from the unit store: rows, keying, bit-identical ratios.
 
-import json
+An interrupted sweep resumes by rerunning it on the same ``cache_path``:
+every finished (point, task set) unit is one row in the persistent
+store, and a rerun evaluates only the units without one.
+"""
+
+import dataclasses
 
 import pytest
 
 import repro.experiments.runner as runner_module
-from repro.errors import ExperimentError
+from repro.analysis.store import PersistentStore
 from repro.experiments import (
     ExperimentConfig,
-    FailureRecord,
-    PointResult,
     SweepPoint,
     run_experiment,
 )
-from repro.experiments.persistence import (
-    config_digest,
-    load_checkpoint,
-    save_checkpoint,
-    load_sweep,
-    save_sweep,
-)
+from repro.experiments.persistence import load_sweep, save_sweep
+from repro.experiments.report import aggregate_analysis_stats
 from repro.experiments.runner import SweepResult
+from repro.experiments.units import unit_digest
 from repro.generator.taskset_gen import GenerationConfig
+
+POLICY = "count_unschedulable"
 
 
 @pytest.fixture
@@ -40,54 +41,111 @@ def config():
     )
 
 
+def _flaky_wasly(monkeypatch):
+    """Make every ``wasly`` evaluation fail with a SolverError."""
+    import repro.experiments.units as units_module
+    from repro.errors import SolverError
+
+    original = units_module.is_schedulable
+
+    def flaky(taskset, protocol, **kwargs):
+        if protocol == "wasly":
+            raise SolverError("boom")
+        return original(taskset, protocol, **kwargs)
+
+    monkeypatch.setattr(units_module, "is_schedulable", flaky)
+
+
+def _counting_evaluate(monkeypatch, calls, stop_at=None):
+    """Record the (x, set) of every evaluated unit; optionally "kill"
+    the sweep when it reaches a unit of point ``stop_at``."""
+    from repro.experiments.units import _evaluate_unit as original
+
+    def counting(point, config, seed, index, *args, **kwargs):
+        calls.append((point.x, index))
+        if point.x == stop_at:
+            raise KeyboardInterrupt  # simulate a mid-sweep kill
+        return original(point, config, seed, index, *args, **kwargs)
+
+    monkeypatch.setattr(runner_module, "_evaluate_unit", counting)
+
+
 class TestCheckpointFile:
-    def test_roundtrip_including_failures(self, tmp_path, config):
-        record = FailureRecord(
-            x=0.2, protocol="wasly", seed=7, taskset_index=1,
-            taskset_digest="ab" * 8, error_type="SolverError",
-            message="boom", degradation=2,
-        )
-        point = PointResult(
-            x=0.2, ratios={"wasly": 0.5}, sets_evaluated=3,
-            elapsed_seconds=1.0, failures=(record,),
-        )
-        path = tmp_path / "ck.json"
-        save_checkpoint(path, config, {0: point})
-        loaded = load_checkpoint(path, config)
-        assert loaded == {0: point}
+    """The unit row: one per (point, task set), verified on read."""
+
+    def test_roundtrip_including_failures(self, tmp_path, config, monkeypatch):
+        _flaky_wasly(monkeypatch)
+        path = str(tmp_path / "store.db")
+        first = run_experiment(config, cache_path=path)
+        assert first.failures
+        store = PersistentStore(path)
+        value, corrupt = store.fetch(unit_digest(config, 0, 1, None, POLICY))
+        assert not corrupt
+        tag, row = value
+        assert tag == "unit"
+        assert set(row["verdicts"]) == set(config.protocols)
+        assert [f["protocol"] for f in row["failures"]] == ["wasly"]
+        store.close()
+        # Served back from the rows, the ledger is the same records.
+        second = run_experiment(config, cache_path=path)
+        assert second.failures == first.failures
+        assert [p.ratios for p in second.points] == [
+            p.ratios for p in first.points
+        ]
 
     def test_atomic_write_leaves_no_temp_file(self, tmp_path, config):
-        path = tmp_path / "ck.json"
-        point = PointResult(
-            x=0.2, ratios={"proposed": 1.0}, sets_evaluated=3,
-            elapsed_seconds=0.1,
-        )
-        save_checkpoint(path, config, {0: point})
+        # The sweep export (the one JSON format left) is written
+        # temp-and-rename; nothing but the target remains.
+        path = tmp_path / "sweep.json"
+        save_sweep(run_experiment(config), path)
         assert path.exists()
         assert list(tmp_path.glob("*.tmp")) == []
 
-    def test_digest_mismatch_is_rejected(self, tmp_path, config):
-        path = tmp_path / "ck.json"
-        save_checkpoint(path, config, {})
-        import dataclasses
-
+    def test_digest_mismatch_is_rejected(self, tmp_path, config, monkeypatch):
+        path = str(tmp_path / "store.db")
+        run_experiment(config, cache_path=path)
         other = dataclasses.replace(config, seed=99)
-        assert config_digest(other) != config_digest(config)
-        with pytest.raises(ExperimentError) as excinfo:
-            load_checkpoint(path, other)
-        assert "different experiment" in str(excinfo.value)
+        assert unit_digest(other, 0, 0, None, POLICY) != unit_digest(
+            config, 0, 0, None, POLICY
+        )
+        calls = []
+        _counting_evaluate(monkeypatch, calls)
+        result = run_experiment(other, cache_path=path)
+        # No row of the other seed answers anything.
+        assert len(calls) == len(config.points) * config.sets_per_point
+        assert aggregate_analysis_stats(result.points).get(
+            "unit_store.hits", 0
+        ) == 0
 
     def test_corrupt_json_is_rejected(self, tmp_path, config):
-        path = tmp_path / "ck.json"
-        path.write_text("{not json")
-        with pytest.raises(ExperimentError):
-            load_checkpoint(path, config)
+        path = str(tmp_path / "store.db")
+        baseline = run_experiment(config, cache_path=path)
+        digest = unit_digest(config, 1, 0, None, POLICY)
+        store = PersistentStore(path)
+        conn = store._connect()
+        conn.execute(
+            "UPDATE entries SET payload = '{not json' WHERE digest = ?",
+            (digest,),
+        )
+        conn.commit()
+        assert store.fetch(digest) == (None, True)  # detected + dropped
+        store.close()
+        again = run_experiment(config, cache_path=path)
+        assert [p.ratios for p in again.points] == [
+            p.ratios for p in baseline.points
+        ]
 
     def test_missing_file(self, tmp_path, config):
-        path = tmp_path / "absent.json"
-        assert load_checkpoint(path, config, missing_ok=True) == {}
-        with pytest.raises(ExperimentError):
-            load_checkpoint(path, config)
+        path = tmp_path / "absent" / "store.db"
+        assert not path.exists()
+        result = run_experiment(config, cache_path=str(path))
+        assert path.exists()
+        assert aggregate_analysis_stats(result.points).get(
+            "unit_store.hits", 0
+        ) == 0
+        assert len(PersistentStore(path)) == (
+            len(config.points) * config.sets_per_point
+        )
 
 
 class TestResume:
@@ -95,73 +153,49 @@ class TestResume:
         self, tmp_path, config, monkeypatch
     ):
         baseline = run_experiment(config)
-
-        path = tmp_path / "ck.json"
-        original_evaluate = runner_module._evaluate_unit
+        path = str(tmp_path / "store.db")
         sets = config.sets_per_point
-        calls = []  # the x of every evaluated unit's point
-
-        def counting_evaluate(point, *args, **kwargs):
-            calls.append(point.x)
-            if point.x == 0.4:
-                raise KeyboardInterrupt  # simulate a mid-sweep kill
-            return original_evaluate(point, *args, **kwargs)
-
-        monkeypatch.setattr(runner_module, "_evaluate_unit", counting_evaluate)
+        calls = []
+        _counting_evaluate(monkeypatch, calls, stop_at=0.4)
         with pytest.raises(KeyboardInterrupt):
-            run_experiment(config, checkpoint_path=str(path))
-        assert calls == [0.2] * sets + [0.4]
-        # Point 0 was persisted before the kill.
-        assert set(load_checkpoint(path, config)) == {0}
+            run_experiment(config, cache_path=path)
+        assert calls == [(0.2, i) for i in range(sets)] + [(0.4, 0)]
+        # Point 0's units were stored before the kill.
+        assert len(PersistentStore(path)) == sets
 
         calls.clear()
-        monkeypatch.setattr(
-            runner_module,
-            "_evaluate_unit",
-            lambda *a, **k: (calls.append(a[0].x), original_evaluate(*a, **k))[1],
-        )
-        resumed = run_experiment(config, checkpoint_path=str(path), resume=True)
-        # Only the unfinished points were re-evaluated.
-        assert calls == [0.4] * sets + [0.6] * sets
+        _counting_evaluate(monkeypatch, calls)
+        resumed = run_experiment(config, cache_path=path)
+        # Only the unstored units were evaluated.
+        assert calls == [(0.4, i) for i in range(sets)] + [
+            (0.6, i) for i in range(sets)
+        ]
         for got, expected in zip(resumed.points, baseline.points):
             assert got.x == expected.x
             assert got.ratios == expected.ratios  # bit-identical floats
+            assert got.failures == expected.failures
             assert got.sets_evaluated == expected.sets_evaluated
+        assert dict(resumed.points[0].analysis_stats)["unit_store.hits"] == sets
 
     def test_completed_checkpoint_reruns_nothing(self, tmp_path, config, monkeypatch):
-        path = tmp_path / "ck.json"
-        first = run_experiment(config, checkpoint_path=str(path))
+        path = str(tmp_path / "store.db")
+        first = run_experiment(config, cache_path=path)
 
         def exploding_evaluate(*args, **kwargs):
-            raise AssertionError("no point should be re-evaluated")
+            raise AssertionError("no unit should be re-evaluated")
 
         monkeypatch.setattr(runner_module, "_evaluate_unit", exploding_evaluate)
-        second = run_experiment(config, checkpoint_path=str(path), resume=True)
+        second = run_experiment(config, cache_path=path)
         for got, expected in zip(second.points, first.points):
             assert got.ratios == expected.ratios
-
-    def test_without_resume_checkpoint_is_overwritten(self, tmp_path, config):
-        path = tmp_path / "ck.json"
-        run_experiment(config, checkpoint_path=str(path))
-        result = run_experiment(config, checkpoint_path=str(path))
-        payload = json.loads(path.read_text())
-        assert set(payload["points"]) == {"0", "1", "2"}
-        assert len(result.points) == 3
+            stats = dict(got.analysis_stats)
+            assert stats.pop("unit_store.hits") == config.sets_per_point
+            assert not any(stats.values())
 
 
 class TestSweepSerializationWithFailures:
     def test_sweep_roundtrip_keeps_ledger(self, tmp_path, config, monkeypatch):
-        import repro.experiments.units as rm
-        from repro.errors import SolverError
-
-        original = rm.is_schedulable
-
-        def flaky(taskset, protocol, **kwargs):
-            if protocol == "wasly":
-                raise SolverError("boom")
-            return original(taskset, protocol, **kwargs)
-
-        monkeypatch.setattr(rm, "is_schedulable", flaky)
+        _flaky_wasly(monkeypatch)
         result = run_experiment(config)
         assert result.failures
 
@@ -183,3 +217,4 @@ class TestSweepSerializationWithFailures:
             point.pop("failures", None)
         loaded = sweep_from_dict(payload)
         assert loaded.points[0].failures == ()
+

@@ -107,15 +107,20 @@ class TestCommands:
         assert csv_out.exists()
 
     def test_figure_checkpoint_and_resume(self, capsys, tmp_path):
-        checkpoint = tmp_path / "ck.json"
+        # The store is the checkpoint: rerunning on it resumes, and the
+        # removed checkpoint flags are rejected outright.
+        store = tmp_path / "store.sqlite"
         base = ["figure", "fig2e", "--sets", "1", "--method", "closed_form",
-                "--checkpoint", str(checkpoint)]
+                "--cache", str(store)]
         assert main(base) == 0
-        assert checkpoint.exists()
+        assert store.exists()
         capsys.readouterr()
-        assert main(base + ["--resume"]) == 0
+        assert main(base) == 0
         out = capsys.readouterr().out
         assert "schedulability ratio" in out
+        for flag in (["--checkpoint", "ck.json"], ["--resume"]):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(base + flag)
 
     def test_figure_failure_policy_flag(self, capsys):
         code = main(
@@ -132,18 +137,15 @@ class TestCommands:
 
     def test_figure_trace_and_profile_reconcile(self, capsys, tmp_path):
         trace = tmp_path / "trace.jsonl"
-        checkpoint = tmp_path / "ck.json"
         code = main(
             ["figure", "fig2e", "--sets", "1", "--method", "closed_form",
-             "--trace", str(trace), "--checkpoint", str(checkpoint)]
+             "--trace", str(trace)]
         )
         out = capsys.readouterr().out
         assert code == 0
         assert "trace written to" in out
         assert trace.exists()
-        code = main(
-            ["profile", str(trace), "--checkpoint", str(checkpoint)]
-        )
+        code = main(["profile", str(trace)])
         out = capsys.readouterr().out
         assert code == 0
         assert "work events" in out
@@ -151,10 +153,9 @@ class TestCommands:
 
     def test_profile_reports_mismatch(self, capsys, tmp_path):
         trace = tmp_path / "trace.jsonl"
-        checkpoint = tmp_path / "ck.json"
         assert main(
             ["figure", "fig2e", "--sets", "1", "--method", "closed_form",
-             "--trace", str(trace), "--checkpoint", str(checkpoint)]
+             "--trace", str(trace)]
         ) == 0
         # Drop the cache events: the counters can no longer reconcile.
         kept = [
@@ -164,7 +165,7 @@ class TestCommands:
         ]
         trace.write_text("\n".join(kept) + "\n")
         capsys.readouterr()
-        code = main(["profile", str(trace), "--checkpoint", str(checkpoint)])
+        code = main(["profile", str(trace)])
         out = capsys.readouterr().out
         assert code == 1
         assert "MISMATCH" in out

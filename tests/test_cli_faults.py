@@ -150,10 +150,9 @@ class TestProfileErrors:
 
     def test_corrupt_trace_reconciles_with_note(self, capsys, tmp_path):
         trace = tmp_path / "trace.jsonl"
-        checkpoint = tmp_path / "ck.json"
         assert main(
             ["figure", "fig2e", "--sets", "1", "--method", "closed_form",
-             "--trace", str(trace), "--checkpoint", str(checkpoint)]
+             "--trace", str(trace)]
         ) == 0
         # Corrupt one cache event line: the counters now under-report,
         # but the reader can prove corruption, so this is a note — not
@@ -163,7 +162,7 @@ class TestProfileErrors:
         lines[index] = lines[index][: len(lines[index]) // 2]
         trace.write_text("\n".join(lines) + "\n")
         capsys.readouterr()
-        code = main(["profile", str(trace), "--checkpoint", str(checkpoint)])
+        code = main(["profile", str(trace)])
         out = capsys.readouterr().out
         assert code == 0
         assert "corrupt trace line(s) skipped" in out

@@ -91,17 +91,17 @@ class TestTraceContractRule:
 
     def test_dead_catalogue_entry_flagged(self):
         modules = dict(load_repo_modules())
-        units = modules["repro.experiments.units"]
-        source = Path(units.path).read_text()
-        target = 'writer.emit("checkpoint.saved", point=point_index)'
+        runner = modules["repro.experiments.runner"]
+        source = Path(runner.path).read_text()
+        target = 'writer.emit("run.end", dur=time.perf_counter() - run_start)'
         assert target in source
-        modules["repro.experiments.units"] = SourceModule.parse(
-            units.name, units.path, source.replace(target, "pass")
+        modules["repro.experiments.runner"] = SourceModule.parse(
+            runner.name, runner.path, source.replace(target, "pass")
         )
         violations = run_lint(modules, rules=["trace-contract"])
         assert any(
             "dead schema entry" in v.message
-            and "checkpoint.saved" in v.message
+            and "run.end" in v.message
             for v in violations
         )
 
@@ -378,8 +378,8 @@ class TestScreenSoundnessRule:
         store = modules["repro.analysis.store"]
         source = Path(store.path).read_text()
         tampered = source.replace(
-            'ENTRY_RANKS = {"lp": 1, "lb": 2, "milp": 3}',
-            'ENTRY_RANKS = {"lp": 1, "lb": 3, "milp": 2}',
+            'ENTRY_RANKS = {"lp": 1, "lb": 2, "milp": 3, "unit": 4}',
+            'ENTRY_RANKS = {"lp": 1, "lb": 3, "milp": 2, "unit": 4}',
         )
         assert tampered != source
         modules["repro.analysis.store"] = SourceModule.parse(

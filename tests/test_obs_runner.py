@@ -127,27 +127,57 @@ class TestFailureEvents:
         _, par_events = _traced_run(config, tmp_path, "fpar", jobs=2)
         assert compare_profiles(seq_events, par_events) == []
 
+    def test_store_served_failures_reconcile(self, tmp_path):
+        # A unit served its stored "proposed" failure (and evaluated for
+        # the protocols its row lacks) still has one failure event per
+        # ledger record: the trace reconciles with its own point.end
+        # records, identically for any jobs.
+        config = self._failing_config()
+        partial = dataclasses.replace(config, protocols=("proposed",))
+        traces = []
+        for jobs in (1, 2):
+            store = str(tmp_path / f"store-{jobs}.sqlite")
+            run_experiment(partial, cache_path=store)
+            for label in ("grown", "served"):
+                result, events = _traced_run(
+                    config, tmp_path, f"{label}-{jobs}",
+                    jobs=jobs, cache_path=store,
+                )
+                report = aggregate_events(events)
+                assert report.failures == len(result.failures) > 0
+                assert reconcile(report) == []
+                traces.append(events)
+        assert compare_profiles(traces[0], traces[2]) == []
+        assert compare_profiles(traces[1], traces[3]) == []
+
 
 class TestResumedRuns:
     def test_resumed_points_emit_no_work_events(self, tmp_path):
         config = _reduced("fig2a")
-        ckpt = tmp_path / "sweep.ckpt"
-        run_experiment(config, checkpoint_path=str(ckpt))
+        store = tmp_path / "store.sqlite"
+        run_experiment(config, cache_path=str(store))
         path = tmp_path / "resume.jsonl"
         result = run_experiment(
             config,
-            checkpoint_path=str(ckpt),
-            resume=True,
+            cache_path=str(store),
             trace_path=str(path),
         )
         events = read_trace(path)
         report = aggregate_events(events)
-        # All points came from the checkpoint: lifecycle events only.
+        # Every unit came from the store: lifecycle events and one
+        # unit-store hit per unit only, and the trace still reconciles
+        # with its own point.end records.
         assert len(result.points) == 2
         assert report.counts.get("solve", 0) == 0
         assert report.counts.get("protocol.verdict", 0) == 0
         names = {e["name"] for e in events}
-        assert names == {"run.start", "run.end"}
+        assert names == {
+            "run.start", "run.end", "point.end", "cache.unit_store.hits"
+        }
+        assert report.cache_counters == {
+            "unit_store.hits": len(result.points) * config.sets_per_point
+        }
+        assert reconcile(report) == []
 
     def test_untraced_run_writes_nothing(self, tmp_path):
         config = _reduced("fig2a")

@@ -1,10 +1,10 @@
-"""The parallel sweep engine: bit-identity, checkpoints, ordering."""
+"""The parallel sweep engine: bit-identity, unit-store resume, ordering."""
 
 import dataclasses
 
 import pytest
 
-import repro.experiments.persistence as persistence_module
+from repro.analysis.store import PersistentStore
 from repro.errors import ExperimentError
 from repro.experiments import (
     ExperimentConfig,
@@ -15,7 +15,7 @@ from repro.experiments import (
     run_point,
 )
 from repro.experiments.config import figure2_config
-from repro.experiments.persistence import load_checkpoint
+from repro.experiments.units import unit_digest
 from repro.generator.taskset_gen import GenerationConfig
 
 
@@ -108,7 +108,7 @@ class TestBitIdentity:
 
 
 class TestParallelCheckpointing:
-    """Satellite: parent-only writes, one atomic write per point."""
+    """Satellite: parent-only writes, one unit row per finished unit."""
 
     @pytest.fixture
     def config(self):
@@ -125,43 +125,72 @@ class TestParallelCheckpointing:
             method="closed_form",
         )
 
-    def test_one_write_per_point(self, tmp_path, config, monkeypatch):
-        path = tmp_path / "sweep.ckpt"
+    @staticmethod
+    def _served(result):
+        return [
+            dict(p.analysis_stats).get("unit_store.hits", 0)
+            for p in result.points
+        ]
+
+    def test_one_write_per_unit(self, tmp_path, config, monkeypatch):
+        path = tmp_path / "store.db"
         writes = []
-        original = persistence_module.save_checkpoint
+        original = PersistentStore.store
 
-        def counting_save(p, cfg, completed, point=None):
-            writes.append(len(completed))
-            return original(p, cfg, completed, point=point)
+        def counting_store(self, digest, value):
+            writes.append(digest)
+            return original(self, digest, value)
 
-        monkeypatch.setattr(persistence_module, "save_checkpoint", counting_save)
-        run_experiment(config, jobs=2, checkpoint_path=str(path))
-        # Exactly one write per completed point, monotonically growing.
-        assert len(writes) == len(config.points)
-        assert writes == sorted(writes)
-        assert load_checkpoint(path, config).keys() == {0, 1, 2}
+        # Patched in the parent only: workers are forked after the
+        # patch but write no unit rows, and closed_form solves write
+        # no solver entries either.
+        monkeypatch.setattr(PersistentStore, "store", counting_store)
+        run_experiment(config, jobs=2, cache_path=str(path))
+        expected = {
+            unit_digest(config, p, s, None, "count_unschedulable")
+            for p in range(len(config.points))
+            for s in range(config.sets_per_point)
+        }
+        assert sorted(writes) == sorted(expected)
+        store = PersistentStore(path)
+        assert set(store.digests()) == expected
+        store.close()
 
     def test_parallel_resume_skips_completed_points(self, tmp_path, config):
-        path = tmp_path / "sweep.ckpt"
-        # Truncate a full checkpoint down to point 0, then resume the
-        # remaining two points in parallel.
-        run_experiment(config, checkpoint_path=str(path))
-        completed = load_checkpoint(path, config)
-        persistence_module.save_checkpoint(path, config, {0: completed[0]})
-        resumed = run_experiment(
-            config, jobs=2, checkpoint_path=str(path), resume=True
-        )
+        path = tmp_path / "store.db"
+        # Drop the rows of points 1 and 2 from a full store, then
+        # resume the remaining units in parallel.
+        run_experiment(config, cache_path=str(path))
+        store = PersistentStore(path)
+        conn = store._connect()
+        for point in (1, 2):
+            for index in range(config.sets_per_point):
+                conn.execute(
+                    "DELETE FROM entries WHERE digest = ?",
+                    (unit_digest(config, point, index, None,
+                                 "count_unschedulable"),),
+                )
+        conn.commit()
+        store.close()
+        resumed = run_experiment(config, jobs=2, cache_path=str(path))
         fresh = run_experiment(config)
-        _identical(resumed, fresh)
-        assert load_checkpoint(path, config).keys() == {0, 1, 2}
+        assert [p.ratios for p in resumed.points] == [
+            p.ratios for p in fresh.points
+        ]
+        assert [p.failures for p in resumed.points] == [
+            p.failures for p in fresh.points
+        ]
+        assert self._served(resumed) == [2, 0, 0]
+        assert len(PersistentStore(path)) == 6
 
     def test_parallel_checkpoint_resumes_sequentially_too(self, tmp_path, config):
-        path = tmp_path / "sweep.ckpt"
-        parallel = run_experiment(config, jobs=2, checkpoint_path=str(path))
-        resumed = run_experiment(
-            config, checkpoint_path=str(path), resume=True
-        )
-        _identical(parallel, resumed)
+        path = tmp_path / "store.db"
+        parallel = run_experiment(config, jobs=2, cache_path=str(path))
+        resumed = run_experiment(config, cache_path=str(path))
+        assert [p.ratios for p in resumed.points] == [
+            p.ratios for p in parallel.points
+        ]
+        assert self._served(resumed) == [2, 2, 2]
 
 
 class TestSweepResultOrdering:

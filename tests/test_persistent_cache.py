@@ -117,6 +117,34 @@ class TestStoreSemantics:
         assert store.clear() == 1
         assert len(store) == 0
 
+    def test_created_subquery_uses_its_index(self, tmp_path):
+        # Every upsert reads MAX(created); unindexed, that scans the
+        # whole table and upserts slow down as the store grows.
+        store = PersistentStore(tmp_path / "c.sqlite")
+        store.store("d", LP_ENTRY)
+        plan = store._connect().execute(
+            "EXPLAIN QUERY PLAN"
+            " SELECT COALESCE(MAX(created), 0) + 1 FROM entries"
+        ).fetchall()
+        assert [row[-1] for row in plan] == [
+            "SEARCH entries USING COVERING INDEX entries_created"
+        ]
+
+    def test_unit_rows_grow_by_protocol_count(self, tmp_path):
+        store = PersistentStore(tmp_path / "c.sqlite")
+        two = ("unit", {"verdicts": {"a": [1, 1], "b": [0, 1]}, "failures": []})
+        three = (
+            "unit",
+            {"verdicts": {"a": [1, 1], "b": [0, 1], "c": [1, 1]}, "failures": []},
+        )
+        store.store("u", three)
+        store.store("u", two)  # fewer protocols never replace more
+        assert store.fetch("u") == (three, False)
+        store.store("v", two)
+        store.store("v", three)
+        assert store.fetch("v") == (three, False)
+        assert entry_rank(three) == ENTRY_RANKS["unit"]
+
     def test_stats_breaks_entries_down_by_rank(self, tmp_path):
         store = PersistentStore(tmp_path / "c.sqlite")
         store.store("d1", MILP_ENTRY)
@@ -215,6 +243,11 @@ def cache_matrix(tmp_path_factory):
         "warm": run_experiment(config, cache_path=str(seq_db)),
         "parallel_cold": run_experiment(config, jobs=2, cache_path=str(par_db)),
         "parallel_warm": run_experiment(config, jobs=2, cache_path=str(seq_db)),
+        # Another failure policy keys other unit rows but the same
+        # solver entries: the per-solve tier answers this rerun.
+        "other_policy": run_experiment(
+            config, cache_path=str(seq_db), failure_policy="skip"
+        ),
     }
     return runs, seq_db
 
@@ -244,8 +277,20 @@ class TestBitIdentityAcrossCacheConfigs:
 
     def test_warm_run_is_served_by_the_persistent_tier(self, cache_matrix):
         runs, _ = cache_matrix
+        config = runs["cold"].config
         cold = aggregate_analysis_stats(runs["cold"].points)
-        warm = aggregate_analysis_stats(runs["warm"].points)
+        # A warm full rerun is answered by its unit rows: no solve of
+        # any kind, one unit-store hit per unit.
+        warm = dict(aggregate_analysis_stats(runs["warm"].points))
+        assert warm.pop("unit_store.hits") == (
+            len(config.points) * config.sets_per_point
+        )
+        assert not any(warm.values())
+        # A rerun that misses the unit rows still finds every solve in
+        # the per-solve tier.
+        _verdicts_identical(runs["baseline"], runs["other_policy"])
+        warm = aggregate_analysis_stats(runs["other_policy"].points)
+        assert warm["unit_store.hits"] == 0
         fall_throughs = warm["persistent.hits"] + warm["misses"]
         assert fall_throughs > 0
         assert warm["persistent.hits"] / fall_throughs >= 0.95
@@ -263,11 +308,18 @@ class TestBitIdentityAcrossCacheConfigs:
         )
 
     def test_store_holds_both_entry_kinds(self, cache_matrix):
-        _, seq_db = cache_matrix
+        runs, seq_db = cache_matrix
+        config = runs["cold"].config
         stats = PersistentStore(seq_db).stats()
         assert stats["entries"] > 0
+        # One row per unit and failure policy (count_unschedulable and
+        # skip); unit rows are not counted as exact optima.
+        assert stats["unit_entries"] == (
+            2 * len(config.points) * config.sets_per_point
+        )
         assert stats["entries"] == (
             stats["exact_entries"]
             + stats["screen_entries"]
             + stats["lower_bound_entries"]
+            + stats["unit_entries"]
         )

@@ -4,20 +4,21 @@ The service coordinator must be a *transport*, never a semantics
 layer: every sweep it processes has to equal the sequential engine
 bit-for-bit (ratios, ledger, analysis counters), whether units were
 evaluated by socket-connected workers, served from the persistent
-unit store, resumed from a v1 or torn checkpoint, or requeued after a
+unit store, resumed from a store with torn rows, or requeued after a
 worker died mid-unit. These tests pin that contract alongside the
 ``--jobs N`` equivalence matrix in ``test_parallel_sweep.py``.
 """
 
 import dataclasses
-import json
 import socket
+import sqlite3
 import struct
 import threading
 
 import pytest
 
 from repro.analysis.interface import AnalysisOptions
+from repro.analysis.store import ENTRY_RANKS
 from repro.errors import ExperimentError
 from repro.experiments import (
     ExperimentConfig,
@@ -26,11 +27,6 @@ from repro.experiments import (
     run_experiment,
 )
 from repro.experiments.config import figure2_config
-from repro.experiments.persistence import (
-    _config_to_dict,
-    _point_to_dict,
-    config_digest,
-)
 from repro.experiments.units import unit_digest
 from repro.faults import FaultPlan, FaultSpec
 from repro.generator.taskset_gen import GenerationConfig
@@ -269,24 +265,14 @@ class TestServiceStore:
     def test_warm_repeat_is_served_entirely_from_store(self, tmp_path):
         config = _reduced("fig2a")
         cache = tmp_path / "store.sqlite"
-        cold = run_service_sweep(
-            config,
-            workers=2,
-            cache_path=str(cache),
-            checkpoint_dir=str(tmp_path / "cold-ckpt"),
-        )
+        cold = run_service_sweep(config, workers=2, cache_path=str(cache))
         assert any(
             dict(p.analysis_stats).get("unit_store.hits", 0) == 0
             for p in cold.points
         )
-        # Fresh checkpoint dir: nothing resumes, so every unit has to
-        # come from the store — zero analysis work of any kind.
-        warm = run_service_sweep(
-            config,
-            workers=2,
-            cache_path=str(cache),
-            checkpoint_dir=str(tmp_path / "warm-ckpt"),
-        )
+        # Every unit has to come from the store — zero analysis work
+        # of any kind.
+        warm = run_service_sweep(config, workers=2, cache_path=str(cache))
         assert [p.ratios for p in warm.points] == [
             p.ratios for p in cold.points
         ]
@@ -457,43 +443,33 @@ class TestColdStartJoins:
 
 
 class TestServiceResume:
-    """Checkpoint recovery through the service path (v1 and torn)."""
-
-    def test_v1_checkpoint_resumes_and_upgrades(self, tmp_path):
-        config = _reduced("fig2a")
-        baseline = run_experiment(config)
-        ckpt_dir = tmp_path / "ckpts"
-        ckpt_dir.mkdir()
-        path = ckpt_dir / f"{config_digest(config)}.json"
-        path.write_text(json.dumps({
-            "checkpoint_version": 1,
-            "config_digest": config_digest(config),
-            "config": _config_to_dict(config),
-            "points": {"0": _point_to_dict(baseline.points[0])},
-        }))
-        result = run_service_sweep(
-            config, workers=2, checkpoint_dir=str(ckpt_dir)
-        )
-        _identical(result, baseline)
-        saved = json.loads(path.read_text())
-        assert saved["checkpoint_version"] == 2
-        assert set(saved["points"]) == {"0", "1"}
+    """Unit-store recovery through the service path (torn rows)."""
 
     def test_torn_checkpoint_heals_to_a_full_recompute(self, tmp_path):
         config = _reduced("fig2a")
-        ckpt_dir = tmp_path / "ckpts"
-        ckpt_dir.mkdir()
-        first = run_service_sweep(
-            config, workers=2, checkpoint_dir=str(ckpt_dir)
-        )
-        path = ckpt_dir / f"{config_digest(config)}.json"
-        content = path.read_text()
-        path.write_text(content[: len(content) // 2])
-        again = run_service_sweep(
-            config, workers=2, checkpoint_dir=str(ckpt_dir)
-        )
-        _identical(first, again)
-        assert json.loads(path.read_text())["checkpoint_version"] == 2
+        cache = tmp_path / "store.sqlite"
+        first = run_service_sweep(config, workers=2, cache_path=str(cache))
+        with sqlite3.connect(cache) as conn:
+            conn.execute(
+                "UPDATE entries SET payload = substr(payload, 1, 9)"
+                " WHERE rank = ?",
+                (ENTRY_RANKS["unit"],),
+            )
+        conn.close()
+        again = run_service_sweep(config, workers=2, cache_path=str(cache))
+        assert [p.ratios for p in again.points] == [
+            p.ratios for p in first.points
+        ]
+        assert [p.failures for p in again.points] == [
+            p.failures for p in first.points
+        ]
+        for point in again.points:
+            assert dict(point.analysis_stats)["unit_store.hits"] == 0
+        healed = run_service_sweep(config, workers=2, cache_path=str(cache))
+        for point in healed.points:
+            stats = dict(point.analysis_stats)
+            assert stats.pop("unit_store.hits") == config.sets_per_point
+            assert not any(stats.values())
 
 
 class TestServeSubmitLoop:
@@ -513,7 +489,6 @@ class TestServeSubmitLoop:
             kwargs={
                 "workers": 2,
                 "cache_path": str(tmp_path / "store.sqlite"),
-                "checkpoint_dir": str(tmp_path / "ckpt-a"),
                 "max_sweeps": 2,
                 "ready": on_ready,
             },
@@ -531,10 +506,8 @@ class TestServeSubmitLoop:
         )
         assert sorted(seen_points) == [p.x for p in cold.points]
 
-        # Second, identical submit: same store, fresh checkpoint dir
-        # is irrelevant here (the coordinator keeps one dir) — the
-        # checkpoint resume answers it before the store is consulted,
-        # which is still a zero-solve warm path end to end.
+        # Second, identical submit: the store answers every unit, a
+        # zero-solve warm path end to end.
         unit_counts = []
         warm = submit_sweep(
             "127.0.0.1",
@@ -545,5 +518,7 @@ class TestServeSubmitLoop:
         assert [p.ratios for p in warm.points] == [
             p.ratios for p in cold.points
         ]
+        units = len(config.points) * config.sets_per_point
+        assert unit_counts == [(units, units, units)]
         thread.join(timeout=60)
         assert not thread.is_alive()

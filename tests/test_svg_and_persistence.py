@@ -152,3 +152,37 @@ class TestPersistence:
         )
         with pytest.raises(ExperimentError):
             merge_sweeps(a, other)
+
+    @staticmethod
+    def _with_config(result, **changes):
+        import dataclasses
+
+        return SweepResult(
+            config=dataclasses.replace(result.config, **changes),
+            points=result.points,
+        )
+
+    def test_merge_rejects_different_generation_parameters(self):
+        # Same name, x values, protocols and method, but the samples
+        # were drawn under another gamma: pooling them would mislabel.
+        a = _sweep(seed=1)
+        b = _sweep(seed=2)
+        regenerated = self._with_config(
+            b,
+            points=tuple(
+                SweepPoint(p.x, GenerationConfig(utilization=p.x, gamma=0.9))
+                for p in b.config.points
+            ),
+        )
+        assert [p.x for p in regenerated.config.points] == [
+            p.x for p in a.config.points
+        ]
+        with pytest.raises(ExperimentError):
+            merge_sweeps(a, regenerated)
+
+    def test_merge_rejects_different_ls_policy(self):
+        a = _sweep(seed=1)
+        b = self._with_config(_sweep(seed=2), ls_policy="all_ls")
+        assert b.config.ls_policy != a.config.ls_policy
+        with pytest.raises(ExperimentError):
+            merge_sweeps(a, b)

@@ -3,8 +3,10 @@
 The sweep stack used to assume exactly ``("nps_carry", "wasly",
 "proposed")``; these tests pin the k-protocol generalisation: a
 five-protocol sweep is bit-identical across ``jobs=1``, ``jobs=N`` and
-the socket service, persistent-store units are keyed by protocol tuple
-*and* the protocol-specific options (no cross-protocol collisions),
+the socket service, persistent-store unit rows are keyed by the
+protocol-specific options but not by the protocol tuple (a row holds
+each protocol's verdict separately, so a sweep extended with more
+protocols evaluates only those),
 reports pick an explicit baseline instead of hard-coding "proposed",
 and the CLI/service layers reject or re-normalise zoo options at the
 boundary.
@@ -99,14 +101,14 @@ class TestKProtocolSweep:
 
 
 class TestStoreKeying:
-    """No cross-protocol collisions in the persistent unit store."""
+    """One unit row per task set, holding each protocol's verdict."""
 
-    def test_unit_digest_covers_protocol_tuple(self):
+    def test_unit_digest_ignores_protocol_tuple(self):
         base = _zoo_config(protocols=("nps_carry", "threshold"))
         other = dataclasses.replace(
             base, protocols=("nps_carry", "regulated")
         )
-        assert unit_digest(base, 0, 0, None, "count_unschedulable") != \
+        assert unit_digest(base, 0, 0, None, "count_unschedulable") == \
             unit_digest(other, 0, 0, None, "count_unschedulable")
 
     def test_unit_digest_covers_zoo_options(self):
@@ -135,12 +137,10 @@ class TestStoreKeying:
         regulated_cfg = _zoo_config(protocols=("nps_carry", "regulated"))
         cold = run_service_sweep(
             threshold_cfg, workers=2, cache_path=str(cache),
-            checkpoint_dir=str(tmp_path / "c1"),
         )
         # Same protocols again: every unit comes from the store.
         warm = run_service_sweep(
             threshold_cfg, workers=2, cache_path=str(cache),
-            checkpoint_dir=str(tmp_path / "c2"),
         )
         assert [p.ratios for p in warm.points] == [
             p.ratios for p in cold.points
@@ -151,17 +151,21 @@ class TestStoreKeying:
         for point in warm.points:
             stats = dict(point.analysis_stats)
             assert stats["unit_store.hits"] == threshold_cfg.sets_per_point
-        # A different protocol tuple must NOT be served those entries —
-        # and must still produce the sequential truth.
+        # A different protocol tuple is served only the protocols the
+        # rows hold (nps_carry) — each unit counts one hit — evaluates
+        # regulated, and still produces the sequential truth.
         crossed = run_service_sweep(
             regulated_cfg, workers=2, cache_path=str(cache),
-            checkpoint_dir=str(tmp_path / "c3"),
         )
         for point in crossed.points:
-            assert dict(point.analysis_stats).get("unit_store.hits", 0) == 0
+            stats = dict(point.analysis_stats)
+            assert stats["unit_store.hits"] == regulated_cfg.sets_per_point
         sequential = run_experiment(regulated_cfg)
         assert [p.ratios for p in crossed.points] == [
             p.ratios for p in sequential.points
+        ]
+        assert [p.failures for p in crossed.points] == [
+            p.failures for p in sequential.points
         ]
 
     def test_changed_regulation_misses_the_store(self, tmp_path):
@@ -177,14 +181,108 @@ class TestStoreKeying:
         )
         run_service_sweep(
             config, workers=2, options=tight, cache_path=str(cache),
-            checkpoint_dir=str(tmp_path / "c1"),
         )
         reran = run_service_sweep(
             config, workers=2, options=loose, cache_path=str(cache),
-            checkpoint_dir=str(tmp_path / "c2"),
         )
         for point in reran.points:
             assert dict(point.analysis_stats).get("unit_store.hits", 0) == 0
+
+
+class TestAddingProtocols:
+    """Extending a warm sweep evaluates only the protocols it lacks.
+
+    Rows hold each protocol's verdict, so a sweep extended from the
+    stored protocols to five re-analyses none of the stored ones — on
+    every driver — and its merged ledgers come out in the extended
+    config's protocol order, as a full evaluation lists them.
+    """
+
+    STORED = ("nps_carry", "proposed", "wasly")
+    EXTENDED = ("threshold", "nps_carry", "proposed", "regulated", "wasly")
+
+    @pytest.fixture
+    def calls(self, tmp_path, monkeypatch):
+        """Count ``is_schedulable`` calls per protocol, workers included.
+
+        Workers are forked after the patch, so they log too; the log is
+        a file because their counts must cross the process boundary.
+        ``threshold`` always fails, so stored (``proposed`` under the
+        bogus LS policy) and fresh failures interleave in the ledgers.
+        """
+        import collections
+
+        import repro.experiments.units as units_module
+        from repro.errors import SolverError
+
+        log = tmp_path / "calls.log"
+        original = units_module.is_schedulable
+
+        def logged(taskset, protocol, **kwargs):
+            with open(log, "a") as handle:
+                handle.write(protocol + "\n")
+            if protocol == "threshold":
+                raise SolverError("injected threshold failure")
+            return original(taskset, protocol, **kwargs)
+
+        monkeypatch.setattr(units_module, "is_schedulable", logged)
+
+        def take():
+            text = log.read_text() if log.exists() else ""
+            log.unlink(missing_ok=True)
+            return collections.Counter(text.split())
+
+        return take
+
+    @staticmethod
+    def _run(driver, config, cache):
+        from repro.service import run_service_sweep
+
+        if driver == "service":
+            return run_service_sweep(config, workers=2, cache_path=cache)
+        return run_experiment(config, jobs=driver, cache_path=cache)
+
+    def test_only_new_protocols_are_evaluated(self, tmp_path, calls):
+        stored = dataclasses.replace(
+            _zoo_config(protocols=self.STORED), ls_policy="bogus"
+        )
+        extended = dataclasses.replace(stored, protocols=self.EXTENDED)
+        units = len(stored.points) * stored.sets_per_point
+        reference = run_experiment(extended)
+        assert {f.protocol for f in reference.failures} == {
+            "threshold", "proposed"
+        }
+        calls()
+        runs = {}
+        for driver in (1, 2, "service"):
+            cache = str(tmp_path / f"store-{driver}.sqlite")
+            cold = self._run(driver, stored, cache)
+            assert calls() == {p: units for p in self.STORED}
+            warm = self._run(driver, stored, cache)
+            assert calls() == {}
+            grown = self._run(driver, extended, cache)
+            assert calls() == {"threshold": units, "regulated": units}
+            full = self._run(driver, extended, cache)
+            assert calls() == {}
+            for result in (grown, full):
+                assert [p.ratios for p in result.points] == [
+                    p.ratios for p in reference.points
+                ]
+                assert result.failures == reference.failures
+            for point in grown.points:
+                assert point.analysis_stats["unit_store.hits"] == (
+                    stored.sets_per_point
+                )
+            for point in warm.points + full.points:
+                stats = dict(point.analysis_stats)
+                assert stats.pop("unit_store.hits") == stored.sets_per_point
+                assert not any(stats.values())
+            runs[driver] = (cold, warm, grown, full)
+        # Bit-identical across drivers on cold, warm and grown stores
+        # (``_identical`` compares analysis_stats too).
+        for driver in (2, "service"):
+            for mine, sequential in zip(runs[driver], runs[1]):
+                _identical(mine, sequential)
 
 
 class TestReportsAndFigures:
