@@ -43,32 +43,24 @@ from __future__ import annotations
 import hashlib
 from collections import OrderedDict
 from contextlib import contextmanager
-from typing import Callable, Iterator, Mapping, Protocol, TypeVar
+from typing import Iterator, Mapping
 
 from repro.model.task import Task
 from repro.model.taskset import TaskSet
 from repro.obs import events as obs
 
 
-class PersistentStoreLike(Protocol):
-    """What the cache needs from an on-disk tier (see store.py)."""
-
-    def fetch(self, digest: str) -> tuple[object | None, bool]:
-        """Return ``(value, corrupted)`` for one digest."""
-
-    def store(self, digest: str, value: object) -> None:
-        """Upsert one digest's value."""
-
 #: Counter names every cache exposes (missing ones read as 0).
-#: ``hits`` counts the in-memory tier; ``persistent.hits`` the on-disk
-#: tier (its ``bump`` events are the ``cache.persistent.*`` trace
-#: family); ``misses`` means neither tier had the digest.
+#: ``hits`` and ``misses`` count lookups of the memo.
 #: ``milp_warm_starts`` counts fixpoint iterations that reused the
 #: previous iteration's compiled model — either retargeted in place or
 #: squeezed closed by its LP bound without an integer solve.
-#: ``unit_store.hits`` counts whole finished *work units* the sweep
-#: service answered from the persistent store without dispatching any
-#: analysis (see :func:`repro.experiments.units.served_unit`).
+#: ``unit_store.hits`` counts whole or partial *work units* a sweep
+#: answered from their stored rows without analysing the stored
+#: protocols; ``unit_store.corrupt`` counts stored rows that failed
+#: their sha256 check, were dropped, and left their unit to be
+#: evaluated afresh (see :meth:`repro.experiments.units.UnitScheduler.
+#: serve_stored`).
 #: ``milp_target_stops`` counts the integer solves (already counted in
 #: ``milp_solves``) whose result lies beyond a verdict's objective
 #: target — nearly always because HiGHS stopped early at it. An exact
@@ -77,8 +69,7 @@ class PersistentStoreLike(Protocol):
 COUNTER_NAMES = (
     "hits",
     "misses",
-    "persistent.hits",
-    "persistent.corrupt",
+    "unit_store.corrupt",
     "milp_solves",
     "milp_target_stops",
     "lp_solves",
@@ -89,34 +80,12 @@ COUNTER_NAMES = (
     "unit_store.hits",
 )
 
-_F = TypeVar("_F", bound=Callable[..., object])
-
-
-def bound_producer(fn: _F) -> _F:
-    """Mark a function as an approved producer of ``("lp", ...)`` entries.
-
-    Screening bounds are *upper* bounds, not optima; a screen entry
-    must never be able to shadow an exact ``("milp", ...)`` verdict.
-    The persistent store enforces that dynamically with rank-ordered
-    upserts, and the ``screen-soundness`` lint rule enforces the
-    *direction* statically: every call that writes an ``("lp", ...)``
-    tuple into a cache/store must sit inside a function carrying this
-    decorator, so new bound producers are an explicit, reviewable act
-    rather than an accident of refactoring. The decorator itself is
-    behaviour-neutral — it only tags the function object.
-    """
-    setattr(fn, "__bound_producer__", True)
-    return fn
-
-
 def _entry_rank(value: object) -> int:
     """Soundness rank of a cache entry: bounds below exact verdicts.
 
-    Mirrors :func:`repro.analysis.store.entry_rank` for the memory
-    tier without importing the sqlite layer: ``("lp", bound)`` screen
-    entries rank lowest, ``("lb", bound)`` target-stop lower bounds
-    next, and ``("milp", ...)`` tuples and bare solved objectives
-    (exact) highest.
+    ``("lp", bound)`` screen entries rank lowest, ``("lb", bound)``
+    target-stop lower bounds next, and ``("milp", ...)`` tuples and
+    bare solved objectives (exact) highest.
     """
     if isinstance(value, tuple) and value:
         if value[0] == "lp":
@@ -127,12 +96,12 @@ def _entry_rank(value: object) -> int:
 
 
 def _supersedes(value: object, existing: object) -> bool:
-    """Whether ``put(value)`` may replace ``existing`` in the memory tier.
+    """Whether ``put(value)`` may replace ``existing``.
 
-    A lower rank never replaces a higher one. Of two lower bounds for
-    one digest the larger is kept, so the surviving entry does not
-    depend on write order — the memory-tier twin of the store's
-    rank-ordered upsert.
+    A lower rank never replaces a higher one, so a screening bound can
+    never shadow an exact optimum. Of two lower bounds for one digest
+    the larger is kept, so the surviving entry does not depend on write
+    order.
     """
     rank, old_rank = _entry_rank(value), _entry_rank(existing)
     if rank == old_rank == 2:
@@ -144,10 +113,9 @@ def _supersedes(value: object, existing: object) -> bool:
 class AnalysisCache:
     """Bounded content-addressed memo for per-task analysis results.
 
-    Two tiers: a per-scope in-memory LRU dict, optionally backed by a
-    cross-run/cross-process :class:`repro.analysis.store.PersistentStore`.
-    A persistent hit fills the memory tier, so each digest pays the
-    disk read at most once per scope.
+    An in-memory LRU dict, one per scope. Nothing outlives the scope:
+    the cross-run store (:mod:`repro.analysis.store`) holds finished
+    work units, never individual solves.
 
     Args:
         capacity: Maximum number of entries kept (least recently used
@@ -157,21 +125,13 @@ class AnalysisCache:
             entries but still counts solves — used by tests and
             benchmarks to measure the uncached (seed) behaviour with
             identical instrumentation.
-        persistent: Optional on-disk tier, consulted on memory misses
-            and written through on :meth:`put`.
     """
 
-    def __init__(
-        self,
-        capacity: int = 50_000,
-        enabled: bool = True,
-        persistent: "PersistentStoreLike | None" = None,
-    ) -> None:
+    def __init__(self, capacity: int = 50_000, enabled: bool = True) -> None:
         if capacity <= 0:
             raise ValueError(f"capacity must be positive, got {capacity}")
         self.capacity = capacity
         self.enabled = enabled
-        self.persistent = persistent
         self._entries: OrderedDict[str, object] = OrderedDict()
         self._counters: dict[str, int] = {}
 
@@ -179,7 +139,7 @@ class AnalysisCache:
     # storage
     # ------------------------------------------------------------------
     def get(self, key: str) -> object | None:
-        """Look up a digest in both tiers, counting the hit or miss."""
+        """Look up a digest, counting the hit or miss."""
         if not self.enabled:
             self.bump("misses")
             return None
@@ -188,34 +148,11 @@ class AnalysisCache:
             self._entries.move_to_end(key)
             self.bump("hits")
             return entry
-        if self.persistent is not None:
-            value, corrupted = self.persistent.fetch(key)
-            if corrupted:
-                # The digest check caught a torn/garbled row: the store
-                # dropped it, we report it, and the caller re-solves.
-                self.bump("persistent.corrupt")
-            if value is not None:
-                self._remember(key, value)
-                self.bump("persistent.hits")
-                return value
         self.bump("misses")
         return None
 
-    def _remember(self, key: str, value: object) -> None:
-        self._entries[key] = value
-        self._entries.move_to_end(key)
-        while len(self._entries) > self.capacity:
-            self._entries.popitem(last=False)
-
-    def put(self, key: str, value: object, persist: bool = True) -> None:
-        """Store a value under a digest (evicting LRU entries).
-
-        With ``persist=False`` the value stays in the memory tier only
-        — used for screening bounds whose floating-point value depends
-        on scope-local batching and therefore must not be shared across
-        work units (the persistent tier only holds values that are a
-        pure function of the digest).
-        """
+    def put(self, key: str, value: object) -> None:
+        """Store a value under a digest (evicting LRU entries)."""
         if not self.enabled:
             return
         existing = self._entries.get(key)
@@ -223,9 +160,10 @@ class AnalysisCache:
             # A bound never overwrites an exact verdict, nor a lower
             # bound a larger one (see _supersedes).
             return
-        self._remember(key, value)
-        if persist and self.persistent is not None:
-            self.persistent.store(key, value)
+        self._entries[key] = value
+        self._entries.move_to_end(key)
+        while len(self._entries) > self.capacity:
+            self._entries.popitem(last=False)
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -258,10 +196,8 @@ class AnalysisCache:
 
     @property
     def hit_rate(self) -> float:
-        """Hits (either tier) over lookups (0.0 when none happened)."""
-        hits = self._counters.get("hits", 0) + self._counters.get(
-            "persistent.hits", 0
-        )
+        """Hits over lookups (0.0 when none happened)."""
+        hits = self._counters.get("hits", 0)
         lookups = hits + self._counters.get("misses", 0)
         return hits / lookups if lookups else 0.0
 

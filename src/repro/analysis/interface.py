@@ -70,7 +70,8 @@ class AnalysisOptions:
             failed screen falls through to the exact solve — and warm
             starts are value-exact, so verdicts are bit-identical
             either way; disable only to measure the unscreened
-            baseline (``BENCH_milp.json``).
+            baseline (EXPERIMENTS.md, "Unit store: cold vs warm
+            runs").
         resilience: When set, every MILP solve runs through a
             :class:`repro.milp.ResilientBackend` configured from it:
             watchdog, transient-error retries, and the safe-degradation

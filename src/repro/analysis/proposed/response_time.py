@@ -46,9 +46,10 @@ cascade of strictly cheaper sufficient conditions before reaching it:
 
 Every memoised value is tagged (``("milp", ...)`` exact optimum /
 ``("lb", theta)`` target-stop lower bound / ``("lp", bound)``
-screening bound) so the two-tier analysis cache can persist them
-across runs; see :mod:`repro.analysis.store`. An ``lb`` entry answers
-any later target query at or below its bound without a solve.
+screening bound), and the analysis cache ranks the tags so a bound
+never shadows an exact optimum; see :mod:`repro.analysis.cache`. An
+``lb`` entry answers any later target query at or below its bound
+without a solve.
 """
 
 from __future__ import annotations
@@ -60,7 +61,6 @@ from typing import Callable
 from repro.analysis.cache import (
     AnalysisCache,
     active_cache,
-    bound_producer,
     case_b_key,
     delay_milp_key,
 )
@@ -471,7 +471,6 @@ class ProposedAnalysis:
         )
         return relaxed
 
-    @bound_producer
     def _delay_objective(
         self,
         taskset: TaskSet,
@@ -786,7 +785,6 @@ class ProposedAnalysis:
             return AnalysisMode.LS_CASE_A
         return self._nls_mode
 
-    @bound_producer
     def _screen_taskset(self, taskset: TaskSet) -> None:
         """Run the batched screening tiers once per task set.
 
@@ -872,7 +870,6 @@ class ProposedAnalysis:
             if bound + task.copy_out <= task.deadline + 1e-9:
                 self._lp_proved[(taskset, task.name, mode.value)] = True
 
-    @bound_producer
     def _lp_fixpoint_leq(
         self,
         taskset: TaskSet,
@@ -963,8 +960,9 @@ class ProposedAnalysis:
         ``options.screening=False`` skips tiers 1-4 entirely (for the
         exact-MILP method; the closed form *is* the decision procedure
         of ``method="closed_form"`` and always runs) and decides every
-        verdict with tier 5 — the unscreened baseline
-        ``BENCH_milp.json`` measures. Every skipped tier only ever
+        verdict with tier 5 — the unscreened baseline (EXPERIMENTS.md,
+        "Unit store: cold vs warm runs", records it on reduced fig2a).
+        Every skipped tier only ever
         *proves* schedulability the iteration would also prove, so the
         verdict is identical either way.
         """

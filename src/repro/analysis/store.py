@@ -1,43 +1,35 @@
-"""On-disk persistent tier of the analysis cache (sqlite).
+"""The unit store: finished sweep units in sqlite, shared across runs.
 
-The in-memory :class:`repro.analysis.cache.AnalysisCache` dies with its
-process, so a repeated or resumed sweep re-solves every MILP. This
-module adds the second tier: a content-addressed sqlite store keyed by
-the same semantic digests, shared across runs, sweep points, and
-``--jobs N`` worker processes.
+A sweep is a grid of (point, task set) work units (see
+:mod:`repro.experiments.units`). This module keeps each finished unit
+as one content-addressed row, so a repeated, resumed, widened or
+protocol-extended sweep is answered from disk instead of re-analysed.
+The in-memory :class:`repro.analysis.cache.AnalysisCache` memoises the
+individual solves within a unit; nothing below a unit is stored here.
 
 Design notes
 ------------
-* **Concurrency.** The database runs in WAL mode with a busy timeout,
-  so concurrent readers never block and concurrent writers serialise
-  briefly. Writes are *upserts by digest*: because the key digests the
-  MILP's full semantic content, two workers racing on one digest write
-  payloads describing the same mathematical optimum, and the rank rule
-  below makes the race outcome order-independent.
-* **Entry ranks.** An entry is an exact solved optimum
-  (``milp``-tagged, rank 3), a lower bound from an integer solve that
-  stopped at its objective target (``lb``-tagged, rank 2), an
-  LP-relaxation screening bound (``lp``-tagged, rank 1), or a finished
-  sweep unit (``unit``-tagged, rank 4: one (point, task set) row
-  holding every stored protocol's verdict, see
-  :mod:`repro.experiments.units`). An upsert only replaces a row when
-  the new rank is strictly higher — an exact optimum upgrades either
-  bound, never the other way around — or, at equal rank, when the new
-  ``bound`` column is larger: a larger lower bound, or a unit row
-  covering more protocols. The store therefore converges to the same
-  content regardless of writer interleaving.
+* **One reader and writer.** The sweep's parent process (its
+  :class:`~repro.experiments.units.UnitScheduler`) is the only reader
+  and writer of a store: it serves stored units before dispatch and
+  writes each finished unit back. Workers never open it.
+* **Rows.** A unit is stored as the entry ``("unit", {"verdicts":
+  {protocol: [count, attempted]}, "failures": [...]})`` under its unit
+  digest. An upsert replaces a row only with one covering *more*
+  protocols, so a row grows as sweeps add protocols and never shrinks,
+  whatever order concurrent sweeps write in.
 * **Corruption.** Every payload is stored next to its sha256; a reader
-  that finds a mismatch (torn write, bit rot, injected fault) deletes
-  the row and reports it to the caller, which re-solves. A corrupted
-  entry is *never* trusted. The ``cache.corrupt`` fault site of
-  :mod:`repro.faults` garbles rows on write to pin exactly this path.
+  that finds a mismatch (torn write, bit rot) deletes the row and
+  reports it to the caller, which re-evaluates the unit. A corrupted
+  row is *never* trusted.
 * **Schema version.** :data:`SCHEMA_VERSION` is bumped whenever the
-  entry encoding, the digest inputs, or the table layout change. A
-  store created under a different version is discarded wholesale on
-  open — a stale on-disk entry can never alias a new-formulation key.
-* **Processes.** Connections are opened lazily per process (never
-  shared across ``fork``); passing a :class:`PersistentStore` to a
-  worker pickles only its path.
+  row encoding, the digest inputs, or the table layout change. A
+  store created under a different version is discarded wholesale when
+  a sweep, ``gc`` or ``clear`` opens it — a stale row can never alias
+  a new-format digest. :meth:`PersistentStore.stats` only reads.
+* **Processes.** Connections are opened lazily per process: a forked
+  worker inherits the parent's store object, and the pid guard keeps
+  it from ever using the parent's sqlite handle.
 """
 
 from __future__ import annotations
@@ -47,62 +39,38 @@ import json
 import os
 import sqlite3
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Any, Iterable, Iterator
 
-from repro.faults import injection
+#: Bump when the row encoding, digest inputs, or table layout change;
+#: mismatching stores are discarded on open (see module notes).
+SCHEMA_VERSION = 4
 
-#: Bump when the payload encoding, digest inputs, or table layout
-#: change; mismatching stores are discarded on open (see module notes).
-SCHEMA_VERSION = 3
+#: One stored entry; a finished unit is ``("unit", row)``.
+Entry = tuple[Any, ...]
 
-#: Rank of each entry tag; upserts replace a row only with a strictly
-#: higher rank (exact optima upgrade bounds, never vice versa) or, at
-#: equal rank, with a larger ``bound`` (a larger lower bound, a unit
-#: row covering more protocols), which makes concurrent writes
-#: order-independent. Unit rows never share a digest with solver
-#: entries; their rank only tells them apart.
-ENTRY_RANKS = {"lp": 1, "lb": 2, "milp": 3, "unit": 4}
+def _encode(entry: Entry) -> str:
+    """Canonical JSON text of one entry (the tuple as a JSON list).
 
-
-def _encode(value: object) -> str:
-    """Canonical JSON text of one cache entry.
-
-    Entries are tuples ``("milp", objective, n, stats, degradation)``,
-    ``("lp", bound)``, ``("lb", bound)``, ``("unit", payload)``, or bare
-    floats (the case-(b) memo); tuples are JSON lists. ``json``
-    round-trips Python floats exactly (it emits ``repr`` and parses back
-    the identical double), so a decoded entry is bit-identical to the
-    stored one.
+    ``json`` round-trips Python floats exactly (it emits ``repr`` and
+    parses back the identical double), so a decoded entry is
+    bit-identical to the stored one.
     """
-    if isinstance(value, tuple):
-        return json.dumps(
-            {"k": "t", "v": list(value)}, sort_keys=True, allow_nan=False
-        )
-    return json.dumps({"k": "s", "v": value}, sort_keys=True, allow_nan=False)
+    return json.dumps(list(entry), sort_keys=True, allow_nan=False)
 
 
-def _decode(text: str) -> object:
-    raw = json.loads(text)
-    if raw["k"] == "t":
-        return tuple(raw["v"])
-    return raw["v"]
+def _decode(text: str) -> Entry:
+    entry = json.loads(text)
+    if not isinstance(entry, list) or not entry:
+        raise ValueError("not a stored entry")
+    return tuple(entry)
 
 
-def entry_rank(value: object) -> int:
-    """Upsert rank of an entry (see :data:`ENTRY_RANKS`)."""
-    if isinstance(value, tuple) and value and value[0] in ENTRY_RANKS:
-        return ENTRY_RANKS[value[0]]
-    return ENTRY_RANKS["milp"]  # bare floats are exact solved values
-
-
-def _bound(value: object) -> float | None:
-    """The ``bound`` column: an ``("lb", bound)`` entry's bound, a unit
-    row's protocol count, else ``None``."""
-    if isinstance(value, tuple) and value and value[0] == "lb":
-        return float(value[1])
-    if isinstance(value, tuple) and value and value[0] == "unit":
-        return float(len(value[1]["verdicts"]))
-    return None
+def _protocols(entry: Entry) -> int:
+    """The ``protocols`` column: how many protocols a ``("unit", row)``
+    entry covers (an entry of any other kind covers none)."""
+    if entry[0] == "unit":
+        return len(entry[1]["verdicts"])
+    return 0
 
 
 def _sha(text: str) -> str:
@@ -110,7 +78,7 @@ def _sha(text: str) -> str:
 
 
 class PersistentStore:
-    """Digest-keyed sqlite store backing :class:`AnalysisCache`.
+    """Digest-keyed sqlite store of finished sweep units.
 
     Args:
         path: Database file; created (with parents) on first use.
@@ -120,20 +88,6 @@ class PersistentStore:
         self.path = Path(path)
         self._conn: sqlite3.Connection | None = None
         self._pid: int | None = None
-        #: Corrupted rows detected (and dropped) by this process.
-        self.corrupt_dropped = 0
-
-    # -- connection lifecycle ------------------------------------------
-    def __getstate__(self) -> dict:
-        # Only the path crosses process boundaries; each process opens
-        # its own connection (sqlite handles must never survive fork).
-        return {"path": self.path}
-
-    def __setstate__(self, state: dict) -> None:
-        self.path = state["path"]
-        self._conn = None
-        self._pid = None
-        self.corrupt_dropped = 0
 
     def _connect(self) -> sqlite3.Connection:
         pid = os.getpid()
@@ -151,8 +105,8 @@ class PersistentStore:
             "SELECT value FROM meta WHERE key = 'schema_version'"
         ).fetchone()
         if row is not None and row[0] != str(SCHEMA_VERSION):
-            # A different build wrote this store; its entries may alias
-            # new-formulation digests, so the whole store is discarded.
+            # A different build wrote this store; its rows may alias
+            # new-format digests, so the whole store is discarded.
             conn.execute("DROP TABLE IF EXISTS entries")
             conn.execute("DELETE FROM meta")
             row = None
@@ -167,8 +121,7 @@ class PersistentStore:
             " digest TEXT PRIMARY KEY,"
             " payload TEXT NOT NULL,"
             " sha TEXT NOT NULL,"
-            " rank INTEGER NOT NULL,"
-            " bound REAL,"
+            " protocols INTEGER NOT NULL,"
             " created REAL NOT NULL)"
         )
         # ``store`` reads MAX(created) on every upsert and ``gc`` orders
@@ -187,50 +140,35 @@ class PersistentStore:
         self._conn = None
         self._pid = None
 
-    # -- the two-tier contract -----------------------------------------
-    def fetch(self, digest: str) -> tuple[object | None, bool]:
-        """Look up one digest: ``(value, corrupted)``.
+    # -- rows ----------------------------------------------------------
+    def fetch(self, digest: str) -> tuple[Entry | None, bool]:
+        """Look up one digest: ``(entry, corrupted)``.
 
         A row whose payload fails its sha256 check (or does not decode)
-        is deleted and reported as ``(None, True)`` — the caller counts
-        the corruption and re-solves; the entry is never trusted.
+        is deleted and reported as ``(None, True)``; it is never
+        trusted.
         """
-        conn = self._connect()
-        row = conn.execute(
-            "SELECT payload, sha FROM entries WHERE digest = ?", (digest,)
-        ).fetchone()
-        if row is None:
-            return None, False
-        payload, sha = row
-        if _sha(payload) == sha:
-            try:
-                return _decode(payload), False
-            except (ValueError, KeyError, TypeError):
-                pass  # undecodable despite a matching sha: treat as corrupt
-        conn.execute("DELETE FROM entries WHERE digest = ?", (digest,))
-        conn.commit()
-        self.corrupt_dropped += 1
-        return None, True
+        found = self.fetch_many([digest])
+        return found.get(digest), digest in found and found[digest] is None
 
-    def fetch_many(self, digests: "Iterable[str]") -> dict[str, object]:
-        """Batched probe: the decodable subset of ``digests``.
+    def fetch_many(
+        self, digests: "Iterable[str]"
+    ) -> dict[str, Entry | None]:
+        """Batched probe: every stored entry among ``digests``.
 
-        The sweep service consults the store for *every* unit of a
-        submitted sweep before dispatching anything; issuing one
-        ``SELECT`` per unit would pay the connection round-trip and
-        B-tree descent thousands of times for a warm repeat sweep.
-        This batches the probe into ``IN (...)`` queries (chunked under
-        sqlite's bound-parameter limit) and applies the same per-row
-        sha256 verification as :meth:`fetch` — corrupt rows are deleted,
-        counted, and simply absent from the returned mapping, so the
-        caller re-solves them exactly as it would a miss.
+        A sweep probes *every* pending unit before dispatching
+        anything; one ``SELECT`` per unit would pay the round-trip and
+        B-tree descent thousands of times for a warm repeat sweep, so
+        the probe is batched into ``IN (...)`` queries (chunked under
+        sqlite's bound-parameter limit). A row that fails its sha256
+        check (or does not decode) is deleted and maps to ``None``, so
+        the caller can count it and re-evaluate its unit.
         """
-        hits: dict[str, object] = {}
+        found: dict[str, Entry | None] = {}
         wanted = sorted(set(digests))
         if not wanted:
-            return hits
+            return found
         conn = self._connect()
-        corrupt: list[str] = []
         for start in range(0, len(wanted), 500):
             chunk = wanted[start : start + 500]
             marks = ",".join("?" * len(chunk))
@@ -240,87 +178,83 @@ class PersistentStore:
                 chunk,
             ).fetchall()
             for digest, payload, sha in rows:
+                found[digest] = None
                 if _sha(payload) == sha:
                     try:
-                        hits[digest] = _decode(payload)
-                        continue
-                    except (ValueError, KeyError, TypeError):
-                        pass
-                corrupt.append(digest)
-        for digest in corrupt:
-            conn.execute("DELETE FROM entries WHERE digest = ?", (digest,))
+                        found[digest] = _decode(payload)
+                    except (ValueError, TypeError):
+                        pass  # undecodable despite a matching sha
+        corrupt = [digest for digest, row in found.items() if row is None]
         if corrupt:
+            conn.executemany(
+                "DELETE FROM entries WHERE digest = ?",
+                [(digest,) for digest in corrupt],
+            )
             conn.commit()
-            self.corrupt_dropped += len(corrupt)
-        return hits
+        return found
 
-    def store(self, digest: str, value: object) -> None:
-        """Upsert one entry (higher rank wins; equal rank is a no-op).
-
-        Equal-rank payloads for one digest are identical by
-        content-addressing, so skipping the write loses nothing and
-        keeps concurrent writers convergent. The one exception is the
-        ``bound`` column: two verdicts with different deadlines may stop
-        one digest's solve at different targets, and the larger ``lb``
-        bound wins; a unit row is replaced only by one covering more
-        protocols — whichever was written first.
-        """
-        payload = _encode(value)
-        sha = _sha(payload)
-        spec = injection.fire("cache.corrupt", key=digest[:12])
-        if spec is not None:
-            # Injected torn/garbage row: the sha no longer matches the
-            # payload, which is exactly what the digest check on read
-            # must detect, drop, and re-solve.
-            if spec.mode == "torn":
-                payload = payload[: max(1, len(payload) // 2)]
-            else:
-                payload = "\x00garbage\x00" + payload[:8]
+    def store(self, digest: str, entry: Entry) -> None:
+        """Upsert one entry; it replaces a stored row only when it
+        covers more protocols (a row never shrinks)."""
+        payload = _encode(entry)
         conn = self._connect()
         # ``created`` is a write sequence, not a wall-clock time: the
         # subquery runs inside the (serialised) write transaction, so
-        # it is atomic, and workers stay free of clock reads — gc's
-        # "most recently written" ordering needs nothing more.
+        # it is atomic — gc's "most recently written" ordering needs
+        # nothing more.
         conn.execute(
-            "INSERT INTO entries (digest, payload, sha, rank, bound, created)"
-            " VALUES (?, ?, ?, ?, ?,"
+            "INSERT INTO entries (digest, payload, sha, protocols, created)"
+            " VALUES (?, ?, ?, ?,"
             "         (SELECT COALESCE(MAX(created), 0) + 1 FROM entries))"
             " ON CONFLICT(digest) DO UPDATE SET"
             " payload=excluded.payload, sha=excluded.sha,"
-            " rank=excluded.rank, bound=excluded.bound,"
-            " created=excluded.created"
-            " WHERE excluded.rank > entries.rank"
-            " OR (excluded.rank = entries.rank"
-            "     AND excluded.bound > entries.bound)",
-            (digest, payload, sha, entry_rank(value), _bound(value)),
+            " protocols=excluded.protocols, created=excluded.created"
+            " WHERE excluded.protocols > entries.protocols",
+            (digest, payload, _sha(payload), _protocols(entry)),
         )
         conn.commit()
 
     # -- maintenance (the ``repro cache`` subcommand) ------------------
     def stats(self) -> dict[str, object]:
-        """Entry counts, rank breakdown, schema version, file size."""
-        conn = self._connect()
-        total = conn.execute("SELECT COUNT(*) FROM entries").fetchone()[0]
-        by_rank = {
-            tag: conn.execute(
-                "SELECT COUNT(*) FROM entries WHERE rank = ?", (rank,)
-            ).fetchone()[0]
-            for tag, rank in sorted(ENTRY_RANKS.items())
-        }
-        size = self.path.stat().st_size if self.path.exists() else 0
+        """Row count, on-disk schema version and file size.
+
+        Reads the file as it is: unlike every other method it never
+        migrates, so a store written under another
+        :data:`SCHEMA_VERSION` is reported (``schema_version`` is the
+        version on disk, ``None`` for a file without one) rather than
+        discarded.
+        """
+        conn = sqlite3.connect(
+            f"{self.path.resolve().as_uri()}?mode=ro", uri=True
+        )
+        try:
+            tables = {
+                name for (name,) in conn.execute(
+                    "SELECT name FROM sqlite_master WHERE type = 'table'"
+                )
+            }
+            version = None
+            if "meta" in tables:
+                row = conn.execute(
+                    "SELECT value FROM meta WHERE key = 'schema_version'"
+                ).fetchone()
+                version = int(row[0]) if row is not None else None
+            entries = 0
+            if "entries" in tables:
+                entries = conn.execute(
+                    "SELECT COUNT(*) FROM entries"
+                ).fetchone()[0]
+        finally:
+            conn.close()
         return {
             "path": str(self.path),
-            "schema_version": SCHEMA_VERSION,
-            "entries": total,
-            "exact_entries": by_rank["milp"],
-            "lower_bound_entries": by_rank["lb"],
-            "screen_entries": by_rank["lp"],
-            "unit_entries": by_rank["unit"],
-            "file_bytes": size,
+            "schema_version": version,
+            "entries": entries,
+            "file_bytes": self.path.stat().st_size,
         }
 
     def gc(self, keep: int) -> int:
-        """Drop all but the ``keep`` most recently written entries.
+        """Drop all but the ``keep`` most recently written rows.
 
         Returns the number of rows removed. The file is vacuumed so the
         space is actually released.
@@ -341,7 +275,7 @@ class PersistentStore:
         return before - after
 
     def clear(self) -> int:
-        """Drop every entry; returns how many were removed."""
+        """Drop every row; returns how many were removed."""
         conn = self._connect()
         removed = conn.execute("SELECT COUNT(*) FROM entries").fetchone()[0]
         conn.execute("DELETE FROM entries")

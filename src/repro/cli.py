@@ -11,7 +11,7 @@ Subcommands::
     repro submit      <fig2a..fig2f> --port P     submit a sweep to a running
                                                   service (warm repeats are
                                                   served from the store)
-    repro cache       stats|gc|clear <db.sqlite>  persistent-cache upkeep
+    repro cache       stats|gc|clear <db.sqlite>  unit-store upkeep
     repro demo                                    the Fig. 1 motivating example
     repro sensitivity <taskset> [--knob ...]      critical scaling factor
     repro metrics     <taskset> [--protocol ...]  simulate + trace metrics
@@ -674,10 +674,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_fig.add_argument(
         "--cache",
         default="",
-        help="run on this persistent sqlite store, shared across runs "
-        "and --jobs workers: finished units are kept there, so rerunning "
-        "an interrupted sweep resumes it (results are bit-identical with "
-        "or without it)",
+        help="run on this sqlite unit store, shared across runs: "
+        "finished units are kept there, so rerunning an interrupted "
+        "sweep resumes it (results are bit-identical with or without it)",
     )
     p_fig.set_defaults(func=_cmd_figure)
 
@@ -696,8 +695,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_srv.add_argument(
         "--cache", default="",
-        help="persistent sqlite store backing both the per-solve cache "
-        "and the finished-unit tier (repeat submits are served from it)",
+        help="sqlite unit store of finished units (repeat submits are "
+        "served from it)",
     )
     p_srv.add_argument(
         "--trace-dir", default="",
@@ -756,7 +755,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sub.set_defaults(func=_cmd_submit)
 
     p_cache = sub.add_parser(
-        "cache", help="inspect or prune a persistent analysis cache"
+        "cache", help="inspect or prune a unit store"
     )
     p_cache.add_argument("action", choices=("stats", "gc", "clear"))
     p_cache.add_argument("database", help="sqlite file written by --cache")

@@ -96,19 +96,12 @@ def render_sweep_table(result: SweepResult, baseline: str | None = None) -> str:
             "(see failure ledger)"
         )
     stats = aggregate_analysis_stats(result.points)
-    memory_hits = stats.get("hits", 0)
-    persistent_hits = stats.get("persistent.hits", 0)
-    lookups = memory_hits + persistent_hits + stats.get("misses", 0)
+    hits = stats.get("hits", 0)
+    lookups = hits + stats.get("misses", 0)
     if lookups:
-        hit_rate = (memory_hits + persistent_hits) / lookups
-        tiers = f"{memory_hits} memory"
-        if persistent_hits or stats.get("persistent.corrupt", 0):
-            tiers += f" + {persistent_hits} persistent"
-        if stats.get("persistent.corrupt", 0):
-            tiers += f" ({stats['persistent.corrupt']} corrupt dropped)"
         lines.append(
-            f"analysis cache: {tiers} hits / {lookups} "
-            f"lookups ({hit_rate:.0%}), "
+            f"analysis cache: {hits} hits / {lookups} "
+            f"lookups ({hits / lookups:.0%}), "
             f"{stats.get('milp_solves', 0)} MILP "
             f"({stats.get('milp_target_stops', 0)} stopped at target) + "
             f"{stats.get('lp_solves', 0)} LP solves, "
@@ -120,10 +113,12 @@ def render_sweep_table(result: SweepResult, baseline: str | None = None) -> str:
             f"{stats.get('screened_out', 0)} integer solves screened out"
         )
     served = stats.get("unit_store.hits", 0)
-    if served:
-        lines.append(
-            f"unit store: {served} unit(s) served without analysis"
-        )
+    corrupt = stats.get("unit_store.corrupt", 0)
+    if served or corrupt:
+        line = f"unit store: {served} unit(s) served without analysis"
+        if corrupt:
+            line += f", {corrupt} corrupt row(s) dropped and re-evaluated"
+        lines.append(line)
     return "\n".join(lines)
 
 

@@ -5,7 +5,7 @@ per taskset/protocol pair instead of letting one bad solve abort the
 sweep. Each failure is captured as a structured :class:`FailureRecord`
 in a ledger on the point result, and a :class:`FailurePolicy` decides
 how the failed pair enters the ratios. With ``cache_path`` set, every
-finished unit is written to the persistent store as it completes, so
+finished unit is written to the unit store as it completes, so
 an interrupted sweep resumes by rerunning it on the same store (see
 the unit store in :mod:`repro.experiments.units`).
 
@@ -19,14 +19,15 @@ events and reports progress. The ``jobs`` argument only decides who
 evaluates the units the store did not answer:
 
 * ``jobs=1`` evaluates them in this process, point by point, through
-  :func:`~repro.experiments.units._evaluate_unit`, on the run's one
-  persistent-store handle.
+  :func:`~repro.experiments.units._evaluate_unit`.
 * ``jobs=N`` hands the scheduler to the sweep service's dispatch loop
   (:func:`repro.service.coordinator.run_local_sweep`). ``N`` worker
   processes, each on its own socketpair, evaluate units through
   :func:`_worker_evaluate`. A worker regenerates its point's sample
   from the deterministic seed ``config.seed + point_index`` (memoised
-  per process), so no task set crosses a process boundary.
+  per process), so no task set crosses a process boundary, and it
+  never opens the store: everything it learns and reports travels as
+  JSON frames.
 
 Both drivers open one fresh analysis cache per unit, so ratios,
 failure ledgers and cache counters are bit-identical for every
@@ -65,7 +66,6 @@ from repro.experiments.units import (
     UnitScheduler,
     _coerce_policy,
     _evaluate_unit,
-    _store_for,
     _tasksets_for,
     _UnitResult,
     PointResult,
@@ -132,7 +132,6 @@ def _run_in_process(scheduler: UnitScheduler) -> None:
                     scheduler.policy,
                     scheduler.options,
                     recorder=EventRecorder() if writer is not None else None,
-                    store=scheduler.store,
                     protocols=scheduler.missing(key),
                 )
             scheduler.record_unit(point_index, unit)
@@ -190,15 +189,13 @@ def _worker_evaluate(
     trace: bool = False,
     fault_plan: FaultPlan | None = None,
     attempt: int = 0,
-    cache_path: "str | None" = None,
     protocols: "tuple[str, ...] | None" = None,
 ) -> _UnitResult:
     """Worker entry point: evaluate one (point, task set) unit.
 
     Only ``protocols`` are evaluated (default: all of the config's);
     the parent joins them with the unit's stored part. The task set is
-    regenerated from the point's seed (memoised per process) and the
-    persistent store is this process's own handle on ``cache_path``.
+    regenerated from the point's seed (memoised per process).
     With a ``fault_plan`` the evaluation runs under a
     fresh per-unit injection scope carrying the (point, unit, attempt)
     context, and takes the ``worker.death`` hook.
@@ -231,7 +228,6 @@ def _worker_evaluate(
                 if fault_plan is not None
                 else None
             ),
-            store=_store_for(cache_path) if cache_path is not None else None,
             protocols=protocols,
         )
 
@@ -270,19 +266,17 @@ def run_experiment(
             every work unit — worker-side or sequential — gets its own
             (point, unit, attempt)-scoped activation. Unit rows are
             then neither read nor written.
-        cache_path: When set, the sweep runs on the persistent sqlite
-            store at this path (see :mod:`repro.analysis.store`),
-            shared across runs, points, and worker processes. It backs
-            every unit's analysis cache, and it holds one row per
-            finished (point, task set) unit with each protocol's
-            verdict: stored protocols are served, only missing ones
-            are evaluated, and each finished unit is written back. An
-            interrupted sweep therefore resumes by rerunning it on the
-            same store. Verdicts and ratios are bit-identical with the
-            store enabled, disabled, or pre-populated — the store only
-            changes which tier answers — and the ``persistent.*`` and
-            ``unit_store.hits`` counters in ``analysis_stats`` surface
-            how much work it saved.
+        cache_path: When set, the sweep runs on the unit store at this
+            path (see :mod:`repro.analysis.store`), shared across runs.
+            It holds one row per finished (point, task set) unit with
+            each protocol's verdict: stored protocols are served, only
+            missing ones are evaluated, and each finished unit is
+            written back. An interrupted sweep therefore resumes by
+            rerunning it on the same store. Verdicts and ratios are
+            bit-identical with the store enabled, disabled, or
+            pre-populated, and the ``unit_store.hits`` and
+            ``unit_store.corrupt`` counters in ``analysis_stats``
+            surface what it served and what it had to drop.
     """
     policy = _coerce_policy(failure_policy)
     if jobs < 1:
@@ -303,7 +297,7 @@ def run_experiment(
             # Imported here: the service imports this module.
             from repro.service.coordinator import run_local_sweep
 
-            run_local_sweep(scheduler, jobs=jobs, cache_path=cache_path)
+            run_local_sweep(scheduler, jobs=jobs)
     return scheduler.result()
 
 

@@ -22,19 +22,21 @@ sweep point. This module owns everything about those units that does
   in task-set order, progress callback). The in-process ``jobs=1``
   loop and the sweep service's dispatch loop both drive it;
 * the unit store — the sweep's only durable state. Finished units live
-  in the persistent store as one row per (point, task set), under
-  :func:`unit_digest`, holding every stored protocol's (count,
-  attempted) pair and the unit's failure records. Before dispatch the
-  scheduler reads every pending unit's row (:meth:`UnitScheduler.
-  serve_stored`); a row covering all protocols answers its unit, a
-  row covering some leaves only the missing protocols to evaluate.
-  Each finished unit is written back as the union of its row and the
-  fresh verdicts, so an interrupted sweep resumes by rerunning it on
-  the same store, and a sweep extended with new protocols evaluates
-  only those. The digest covers everything a protocol's verdict on the
-  unit depends on (generation parameters, seed, task-set index,
-  policy, analysis options) and deliberately **excludes** the protocol
-  list and ``sets_per_point``:
+  in the :class:`~repro.analysis.store.PersistentStore` as one row per
+  (point, task set), under :func:`unit_digest`, holding every stored
+  protocol's (count, attempted) pair and the unit's failure records.
+  Before dispatch the scheduler reads every pending unit's row
+  (:meth:`UnitScheduler.serve_stored`); a row covering all protocols
+  answers its unit, a row covering some leaves only the missing
+  protocols to evaluate. Each finished unit is written back as the
+  union of its row and the fresh verdicts, so an interrupted sweep
+  resumes by rerunning it on the same store, and a sweep extended with
+  new protocols evaluates only those. The scheduler, in the sweep's
+  parent process, is the store's only reader and writer. The digest
+  covers everything a protocol's verdict on the unit depends on
+  (generation parameters, seed, task-set index, policy, analysis
+  options) and deliberately **excludes** the protocol list and
+  ``sets_per_point``:
   :func:`repro.generator.taskset_gen.generate_tasksets` draws
   sequentially from one seeded stream, so task set ``i`` is identical
   no matter how many sets a sweep requests — an overlapping (larger)
@@ -224,7 +226,6 @@ def _evaluate_unit(
     options: AnalysisOptions | None,
     recorder: EventRecorder | None = None,
     death_check: "Callable[[str | None], None] | None" = None,
-    store: PersistentStore | None = None,
     protocols: "tuple[str, ...] | None" = None,
 ) -> _UnitResult:
     """Evaluate ``protocols`` (default: all of the config's) on one task
@@ -232,10 +233,8 @@ def _evaluate_unit(
 
     Shared by the in-process path and every worker, so all produce
     the same verdicts, the same failure records in the same order, and
-    the same cache counters (the scope is per unit everywhere). With a
-    ``store`` the unit's fresh memory cache is backed by the shared
-    on-disk tier — the scoping stays per unit either way, which is what
-    keeps the counters deterministic across ``jobs``. With a
+    the same cache counters (the scope is per unit everywhere, which is
+    what keeps the counters deterministic across ``jobs``). With a
     ``recorder`` the unit's analysis events (solves, cache traffic,
     fixpoint iterations, per-protocol verdicts) are buffered and
     returned on the unit result. ``death_check`` is the workers'
@@ -252,7 +251,7 @@ def _evaluate_unit(
     attempted = {protocol: 0 for protocol in protocols}
     failures: list[FailureRecord] = []
     scope = obs.recording(recorder) if recorder is not None else nullcontext()
-    with scope, cache_scope(AnalysisCache(persistent=store)) as cache:
+    with scope, cache_scope(AnalysisCache()) as cache:
         if death_check is not None:
             death_check(None)
         for protocol in protocols:
@@ -369,19 +368,6 @@ def _tasksets_for(
     return tuple(generate_tasksets(generation, count, seed))
 
 
-@lru_cache(maxsize=8)
-def _store_for(path: str) -> PersistentStore:
-    """Per-process memo of the shared on-disk cache tier.
-
-    Workers receive the database *path*, never a live store (sqlite
-    handles must not cross ``fork``); each worker opens its own
-    connection once and reuses it across all its units. The parent
-    never calls this: an in-process run opens (and closes) its own
-    store, so no memoised handle outlives it or crosses a fork.
-    """
-    return PersistentStore(path)
-
-
 #: Crashes a single unit may cause before it is quarantined.
 _CRASH_QUARANTINE_AT = 2
 
@@ -485,7 +471,7 @@ def _in_protocol_order(
 def _stored_part(
     config: ExperimentConfig,
     taskset_index: int,
-    row: Mapping[str, Any],
+    row: "Mapping[str, Any] | None",
     trace: bool,
 ) -> _UnitResult:
     """The part of a unit its stored row answers, as a served result.
@@ -499,10 +485,12 @@ def _stored_part(
     ``protocol.failure`` event per served ledger record — the trace's
     cache counters and failure events then reconcile with its
     ``point.end`` records by the same construction as for evaluated
-    units.
+    units. A ``None`` row — one that failed its sha256 check and was
+    dropped — answers no protocol and counts ``unit_store.corrupt``
+    instead, so the loss shows on the unit's ``analysis_stats``.
     """
-    verdicts = row["verdicts"]
-    failures = row["failures"]
+    verdicts = row["verdicts"] if row is not None else {}
+    failures = row["failures"] if row is not None else []
     if not isinstance(verdicts, dict) or not isinstance(failures, list):
         raise ExperimentError(f"malformed stored unit row: {row!r}")
     protocols = [p for p in config.protocols if p in verdicts]
@@ -514,7 +502,9 @@ def _stored_part(
     scratch = AnalysisCache()
     scope = obs.recording(recorder) if recorder is not None else nullcontext()
     with scope:
-        scratch.bump("unit_store.hits")
+        scratch.bump(
+            "unit_store.hits" if row is not None else "unit_store.corrupt"
+        )
         for failure in served:
             obs.emit(
                 "protocol.failure",
@@ -561,8 +551,7 @@ def _grown_row(row: "Mapping[str, Any] | None", fresh: _UnitResult) -> dict:
     """A stored row extended by freshly evaluated protocols.
 
     The fresh protocols are exactly the ones the row lacked, so the
-    union covers strictly more protocols and wins the store's
-    larger-``bound`` upsert.
+    union covers strictly more protocols and wins the store's upsert.
     """
     verdicts = dict(row["verdicts"]) if row is not None else {}
     failures = list(row["failures"]) if row is not None else []
@@ -684,7 +673,9 @@ class UnitScheduler:
         some leaves the unit pending for the missing ones
         (:meth:`missing`). Either way the unit counts one
         ``unit_store.hits``; a miss, or a row holding none of the
-        sweep's protocols, counts nothing.
+        sweep's protocols, counts nothing. A row that failed its sha256
+        check was dropped by the store: its unit counts one
+        ``unit_store.corrupt`` and is evaluated afresh.
         """
         if self._rows is None or not self.pending:
             return
@@ -692,16 +683,15 @@ class UnitScheduler:
         rows = self._rows.fetch_many(digests.values())
         trace = self.writer is not None
         for key in sorted(digests):
-            value = rows.get(digests[key])
-            if not (
-                isinstance(value, tuple)
-                and len(value) == 2
-                and value[0] == "unit"
-            ):
+            if digests[key] not in rows:
                 continue
-            row = value[1]
-            self._row_of[key] = row
+            entry = rows[digests[key]]
+            row = entry[1] if entry is not None else None
             part = _stored_part(self.config, key[1], row, trace)
+            if row is None:
+                self._stored[key] = part
+                continue
+            self._row_of[key] = row
             if not part.counts:
                 continue
             self.served += 1

@@ -21,7 +21,7 @@ process under ``--jobs N``, inline under ``--jobs 1``), so unit-level
 trigger budgets reset per unit in both execution modes — the property
 that keeps injected parallel runs equivalent to injected sequential
 runs. A second, run-level scope in the parent covers the sites outside
-any unit (trace lines, filesystem errors, store writes); its
+any unit (trace lines, filesystem errors); its
 counters span the whole run. The innermost scope wins, mirroring the
 recorder stack in :mod:`repro.obs.events`.
 

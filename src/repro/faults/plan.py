@@ -2,10 +2,10 @@
 
 A :class:`FaultPlan` is a declarative script of faults to inject into a
 run — "crash the solver once on point 2", "kill the worker evaluating
-unit 1 every time it starts", "garble the third persistent-store row
-written". Plans are plain frozen dataclasses, picklable
-(they cross process boundaries to sweep workers) and serialisable to
-JSON (``repro figure --inject plan.json``).
+unit 1 every time it starts", "corrupt the second trace line". Plans
+are plain frozen dataclasses, picklable (they cross process boundaries
+to sweep workers) and serialisable to JSON (``repro figure --inject
+plan.json``).
 
 Determinism is the whole point: a spec's trigger is a pure predicate
 over the injection context (sweep point, work unit, protocol, retry
@@ -52,11 +52,6 @@ SITES: dict[str, tuple[str, ...]] = {
     "trace.corrupt": ("truncate", "garbage"),
     # A filesystem call raises a transient OSError.
     "fs.error": ("oserror",),
-    # A persistent-cache row is garbled as it is written; the digest
-    # check on read must detect it, drop the row, and re-solve:
-    #   garbage -> the payload is replaced by non-JSON bytes
-    #   torn    -> only a prefix of the payload reaches the row
-    "cache.corrupt": ("garbage", "torn"),
     # A sweep-service worker's connection to the coordinator is cut
     # mid-unit (network partition, worker host reboot):
     #   drop -> the worker closes its socket and exits without sending

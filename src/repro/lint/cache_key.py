@@ -14,16 +14,16 @@ attribute read by the formulation layer must either appear in
 sides are read from the AST, so deleting a field from the digest (or
 reading a new one in the formulation) fails the lint immediately.
 
-``cache-key-solver-options`` guards the two channels the persistent
-cache added:
+``cache-key-solver-options`` guards the two channels through which a
+stored or memoised answer could outlive its configuration:
 
 * every :class:`~repro.analysis.interface.AnalysisOptions` field must
   be read by ``_solver_signature`` (it scopes cache keys to the solver
   configuration) or carry a written exemption explaining why two runs
   differing only in that field may share entries;
 * :mod:`repro.analysis.store` must define ``SCHEMA_VERSION`` and gate
-  its connection setup on it — the cross-run store may never serve
-  entries written under a different encoding.
+  its connection setup on it — the cross-run unit store may never
+  serve rows written under a different encoding.
 """
 
 from __future__ import annotations
@@ -69,7 +69,7 @@ OPTIONS_MODULE = "repro.analysis.interface"
 ANALYSIS_MODULE = "repro.analysis.proposed.response_time"
 SOLVER_SIGNATURE_FUNCTION = "_solver_signature"
 
-#: Module holding the persistent store whose schema version we check.
+#: Module holding the unit store whose schema version we check.
 STORE_MODULE = "repro.analysis.store"
 
 #: AnalysisOptions fields that may stay out of ``_solver_signature`` —
@@ -259,7 +259,7 @@ def solver_options_rule(
     modules: Mapping[str, SourceModule],
 ) -> list[LintViolation]:
     """Option fields missing from the solver signature, and the
-    persistent store's schema-version gate."""
+    unit store's schema-version gate."""
     required = (OPTIONS_MODULE, ANALYSIS_MODULE, STORE_MODULE)
     missing = [name for name in required if name not in modules]
     if missing:
@@ -301,8 +301,7 @@ def solver_options_rule(
             message=(
                 f"AnalysisOptions.{name} is not read by "
                 f"{SOLVER_SIGNATURE_FUNCTION}; two runs differing only "
-                "in it would share cache entries (now across processes "
-                "and runs via the persistent store). Sign it or add a "
+                "in it would share cache entries. Sign it or add a "
                 "justified exemption."
             ),
         ))
@@ -313,7 +312,7 @@ def solver_options_rule(
             path=modules[STORE_MODULE].path,
             line=1,
             message=(
-                "persistent store defines no module-level SCHEMA_VERSION; "
+                "unit store defines no module-level SCHEMA_VERSION; "
                 "a format change could silently serve stale entries"
             ),
         ))

@@ -153,13 +153,10 @@ def _registry() -> dict[str, Rule]:
         solver_options_rule,
     )
     from repro.lint.determinism import worker_determinism_rule
-    from repro.lint.durable_write import durable_write_rule
-    from repro.lint.fork_safety import fork_safety_rule
     from repro.lint.rules import (
         float_time_equality_rule,
         mutable_default_rule,
     )
-    from repro.lint.screen_soundness import screen_soundness_rule
     from repro.lint.trace_contract import trace_contract_rule
 
     return {
@@ -169,9 +166,6 @@ def _registry() -> dict[str, Rule]:
         "float-time-equality": float_time_equality_rule,
         "mutable-default-argument": mutable_default_rule,
         "trace-contract": trace_contract_rule,
-        "fork-safety": fork_safety_rule,
-        "durable-write": durable_write_rule,
-        "screen-soundness": screen_soundness_rule,
     }
 
 

@@ -14,8 +14,9 @@ optimum decomposes into the per-block optima) and solved in a single
 HiGHS call, replacing per-window Python/solver round-trips with one
 vectorised assembly. Batched bounds are *screening* values: each is a
 safe upper bound for its block, but its floating-point value may
-differ in the last ulp from a standalone solve, so callers must keep
-them scope-local (never in the cross-run persistent cache).
+differ in the last ulp from a standalone solve, so they are only
+ever memoised in a unit's own analysis cache, which dies with its
+scope.
 """
 
 from __future__ import annotations

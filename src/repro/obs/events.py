@@ -89,8 +89,7 @@ EVENT_NAMES: dict[str, dict[str, str]] = {
     # analysis-cache traffic (names mirror AnalysisCache.COUNTER_NAMES)
     "cache.hits": {"amount": "int"},
     "cache.misses": {"amount": "int"},
-    "cache.persistent.hits": {"amount": "int"},
-    "cache.persistent.corrupt": {"amount": "int"},
+    "cache.unit_store.corrupt": {"amount": "int"},
     "cache.milp_solves": {"amount": "int"},
     "cache.milp_target_stops": {"amount": "int"},
     "cache.lp_solves": {"amount": "int"},
@@ -133,8 +132,6 @@ EVENT_NAMES: dict[str, dict[str, str]] = {
                             "name": "str?"},
     "fault.fs.error": {"mode": "str", "spec": "int", "plan": "str",
                        "op": "str"},
-    "fault.cache.corrupt": {"mode": "str", "spec": "int", "plan": "str",
-                            "key": "str"},
     "fault.service.disconnect": {"mode": "str", "spec": "int", "plan": "str"},
 }
 

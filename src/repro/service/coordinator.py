@@ -215,7 +215,6 @@ class SweepService:
         try:
             await send_message_async(writer, {
                 "type": "welcome",
-                "cache_path": self.cache_path,
                 "fault_plan": (
                     self.fault_plan.to_dict()
                     if self.fault_plan is not None
@@ -586,26 +585,18 @@ async def _with_service(
         await service.stop()
 
 
-def run_local_sweep(
-    scheduler: UnitScheduler,
-    *,
-    jobs: int,
-    cache_path: "str | None",
-) -> None:
+def run_local_sweep(scheduler: UnitScheduler, *, jobs: int) -> None:
     """Drive ``scheduler`` to completion on ``jobs`` local workers.
 
     The engine behind ``run_experiment(jobs=N)``: an unstarted service
     connects each worker over its own socketpair (nothing listens, so
     no other process can reach the fleet) and runs the same dispatch
     loop, crash accounting and respawn policy as ``repro serve``.
-    Workers use ``cache_path`` as their analysis store; the scheduler
-    (the parent) alone reads and writes unit rows.
+    The scheduler (the parent) alone reads and writes unit rows.
     """
 
     async def main() -> None:
-        service = SweepService(
-            cache_path=cache_path, fault_plan=scheduler.fault_plan
-        )
+        service = SweepService(fault_plan=scheduler.fault_plan)
         service._writer = scheduler.writer
         service.spawn_workers(min(jobs, len(scheduler.pending)))
         try:

@@ -15,7 +15,7 @@ Message vocabulary (the ``type`` field):
 ``hello``            First frame of every connection:
                      ``{"role": "worker" | "client"}``.
 ``welcome``          Coordinator → worker: the run context a worker
-                     needs (``cache_path``, ``fault_plan``).
+                     needs (``fault_plan``).
 ``unit``             Coordinator → worker: evaluate one
                      (point, task set) unit at a given attempt.
 ``result``           Worker → coordinator: the finished unit

@@ -4,7 +4,7 @@ A worker is one OS process holding one socket to the coordinator —
 a TCP connection for ``repro serve`` workers, one end of a
 ``socket.socketpair()`` for the local fleet behind
 ``run_experiment(jobs=N)``. It announces itself (``hello``), receives
-the run context (``welcome``: persistent-cache path, fault plan), then
+the run context (``welcome``: the fault plan), then
 loops: receive a ``unit`` message naming the protocols still to
 evaluate (the parent serves the rest from the unit store), evaluate it
 through
@@ -23,10 +23,11 @@ incremented attempt, solo re-run, quarantine. The
 failure: the worker drops its connection on the way into a unit and
 exits without evaluating anything.
 
-Workers never write trace files or unit rows — they ship buffered
-events and counters on the result frame and the coordinator (the
-single writer) persists everything. They do read and write the
-solver-level entries of the persistent store.
+Workers never open the store or write trace files — they ship
+buffered events and counters on the result frame and the coordinator
+(the single reader and writer of both) persists everything. Every
+piece of run context crosses as a JSON frame, so no connection or file
+handle can reach a worker.
 """
 
 from __future__ import annotations
@@ -129,7 +130,6 @@ def serve_socket(sock: socket.socket) -> None:
         welcome = recv_message(sock)
         if welcome is None or welcome.get("type") != "welcome":
             return
-        cache_path = welcome.get("cache_path")
         plan_raw = welcome.get("fault_plan")
         fault_plan = (
             FaultPlan.from_dict(plan_raw) if plan_raw is not None else None
@@ -175,7 +175,6 @@ def serve_socket(sock: socket.socket) -> None:
                         context["trace"],
                         fault_plan,
                         attempt,
-                        cache_path,
                         tuple(message["protocols"]),
                     )
                 except ReproError as exc:

@@ -50,3 +50,33 @@ def single_task_set() -> TaskSet:
             )
         ]
     )
+
+
+@pytest.fixture
+def tear_rows():
+    """Garble stored unit-row payloads in place, leaving the sha column.
+
+    ``tear_rows(path)`` garbles every row, ``tear_rows(path, digests)``
+    only the named ones. ``mode="torn"`` keeps a 9-byte prefix of the
+    payload (a torn write); ``mode="garbage"`` replaces it with
+    non-JSON bytes. Either way the row no longer matches its sha256.
+    """
+    import sqlite3
+
+    def tear(path, digests=None, mode="torn"):
+        garbled = {
+            "torn": "substr(payload, 1, 9)",
+            "garbage": "char(0) || 'garbage' || char(0) || substr(payload, 1, 8)",
+        }[mode]
+        conn = sqlite3.connect(path)
+        with conn:
+            if digests is None:
+                conn.execute(f"UPDATE entries SET payload = {garbled}")
+            for digest in digests or ():
+                conn.execute(
+                    f"UPDATE entries SET payload = {garbled} WHERE digest = ?",
+                    (digest,),
+                )
+        conn.close()
+
+    return tear

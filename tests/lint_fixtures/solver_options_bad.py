@@ -5,8 +5,8 @@ the solver knobs but *omits* the protocol-specific
 ``preemption_thresholds`` and ``regulation`` fields. Injected over the
 real ``repro.analysis.proposed.response_time`` module, it must make
 the rule flag exactly those two fields — proving the lint catches the
-omission that would let threshold/bandwidth sweeps share persistent
-cache entries.
+omission that would let threshold/bandwidth analyses share cache
+entries.
 """
 
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.analysis import cache as cache_module
 from repro.analysis.cache import (
     AnalysisCache,
     active_cache,
@@ -71,7 +72,7 @@ class TestStorage:
 
     def test_put_never_downgrades_entry_rank(self):
         # Regression pin: an LP screening bound must not overwrite an
-        # exact MILP value (mirrors the store's rank-guarded upsert).
+        # exact MILP value.
         cache = AnalysisCache()
         cache.put("k", ("milp", 5.0))
         cache.put("k", ("lp", 7.0))
@@ -111,6 +112,13 @@ class TestScoping:
                 assert active_cache() is inner_cache
             assert active_cache() is outer
         assert active_cache() is None
+
+    def test_raising_body_leaves_the_stack_as_it_was(self):
+        before = list(cache_module._SCOPES)
+        with pytest.raises(RuntimeError):
+            with cache_scope():
+                raise RuntimeError("body fails")
+        assert cache_module._SCOPES == before
 
     def test_analysis_adopts_scoped_cache(self, ts):
         with cache_scope() as cache:

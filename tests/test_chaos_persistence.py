@@ -2,8 +2,9 @@
 
 The unit rows of the persistent store are a sweep's only durable
 state. A row whose payload bytes were garbled — a torn write, bit rot —
-fails its sha256 on read, is dropped, and its unit is re-solved; a
-rerun on the damaged store converges to the fault-free result.
+fails its sha256 on read, is dropped, counted as
+``unit_store.corrupt`` on its unit, and re-solved; a rerun on the
+damaged store converges to the fault-free result.
 ``fs.error`` simulates transient filesystem failures under the sweep
 export's durable temp-and-rename write.
 """
@@ -11,6 +12,7 @@ export's durable temp-and-rename write.
 import dataclasses
 import os
 import sqlite3
+import stat
 
 import pytest
 
@@ -51,22 +53,8 @@ def _identical(a, b):
         assert pa.sets_evaluated == pb.sets_evaluated
 
 
-def _tear_rows(path, digests=None):
-    """Garble stored payload bytes in place, leaving the sha column."""
-    with sqlite3.connect(path) as conn:
-        if digests is None:
-            conn.execute("UPDATE entries SET payload = substr(payload, 1, 9)")
-        for digest in digests or ():
-            conn.execute(
-                "UPDATE entries SET payload = substr(payload, 1, 9)"
-                " WHERE digest = ?",
-                (digest,),
-            )
-    conn.close()
-
-
-def _served(result):
-    return [dict(p.analysis_stats).get("unit_store.hits", 0) for p in result.points]
+def _served(result, counter="unit_store.hits"):
+    return [dict(p.analysis_stats).get(counter, 0) for p in result.points]
 
 
 class TestDurableWrites:
@@ -74,14 +62,33 @@ class TestDurableWrites:
         self, config, tmp_path, monkeypatch
     ):
         result = run_experiment(config)
-        synced = []
-        real_fsync = os.fsync
-        monkeypatch.setattr(
-            os, "fsync", lambda fd: (synced.append(fd), real_fsync(fd))[1]
-        )
-        save_sweep(result, tmp_path / "sweep.json")
-        # Once for the temp file, once for the containing directory.
-        assert len(synced) >= 2
+        calls = []
+        real_fsync, real_replace = os.fsync, os.replace
+
+        def fsync(fd):
+            info = os.fstat(fd)
+            kind = "dir" if stat.S_ISDIR(info.st_mode) else "file"
+            calls.append(("fsync", kind, info.st_ino))
+            real_fsync(fd)
+
+        def replace(src, dst):
+            calls.append(("replace", os.stat(src).st_ino, dst))
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        monkeypatch.setattr(os, "replace", replace)
+        target = tmp_path / "sweep.json"
+        save_sweep(result, target)
+        # fsync(temp) -> rename over the target -> fsync(directory):
+        # the renamed inode is the one synced, and the directory entry
+        # is synced after the rename.
+        (_, _, temp_inode), _, _ = calls
+        assert calls == [
+            ("fsync", "file", temp_inode),
+            ("replace", temp_inode, target),
+            ("fsync", "dir", os.stat(tmp_path).st_ino),
+        ]
+        assert os.stat(target).st_ino == temp_inode
 
     def test_transient_fs_error_is_retried(self, config, tmp_path):
         result = run_experiment(config)
@@ -109,21 +116,30 @@ class TestDurableWrites:
 
 
 class TestTornWrites:
-    def test_corrupt_point_resolves_only_that_point(self, config, tmp_path):
+    def test_corrupt_point_resolves_only_that_point(
+        self, config, tmp_path, tear_rows
+    ):
         baseline = run_experiment(config)
         for jobs in (1, 2):
             path = str(tmp_path / f"store-{jobs}.db")
             run_experiment(config, cache_path=path)
             # Tear the row of (point 1, set 0): every other row stays
             # pristine, that one no longer matches its sha256.
-            _tear_rows(path, [unit_digest(config, 1, 0, None, POLICY)])
+            tear_rows(path, [unit_digest(config, 1, 0, None, POLICY)])
             trace = tmp_path / f"resume-{jobs}.jsonl"
             resumed = run_experiment(
                 config, jobs=jobs, cache_path=path, trace_path=str(trace)
             )
             _identical(resumed, baseline)
-            # Only the damaged unit was re-solved...
+            # Only the damaged unit was re-solved, and its stats say
+            # why...
             assert _served(resumed) == [2, 1]
+            assert _served(resumed, "unit_store.corrupt") == [0, 1]
+            (torn,) = [
+                e for e in read_trace(trace)
+                if e["name"] == "cache.unit_store.corrupt"
+            ]
+            assert (torn["point"], torn["unit"]) == (1, 0)
             verdicts = {
                 (e["point"], e["unit"])
                 for e in read_trace(trace)
@@ -133,13 +149,16 @@ class TestTornWrites:
             # ...and its row was written back whole.
             again = run_experiment(config, cache_path=path)
             assert _served(again) == [2, 2]
+            assert _served(again, "unit_store.corrupt") == [0, 0]
             _identical(again, baseline)
 
-    def test_truncated_target_resumes_from_scratch(self, config, tmp_path):
+    def test_truncated_target_resumes_from_scratch(
+        self, config, tmp_path, tear_rows
+    ):
         baseline = run_experiment(config)
         path = str(tmp_path / "store.db")
         run_experiment(config, cache_path=path)
-        _tear_rows(path)
+        tear_rows(path)
         store = PersistentStore(path)
         assert store.fetch(unit_digest(config, 0, 0, None, POLICY)) == (
             None,

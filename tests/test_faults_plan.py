@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.errors import FaultPlanError
+from repro.faults import injection
 from repro.faults import (
     SITES,
     FaultPlan,
@@ -108,6 +109,14 @@ class TestFiring:
     def test_fire_without_scope_is_noop(self):
         assert active() is None
         assert fire("solver.fault") is None
+
+    def test_raising_body_leaves_the_scope_stack_as_it_was(self):
+        plan = FaultPlan(specs=(FaultSpec(site="fs.error"),))
+        before = list(injection._SCOPES)
+        with pytest.raises(RuntimeError):
+            with injecting(plan, point=0):
+                raise RuntimeError("body fails")
+        assert injection._SCOPES == before
 
     def test_first_matching_spec_fires(self):
         plan = FaultPlan(

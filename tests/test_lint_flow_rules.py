@@ -1,4 +1,4 @@
-"""Tests for the flow-aware rule families, baselines, SARIF, and CLI.
+"""Tests for the trace-contract rule, baselines, SARIF, and CLI.
 
 Fixture modules under ``tests/lint_fixtures/`` are valid-syntax true
 positives; they are parsed and injected into (a copy of) the real
@@ -177,216 +177,6 @@ class TestTraceContractRule:
         assert any(
             "aggregate_analysis_stats" in v.message for v in violations
         )
-
-
-class TestForkSafetyRule:
-    def test_clean_tree_passes(self):
-        assert run_lint(rules=["fork-safety"]) == []
-
-    def test_connection_across_pool_boundary_flagged(self):
-        violations = run_lint(
-            _fixture_only("fork_bad"), rules=["fork-safety"]
-        )
-        leaks = [v for v in violations if "LeakyHolder.conn" in v.message]
-        assert len(leaks) == 1
-        assert "database connection" in leaks[0].message
-
-    def test_getstate_curated_class_not_flagged(self):
-        violations = run_lint(
-            _fixture_only("fork_bad"), rules=["fork-safety"]
-        )
-        assert not any("CuratedHolder" in v.message for v in violations)
-
-    def test_scope_stack_mutation_outside_cm_flagged(self):
-        violations = run_lint(
-            _fixture_only("fork_bad"), rules=["fork-safety"]
-        )
-        stack = [v for v in violations if "_SCOPES" in v.message]
-        assert len(stack) == 1
-        assert "push_scope" in stack[0].message
-
-    def test_process_target_surface_flagged(self):
-        violations = run_lint(
-            _fixture_only("fork_bad"), rules=["fork-safety"]
-        )
-        leaks = [v for v in violations if "SpawnLeaky.log" in v.message]
-        assert len(leaks) == 1
-        assert "open file handle" in leaks[0].message
-        assert "spawned-process boundary" in leaks[0].message
-        assert "spawned_work" in leaks[0].message
-
-    def test_process_lambda_target_warned(self):
-        violations = run_lint(
-            _fixture_only("fork_bad"), rules=["fork-safety"]
-        )
-        warned = [
-            v for v in violations
-            if "Process(target=...)" in v.message
-            and "not a module-level function name" in v.message
-        ]
-        assert len(warned) == 1
-        assert warned[0].severity == "warning"
-
-    def test_real_stack_mutation_outside_cm_fails(self):
-        modules = dict(load_repo_modules())
-        cache = modules["repro.analysis.cache"]
-        source = Path(cache.path).read_text()
-        tampered = source.replace(
-            "    return _SCOPES[-1] if _SCOPES else None",
-            "    _SCOPES.clear()\n"
-            "    return _SCOPES[-1] if _SCOPES else None",
-            1,
-        )
-        assert tampered != source
-        modules["repro.analysis.cache"] = SourceModule.parse(
-            cache.name, cache.path, tampered
-        )
-        violations = run_lint(modules, rules=["fork-safety"])
-        assert any("active_cache" in v.message for v in violations)
-
-
-class TestDurableWriteRule:
-    def test_clean_tree_passes(self):
-        assert run_lint(rules=["durable-write"]) == []
-
-    def test_missing_fsync_flagged(self):
-        violations = run_lint(
-            _fixture_only("durable_bad"), rules=["durable-write"]
-        )
-        lines = {v.line for v in violations}
-        fixture = (FIXTURES / "durable_bad.py").read_text().splitlines()
-        unsafe_line = next(
-            i + 1 for i, text in enumerate(fixture)
-            if "os.replace" in text
-        )
-        assert unsafe_line in lines
-
-    def test_unsafe_publish_missing_both_obligations(self):
-        violations = run_lint(
-            _fixture_only("durable_bad"), rules=["durable-write"]
-        )
-        unsafe = [
-            v for v in violations if "unsafe" not in v.message
-        ]
-        messages = " ".join(v.message for v in violations)
-        assert "not preceded on every path" in messages
-        assert "no directory fsync" in messages
-        assert unsafe is not None
-
-    def test_branch_without_fsync_flagged(self):
-        # branchy_publish fsyncs on one path only; the dir sync is
-        # present, so exactly the file-sync obligation fails.
-        violations = run_lint(
-            _fixture_only("durable_bad"), rules=["durable-write"]
-        )
-        fixture = (FIXTURES / "durable_bad.py").read_text().splitlines()
-        branchy_replace = [
-            i + 1 for i, text in enumerate(fixture)
-            if text.strip().startswith("os.replace")
-        ][1]
-        branchy = [v for v in violations if v.line == branchy_replace]
-        assert len(branchy) == 1
-        assert "not preceded on every path" in branchy[0].message
-
-    def test_safe_publish_not_flagged(self):
-        violations = run_lint(
-            _fixture_only("durable_bad"), rules=["durable-write"]
-        )
-        fixture = (FIXTURES / "durable_bad.py").read_text().splitlines()
-        safe_replace = [
-            i + 1 for i, text in enumerate(fixture)
-            if text.strip().startswith("os.replace")
-        ][2]
-        assert not any(v.line == safe_replace for v in violations)
-
-    def test_removing_real_fsync_fails(self):
-        modules = dict(load_repo_modules())
-        persistence = modules["repro.experiments.persistence"]
-        source = Path(persistence.path).read_text()
-        tampered = source.replace(
-            "os.fsync(handle.fileno())", "handle.flush()"
-        )
-        assert tampered != source
-        modules["repro.experiments.persistence"] = SourceModule.parse(
-            persistence.name, persistence.path, tampered
-        )
-        violations = run_lint(modules, rules=["durable-write"])
-        assert any(
-            "not preceded on every path" in v.message for v in violations
-        )
-
-    def test_removing_real_dirsync_fails(self):
-        modules = dict(load_repo_modules())
-        persistence = modules["repro.experiments.persistence"]
-        source = Path(persistence.path).read_text()
-        tampered = source.replace("_fsync_directory(path.parent)", "pass")
-        assert tampered != source
-        modules["repro.experiments.persistence"] = SourceModule.parse(
-            persistence.name, persistence.path, tampered
-        )
-        violations = run_lint(modules, rules=["durable-write"])
-        assert any("no directory fsync" in v.message for v in violations)
-
-
-class TestScreenSoundnessRule:
-    def test_clean_tree_passes(self):
-        assert run_lint(rules=["screen-soundness"]) == []
-
-    def test_untagged_literal_producer_flagged(self):
-        violations = run_lint(
-            _with_fixture("screen_bad"), rules=["screen-soundness"]
-        )
-        assert any("untagged_screen()" in v.message for v in violations)
-
-    def test_untagged_producer_via_local_flagged(self):
-        violations = run_lint(
-            _with_fixture("screen_bad"), rules=["screen-soundness"]
-        )
-        assert any(
-            "untagged_screen_via_local()" in v.message for v in violations
-        )
-
-    def test_stripping_real_decorator_fails(self):
-        modules = dict(load_repo_modules())
-        rt = modules["repro.analysis.proposed.response_time"]
-        source = Path(rt.path).read_text()
-        tampered = source.replace("    @bound_producer\n", "", 1)
-        assert tampered != source
-        modules["repro.analysis.proposed.response_time"] = (
-            SourceModule.parse(rt.name, rt.path, tampered)
-        )
-        violations = run_lint(modules, rules=["screen-soundness"])
-        assert violations
-        assert all("@bound_producer" in v.message for v in violations)
-
-    def test_dropping_rank_guard_sql_fails(self):
-        modules = dict(load_repo_modules())
-        store = modules["repro.analysis.store"]
-        source = Path(store.path).read_text()
-        tampered = source.replace(
-            "excluded.rank > entries.rank", "excluded.rank >= 0"
-        )
-        assert tampered != source
-        modules["repro.analysis.store"] = SourceModule.parse(
-            store.name, store.path, tampered
-        )
-        violations = run_lint(modules, rules=["screen-soundness"])
-        assert any("rank" in v.message for v in violations)
-
-    def test_inverted_entry_ranks_fail(self):
-        modules = dict(load_repo_modules())
-        store = modules["repro.analysis.store"]
-        source = Path(store.path).read_text()
-        tampered = source.replace(
-            'ENTRY_RANKS = {"lp": 1, "lb": 2, "milp": 3, "unit": 4}',
-            'ENTRY_RANKS = {"lp": 1, "lb": 3, "milp": 2, "unit": 4}',
-        )
-        assert tampered != source
-        modules["repro.analysis.store"] = SourceModule.parse(
-            store.name, store.path, tampered
-        )
-        violations = run_lint(modules, rules=["screen-soundness"])
-        assert any("ENTRY_RANKS" in v.message for v in violations)
 
 
 class TestProjectLoading:

@@ -51,9 +51,6 @@ class TestEngine:
             "float-time-equality",
             "mutable-default-argument",
             "trace-contract",
-            "fork-safety",
-            "durable-write",
-            "screen-soundness",
         }
 
     def test_load_repo_modules_names(self):
@@ -255,8 +252,8 @@ class TestSolverOptionsRule:
 
     def test_unsigned_new_option_field_fails_lint(self):
         # Acceptance pin: an AnalysisOptions field the signature does
-        # not read means two runs differing only in it would share
-        # persistent cache entries across runs — the lint must fail.
+        # not read means two analyses differing only in it would share
+        # cache entries — the lint must fail.
         modules = dict(load_repo_modules())
         options = modules["repro.analysis.interface"]
         source = Path(options.path).read_text()
@@ -297,7 +294,7 @@ class TestSolverOptionsRule:
         # its pre-zoo shape (tests/lint_fixtures/solver_options_bad.py)
         # omits preemption_thresholds and regulation; the rule must
         # flag exactly those two fields, or threshold/bandwidth sweeps
-        # could share persistent entries across differing knobs.
+        # could share cache entries across differing knobs.
         fixture = REPO_ROOT / "tests" / "lint_fixtures" / "solver_options_bad.py"
         modules = dict(load_repo_modules())
         modules["repro.analysis.proposed.response_time"] = SourceModule.parse(

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.errors import ObservabilityError
+from repro.obs import events as events_module
 from repro.obs import (
     EVENT_VERSION,
     EventRecorder,
@@ -91,6 +92,13 @@ class TestRecorder:
             pass
         (event,) = rec.events
         assert event["dur"] == 3.5
+
+    def test_raising_body_leaves_the_recorder_stack_as_it_was(self):
+        before = list(events_module._RECORDERS)
+        with pytest.raises(RuntimeError):
+            with recording():
+                raise RuntimeError("body fails")
+        assert events_module._RECORDERS == before
 
     def test_drain_clears_buffer(self):
         rec = EventRecorder()

@@ -18,7 +18,6 @@ import threading
 import pytest
 
 from repro.analysis.interface import AnalysisOptions
-from repro.analysis.store import ENTRY_RANKS
 from repro.errors import ExperimentError
 from repro.experiments import (
     ExperimentConfig,
@@ -450,11 +449,7 @@ class TestServiceResume:
         cache = tmp_path / "store.sqlite"
         first = run_service_sweep(config, workers=2, cache_path=str(cache))
         with sqlite3.connect(cache) as conn:
-            conn.execute(
-                "UPDATE entries SET payload = substr(payload, 1, 9)"
-                " WHERE rank = ?",
-                (ENTRY_RANKS["unit"],),
-            )
+            conn.execute("UPDATE entries SET payload = substr(payload, 1, 9)")
         conn.close()
         again = run_service_sweep(config, workers=2, cache_path=str(cache))
         assert [p.ratios for p in again.points] == [
@@ -464,7 +459,9 @@ class TestServiceResume:
             p.failures for p in first.points
         ]
         for point in again.points:
-            assert dict(point.analysis_stats)["unit_store.hits"] == 0
+            stats = dict(point.analysis_stats)
+            assert stats["unit_store.hits"] == 0
+            assert stats["unit_store.corrupt"] == config.sets_per_point
         healed = run_service_sweep(config, workers=2, cache_path=str(cache))
         for point in healed.points:
             stats = dict(point.analysis_stats)

@@ -4,7 +4,7 @@ A verdict only asks whether a delay exceeds ``D - u``, so its integer
 solves carry that value as an objective target and HiGHS may stop at
 the first incumbent beyond it. These tests pin the three layers: the
 backend's ``TARGET_REACHED`` status, the rank-ordered ``lb`` entries of
-both cache tiers, and verdicts/WCRTs that the early stops never move.
+the analysis cache, and verdicts/WCRTs that the early stops never move.
 """
 
 import dataclasses
@@ -14,10 +14,9 @@ import numpy as np
 import pytest
 
 import repro.milp.highs as highs_module
-from repro.analysis.cache import AnalysisCache
+from repro.analysis.cache import AnalysisCache, _entry_rank
 from repro.analysis.interface import AnalysisOptions
 from repro.analysis.proposed import ProposedAnalysis
-from repro.analysis.store import ENTRY_RANKS, PersistentStore, entry_rank
 from repro.analysis.wasly import WaslyAnalysis
 from repro.experiments import run_experiment
 from repro.experiments.config import figure2_config
@@ -178,8 +177,9 @@ class TestTargetStatusPlumbing:
 
 class TestLowerBoundEntries:
     def test_ranks_order_lp_below_lb_below_milp(self):
-        assert ENTRY_RANKS["lp"] < ENTRY_RANKS["lb"] < ENTRY_RANKS["milp"]
-        assert entry_rank(("lb", 3.0)) == ENTRY_RANKS["lb"]
+        lp, lb = _entry_rank(("lp", 9.0)), _entry_rank(("lb", 3.0))
+        assert lp < lb < _entry_rank(("milp", 4.0, 3, {}, 0))
+        assert _entry_rank(4.0) == _entry_rank(("milp", 4.0, 3, {}, 0))
 
     @pytest.mark.parametrize(
         "writes",
@@ -190,34 +190,18 @@ class TestLowerBoundEntries:
             [("lb", 5.0), ("lp", 9.0), ("lb", 3.0)],
         ],
     )
-    def test_lb_upserts_are_order_independent(self, tmp_path, writes):
-        store = PersistentStore(tmp_path / "c.sqlite")
+    def test_lb_upserts_are_order_independent(self, writes):
         cache = AnalysisCache()
         for value in writes:
-            store.store("d", value)
             cache.put("d", value)
-        assert store.fetch("d") == (("lb", 5.0), False)
         assert cache.get("d") == ("lb", 5.0)
 
-    def test_exact_entry_supersedes_lb_never_vice_versa(self, tmp_path):
+    def test_exact_entry_supersedes_lb_never_vice_versa(self):
         exact = ("milp", 4.0, 3, {}, 0)
-        store = PersistentStore(tmp_path / "c.sqlite")
         cache = AnalysisCache()
         for value in (("lb", 3.0), exact, ("lb", 3.5)):
-            store.store("d", value)
             cache.put("d", value)
-        assert store.fetch("d") == (exact, False)
         assert cache.get("d") == exact
-
-    def test_stats_count_lower_bound_entries(self, tmp_path):
-        store = PersistentStore(tmp_path / "c.sqlite")
-        store.store("a", ("lp", 1.0))
-        store.store("b", ("lb", 2.0))
-        store.store("c", ("milp", 3.0, 1, {}, 0))
-        stats = store.stats()
-        assert stats["screen_entries"] == 1
-        assert stats["lower_bound_entries"] == 1
-        assert stats["exact_entries"] == 1
 
 
 _MATRIX = ((4, 0.4, 11), (4, 0.5, 12))
@@ -291,4 +275,3 @@ def test_warm_rerun_on_a_cold_store_solves_nothing(tmp_path):
     assert cold_stats["milp_target_stops"] > 0
     assert warm_stats["milp_solves"] == 0
     assert warm_stats["lp_solves"] == 0
-    assert PersistentStore(path).stats()["lower_bound_entries"] > 0
