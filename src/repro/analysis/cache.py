@@ -20,7 +20,7 @@ MILP optimum depends on —
 * the interval count ``N_i(t)``;
 * the higher-priority WCRTs when the carry refinement is active;
 * the analysis mode and the solver-relevant options (method,
-  time limit, MIP gap, resilience configuration).
+  backend, time limit, and the protocol knobs).
 
 Because the key captures the MILP's full semantic content, a hit
 returns the exact float a fresh build-and-solve would produce — cached

@@ -6,7 +6,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Mapping
 
-from repro.milp.resilient import ResilienceConfig
 from repro.model.task import Task
 from repro.model.taskset import TaskSet
 from repro.types import Time
@@ -56,10 +55,10 @@ class AnalysisOptions:
             the verdict matters.
         time_limit: Per-MILP wall-clock budget in seconds; when hit,
             the solver's dual bound is used, which keeps the reported
-            delay a safe upper bound (at the price of pessimism).
-        mip_rel_gap: Relative MIP gap passed to the solver; nonzero
-            values trade tightness for speed, again on the safe side
-            because the dual bound is reported.
+            delay a safe upper bound (at the price of pessimism). A
+            solve that fails outright always degrades to a safe bound
+            — the LP relaxation, then the closed form — whatever the
+            options (see ``ProposedAnalysis._solve_model``).
         convergence_eps: Fixpoint convergence tolerance on the WCRT.
         screening: Enable the verdict screening cascade (closed-form
             bounds — vectorised or scalar —, batched LP screens, the
@@ -72,11 +71,6 @@ class AnalysisOptions:
             either way; disable only to measure the unscreened
             baseline (EXPERIMENTS.md, "Unit store: cold vs warm
             runs").
-        resilience: When set, every MILP solve runs through a
-            :class:`repro.milp.ResilientBackend` configured from it:
-            watchdog, transient-error retries, and the safe-degradation
-            fallback chain down to the closed-form bound. ``None`` (the
-            default) keeps the historical fail-fast behaviour.
         preemption_thresholds: For the ``threshold`` protocol: explicit
             per-task preemption thresholds as a tuple of ``(task name,
             threshold)`` pairs (a tuple, not a dict, so the frozen
@@ -93,10 +87,8 @@ class AnalysisOptions:
     max_iterations: int = 60
     stop_at_deadline: bool = True
     time_limit: float | None = None
-    mip_rel_gap: float = 0.0
     convergence_eps: float = 1e-6
     screening: bool = True
-    resilience: ResilienceConfig | None = None
     preemption_thresholds: tuple[tuple[str, int], ...] | None = None
     regulation: RegulationConfig | None = None
 

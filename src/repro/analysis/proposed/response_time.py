@@ -54,6 +54,7 @@ without a solve.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import time
 from typing import Callable
@@ -82,12 +83,17 @@ from repro.analysis.proposed.intervals import (
     interval_count_ls,
     interval_count_nls,
 )
-from repro.errors import InfeasibleModelError, SolverError, UnboundedModelError
+from repro.errors import (
+    BackendUnavailableError,
+    InfeasibleModelError,
+    SolverError,
+    SolverTimeoutError,
+    UnboundedModelError,
+)
 from repro.milp.highs import HighsBackend
 from repro.milp.model import MilpBackend, MilpModel
 from repro.milp.relaxation import LpRelaxationBackend, screen_batch
-from repro.milp.resilient import ResilientBackend
-from repro.milp.solution import MilpSolution, SolveStatus
+from repro.milp.solution import DegradationLevel, MilpSolution, SolveStatus
 from repro.model.task import Task
 from repro.model.taskset import TaskSet
 from repro.obs import events as obs
@@ -102,12 +108,16 @@ TARGET_SLACK = 1e-6
 
 
 def _default_backend_factory(options: AnalysisOptions) -> BackendFactory:
-    return lambda: HighsBackend(
-        time_limit=options.time_limit,
-        mip_rel_gap=options.mip_rel_gap,
-        # With any early-stop knob active, report the dual bound so the
-        # result stays a safe over-approximation of the delay.
-        use_dual_bound=bool(options.time_limit or options.mip_rel_gap),
+    return lambda: HighsBackend(time_limit=options.time_limit)
+
+
+def _usable(solution: MilpSolution) -> bool:
+    """Whether a backend's answer may stand: no error status, and a
+    finite objective whenever it reports one."""
+    if solution.status is SolveStatus.ERROR:
+        return False
+    return not solution.status.has_solution or math.isfinite(
+        solution.objective
     )
 
 
@@ -291,7 +301,7 @@ class ProposedAnalysis:
 
     def _closed_form_objective(
         self, taskset: TaskSet, task: Task, mode: AnalysisMode
-    ) -> Callable[[], float]:
+    ) -> float:
         """Last-resort safe objective for one mode's delay MILP.
 
         The closed-form WCRT upper-bounds the MILP fixpoint, hence also
@@ -300,9 +310,9 @@ class ProposedAnalysis:
         an upper bound when every solver rung has failed.
         """
         if mode is AnalysisMode.LS_CASE_B:
-            return lambda: ls_case_b_bound(taskset, task) - task.copy_out
+            return ls_case_b_bound(taskset, task) - task.copy_out
         blocking = 2 if mode in (AnalysisMode.NLS, AnalysisMode.WASLY) else 1
-        return lambda: (
+        return (
             closed_form_delay_bound(
                 taskset,
                 task,
@@ -320,25 +330,44 @@ class ProposedAnalysis:
         mode: AnalysisMode,
         target: float | None = None,
     ) -> MilpSolution:
-        """Solve one delay MILP, resiliently when options ask for it."""
-        backend = self.backend_factory()
-        resilience = self.options.resilience
-        if resilience is not None and not isinstance(backend, ResilientBackend):
-            backend = ResilientBackend.from_config(
-                backend,
-                resilience,
-                closed_form_objective=self._closed_form_objective(
-                    taskset, task, mode
-                ),
+        """Solve one delay MILP, degrading safely when the solver fails.
+
+        The chain is the exact solve (HiGHS walks its own option ladder
+        first), then the LP relaxation of the same compiled model, then
+        :meth:`_closed_form_objective`. For a delay *maximisation* each
+        rung upper-bounds the previous one's optimum, so a degraded
+        value is more pessimistic, never optimistic; the rung that
+        answered is recorded in :attr:`MilpSolution.degradation`. A
+        solve fails when its backend raises
+        :class:`BackendUnavailableError` or
+        :class:`SolverTimeoutError`, or returns an error status or a
+        non-finite objective.
+        """
+        try:
+            solution = model.solve(self.backend_factory(), target=target)
+        except (BackendUnavailableError, SolverTimeoutError):
+            pass
+        else:
+            if _usable(solution):
+                return solution
+        relaxed = LpRelaxationBackend().solve_compiled(model.compile())
+        if relaxed.status.has_solution and math.isfinite(relaxed.objective):
+            return dataclasses.replace(
+                relaxed, degradation=DegradationLevel.LP_RELAXATION
             )
-        return model.solve(backend, target=target)
+        return MilpSolution(
+            status=SolveStatus.TIME_LIMIT,
+            objective=self._closed_form_objective(taskset, task, mode),
+            backend="closed_form",
+            degradation=DegradationLevel.CLOSED_FORM,
+        )
 
     def _solver_signature(self) -> tuple:
         """Solver-relevant options included in every cache key.
 
         Two analyses whose signatures differ must never share a cached
-        objective: a different backend, time limit, gap, or resilience
-        chain may return a different (still sound) bound.
+        objective: a different backend or time limit may return a
+        different (still sound) bound.
         """
         sig = getattr(self, "_solver_sig", None)
         if sig is None:
@@ -350,8 +379,6 @@ class ProposedAnalysis:
                 self.method,
                 str(backend_tag),
                 self.options.time_limit,
-                self.options.mip_rel_gap,
-                repr(self.options.resilience),
                 # Protocol-specific knobs: neither shapes a proposed/
                 # WASLY MILP today, but both shape the threshold and
                 # regulated analyses that reuse this signature — and
@@ -488,8 +515,8 @@ class ProposedAnalysis:
         A cache hit on an exact (``milp``-tagged) entry returns the
         objective a fresh build-and-solve would produce (the key
         digests the MILP's full semantic content, see
-        :mod:`repro.analysis.cache`). Degraded solutions — where the
-        resilient backend substituted a weaker bound — are never
+        :mod:`repro.analysis.cache`). Degraded solutions — where
+        :meth:`_solve_model` substituted a weaker bound — are never
         stored, so a retry keeps its chance of a sharper value.
 
         With ``lp_screen_deadline`` set (verdict path, exact-MILP

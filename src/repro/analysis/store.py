@@ -41,6 +41,8 @@ import sqlite3
 from pathlib import Path
 from typing import Any, Iterable, Iterator
 
+from repro.errors import ReproError
+
 #: Bump when the row encoding, digest inputs, or table layout change;
 #: mismatching stores are discarded on open (see module notes).
 SCHEMA_VERSION = 4
@@ -95,44 +97,53 @@ class PersistentStore:
             return self._conn
         self.path.parent.mkdir(parents=True, exist_ok=True)
         conn = sqlite3.connect(self.path, timeout=30.0)
-        conn.execute("PRAGMA journal_mode=WAL")
-        conn.execute("PRAGMA synchronous=NORMAL")
-        conn.execute("PRAGMA busy_timeout=30000")
-        conn.execute(
-            "CREATE TABLE IF NOT EXISTS meta (key TEXT PRIMARY KEY, value TEXT)"
-        )
-        row = conn.execute(
-            "SELECT value FROM meta WHERE key = 'schema_version'"
-        ).fetchone()
-        if row is not None and row[0] != str(SCHEMA_VERSION):
-            # A different build wrote this store; its rows may alias
-            # new-format digests, so the whole store is discarded.
-            conn.execute("DROP TABLE IF EXISTS entries")
-            conn.execute("DELETE FROM meta")
-            row = None
-        if row is None:
+        try:
+            conn.execute("PRAGMA journal_mode=WAL")
+            conn.execute("PRAGMA synchronous=NORMAL")
+            conn.execute("PRAGMA busy_timeout=30000")
             conn.execute(
-                "INSERT OR REPLACE INTO meta VALUES "
-                "('schema_version', ?)",
-                (str(SCHEMA_VERSION),),
+                "CREATE TABLE IF NOT EXISTS meta (key TEXT PRIMARY KEY, value TEXT)"
             )
-        conn.execute(
-            "CREATE TABLE IF NOT EXISTS entries ("
-            " digest TEXT PRIMARY KEY,"
-            " payload TEXT NOT NULL,"
-            " sha TEXT NOT NULL,"
-            " protocols INTEGER NOT NULL,"
-            " created REAL NOT NULL)"
-        )
-        # ``store`` reads MAX(created) on every upsert and ``gc`` orders
-        # by it; without the index both scan the whole table.
-        conn.execute(
-            "CREATE INDEX IF NOT EXISTS entries_created ON entries(created)"
-        )
-        conn.commit()
+            row = conn.execute(
+                "SELECT value FROM meta WHERE key = 'schema_version'"
+            ).fetchone()
+            if row is not None and row[0] != str(SCHEMA_VERSION):
+                # A different build wrote this store; its rows may alias
+                # new-format digests, so the whole store is discarded.
+                conn.execute("DROP TABLE IF EXISTS entries")
+                conn.execute("DELETE FROM meta")
+                row = None
+            if row is None:
+                conn.execute(
+                    "INSERT OR REPLACE INTO meta VALUES "
+                    "('schema_version', ?)",
+                    (str(SCHEMA_VERSION),),
+                )
+            conn.execute(
+                "CREATE TABLE IF NOT EXISTS entries ("
+                " digest TEXT PRIMARY KEY,"
+                " payload TEXT NOT NULL,"
+                " sha TEXT NOT NULL,"
+                " protocols INTEGER NOT NULL,"
+                " created REAL NOT NULL)"
+            )
+            # ``store`` reads MAX(created) on every upsert and ``gc`` orders
+            # by it; without the index both scan the whole table.
+            conn.execute(
+                "CREATE INDEX IF NOT EXISTS entries_created ON entries(created)"
+            )
+            conn.commit()
+        except sqlite3.DatabaseError as exc:
+            # Not a database (or not one sqlite can use): name the
+            # path, and leave the file as it is.
+            conn.close()
+            raise self._unusable(exc) from exc
         self._conn = conn
         self._pid = pid
         return conn
+
+    def _unusable(self, exc: sqlite3.DatabaseError) -> ReproError:
+        return ReproError(f"cannot open the unit store {self.path}: {exc}")
 
     def close(self) -> None:
         if self._conn is not None and self._pid == os.getpid():
@@ -244,6 +255,8 @@ class PersistentStore:
                 entries = conn.execute(
                     "SELECT COUNT(*) FROM entries"
                 ).fetchone()[0]
+        except sqlite3.DatabaseError as exc:
+            raise self._unusable(exc) from exc
         finally:
             conn.close()
         return {

@@ -27,22 +27,17 @@ class SolverError(ReproError):
 class SolverTimeoutError(SolverError):
     """Raised when a solve exceeds its wall-clock budget without a result.
 
-    Raised both by backends that hit their internal limit with no
-    incumbent (HiGHS) and by the :class:`repro.milp.ResilientBackend`
-    watchdog when a solve hangs past its deadline.
+    Raised by backends that hit their internal limit with no incumbent
+    (HiGHS); the analysis then degrades to a safe bound.
     """
 
 
 class BackendUnavailableError(SolverError):
     """Raised when a backend cannot produce any usable result.
 
-    Covers hard solver failures (HiGHS status 4 even after the
-    presolve retry) and a resilient solve whose whole fallback chain
-    was exhausted. The ``degradation`` attribute, when set, records the
-    deepest :class:`repro.milp.DegradationLevel` that was attempted.
+    Covers hard solver failures: HiGHS failing on every rung of its
+    option ladder. The analysis then degrades to a safe bound.
     """
-
-    degradation: object | None = None
 
 
 class InfeasibleModelError(SolverError):

@@ -4,7 +4,7 @@ The chaos layer of the experiment engine: :class:`FaultPlan` scripts
 *what* to break (see :data:`SITES`), :func:`injecting`/:func:`fire`
 decide *when* (deterministic predicates over point/unit/protocol/
 attempt plus seeded probabilities), and the instrumented layers —
-:mod:`repro.milp.resilient`, :mod:`repro.experiments.runner`,
+:mod:`repro.milp.highs`, :mod:`repro.experiments.runner`,
 :mod:`repro.experiments.persistence`, :mod:`repro.obs.events` — perform
 the fault. Every injection lands in the trace as a ``fault.*`` event.
 

@@ -145,10 +145,9 @@ class Injection:
         return None
 
 
-# Module-level scope stack, same discipline as obs._RECORDERS:
-# deliberately not thread-local (the resilient backend's watchdog
-# thread must see the scope of the solve it guards), and scopes never
-# interleave because each process evaluates one work unit at a time.
+# Module-level scope stack, same discipline as obs._RECORDERS: a
+# plain list is enough because each process evaluates one work unit at
+# a time, on one thread, so scopes never interleave.
 _SCOPES: list[Injection] = []
 
 

@@ -37,10 +37,11 @@ from repro.errors import FaultPlanError
 #: to the first entry. See the module docstrings of the instrumented
 #: layers for exact semantics.
 SITES: dict[str, tuple[str, ...]] = {
-    # One solve attempt inside ResilientBackend misbehaves:
-    #   crash   -> BackendUnavailableError from the attempt
-    #   timeout -> SolverTimeoutError from the attempt
-    #   garbage -> an OPTIMAL solution with a non-finite objective
+    # One HiGHS attempt inside HighsBackend.solve fails; the backend
+    # moves on to the next rung of its option ladder, as on status 4:
+    #   crash   -> the solver crashed
+    #   timeout -> the attempt hung past its budget
+    #   garbage -> the attempt answered with a non-finite objective
     "solver.fault": ("crash", "timeout", "garbage"),
     # The worker process evaluating a (point, unit) pair dies:
     #   exit  -> os._exit mid-unit (its connection drops; no cleanup runs)

@@ -16,15 +16,12 @@ from repro.milp.solution import DegradationLevel, MilpSolution, SolveStatus
 from repro.milp.highs import HighsBackend
 from repro.milp.branch_bound import BranchBoundBackend
 from repro.milp.relaxation import LpRelaxationBackend
-from repro.milp.resilient import ResilienceConfig, ResilientBackend
 
 __all__ = [
     "AuditIssue",
     "AuditReport",
     "audit_model",
     "DegradationLevel",
-    "ResilienceConfig",
-    "ResilientBackend",
     "LpRelaxationBackend",
     "Var",
     "LinExpr",

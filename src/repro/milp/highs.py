@@ -6,6 +6,7 @@ which plays the role IBM CPLEX plays in the paper's experiments.
 
 from __future__ import annotations
 
+import math
 import time
 import warnings
 from typing import Any, Mapping
@@ -14,6 +15,7 @@ import numpy as np
 from scipy.optimize import Bounds, LinearConstraint, milp
 
 from repro.errors import BackendUnavailableError, SolverTimeoutError
+from repro.faults import injection as faults
 from repro.milp.model import MilpBackend, MilpModel
 from repro.milp.solution import MilpSolution, SolveStatus
 from repro.obs import events as obs
@@ -27,8 +29,9 @@ _SCIPY_STATUS = {
     4: SolveStatus.ERROR,
 }
 
-# Option perturbations tried, in order, when HiGHS reports status 4
-# (solver error). Some HiGHS builds fail in presolve on models that are
+# Option perturbations tried, in order, after a failed attempt: HiGHS
+# status 4 (solver error), a non-finite objective, or an injected
+# ``solver.fault``. Some HiGHS builds fail in presolve on models that are
 # perfectly solvable; others need a tighter integer-feasibility
 # tolerance on degenerate models (e.g. duplicate rows from l=u memory
 # demands). ``mip_feasibility_tolerance`` and ``objective_target`` are
@@ -58,34 +61,27 @@ def _reached_target(result: Any, target: float | None) -> bool:
 class HighsBackend(MilpBackend):
     """Solve models with HiGHS through SciPy.
 
+    A solve makes up to four attempts: the default options, then each
+    rung of :data:`_STATUS4_RETRY_LADDER`. An attempt fails when HiGHS
+    reports an error status, when it returns a non-finite objective,
+    or when the ``solver.fault`` site injects a crash, timeout or
+    garbage answer into it; a failed attempt moves on to the next
+    option set. :class:`BackendUnavailableError` is raised once every
+    attempt has failed. Definitive outcomes (optimal, infeasible,
+    unbounded, a target stop, a time-limit stop) are answers and end
+    the solve.
+
     Attributes:
-        time_limit: Wall-clock cap in seconds (``None`` = unlimited).
-        mip_rel_gap: Relative MIP gap at which HiGHS may stop. The
-            delay bound stays safe for maximisation only when the gap
-            is applied to the *dual* bound, so a nonzero gap should be
-            paired with :attr:`use_dual_bound`.
-        use_dual_bound: Report HiGHS' dual (upper) bound instead of the
-            incumbent objective. For a maximisation whose result must
-            upper-bound reality (our delay analyses), the dual bound is
-            the safe choice whenever the solve may stop early.
-        extra_options: Additional raw HiGHS options merged into every
-            solve (e.g. ``{"presolve": False}``); used by the resilient
-            wrapper to perturb retries.
+        time_limit: Wall-clock cap in seconds per attempt (``None`` =
+            unlimited). A stop at the limit reports the larger of the
+            incumbent and HiGHS' dual bound, so the value stays an
+            upper bound on the maximum.
     """
 
     name = "highs"
 
-    def __init__(
-        self,
-        time_limit: float | None = None,
-        mip_rel_gap: float = 0.0,
-        use_dual_bound: bool = False,
-        extra_options: Mapping[str, object] | None = None,
-    ) -> None:
+    def __init__(self, time_limit: float | None = None) -> None:
         self.time_limit = time_limit
-        self.mip_rel_gap = mip_rel_gap
-        self.use_dual_bound = use_dual_bound
-        self.extra_options = dict(extra_options) if extra_options else {}
 
     def solve(
         self, model: MilpModel, target: float | None = None
@@ -95,8 +91,7 @@ class HighsBackend(MilpBackend):
         The target reaches HiGHS as its ``objective_target`` option. A
         stop there returns :attr:`SolveStatus.TARGET_REACHED` with the
         target as the objective (the optimum exceeds it). It is an
-        answer, not a fault, so the status-4 option ladder does not
-        retry it.
+        answer, not a fault, so the option ladder does not retry it.
         """
         compiled = model.compile()
         # scipy minimises; our canonical sense is maximise.
@@ -110,9 +105,6 @@ class HighsBackend(MilpBackend):
         options: dict[str, object] = {}
         if self.time_limit is not None:
             options["time_limit"] = self.time_limit
-        if self.mip_rel_gap:
-            options["mip_rel_gap"] = self.mip_rel_gap
-        options.update(self.extra_options)
         if target is not None:
             # scipy minimises -(c @ x); HiGHS stops once that drops
             # below -(target - c0), i.e. once the objective exceeds it.
@@ -121,60 +113,70 @@ class HighsBackend(MilpBackend):
             )
 
         start = time.perf_counter()
+        int_mask = compiled.integrality.astype(bool)
+        failures: list[str] = []
+        result: Any = None
+        status = SolveStatus.ERROR
+        x: np.ndarray | None = None
+        objective: float | None = None
         with warnings.catch_warnings():
             warnings.filterwarnings("ignore", message="Unrecognized options")
-            result = milp(
-                c=c,
-                constraints=constraints,
-                bounds=bounds,
-                integrality=compiled.integrality,
-                options=options or None,
-            )
-            for perturbation in _STATUS4_RETRY_LADDER:
-                if result.status != 4 or _reached_target(result, target):
-                    break
-                obs.emit(
-                    "highs.retry",
-                    model=model.name,
-                    options=dict(perturbation),
-                )
+            for rung, perturbation in enumerate(({},) + _STATUS4_RETRY_LADDER):
+                if rung:
+                    obs.emit(
+                        "highs.retry",
+                        model=model.name,
+                        options=dict(perturbation),
+                    )
+                x = objective = None
+                spec = faults.fire("solver.fault", backend=self.name)
+                if spec is not None:
+                    failures.append(f"injected {spec.mode}")
+                    continue
                 result = milp(
                     c=c,
                     constraints=constraints,
                     bounds=bounds,
                     integrality=compiled.integrality,
-                    options={**options, **perturbation},
+                    options={**options, **perturbation} or None,
                 )
+                if _reached_target(result, target):
+                    status = SolveStatus.TARGET_REACHED
+                    break
+                status = _SCIPY_STATUS.get(result.status, SolveStatus.ERROR)
+                if status is SolveStatus.ERROR:
+                    failures.append(f"scipy status {result.status}")
+                    continue
+                if not status.has_solution or result.x is None:
+                    break
+                x = np.asarray(result.x, dtype=float)
+                # Snap integer variables to avoid 0.9999999 artefacts.
+                x[int_mask] = np.round(x[int_mask])
+                objective = (
+                    float(compiled.objective @ x) + compiled.objective_constant
+                )
+                if math.isfinite(objective):
+                    break
+                failures.append("non-finite objective")
         elapsed = time.perf_counter() - start
 
         stats = (
             f"rows={compiled.num_rows}, vars={compiled.num_vars}, "
             f"elapsed={elapsed:.2f}s"
         )
-        if _reached_target(result, target):
-            status = SolveStatus.TARGET_REACHED
-        else:
-            status = _SCIPY_STATUS.get(result.status, SolveStatus.ERROR)
-        obs.emit(
-            "highs.solve",
-            dur=elapsed,
-            model=model.name,
-            scipy_status=int(result.status),
-            rows=compiled.num_rows,
-            vars=compiled.num_vars,
-        )
-        if status.has_solution and result.x is None:
-            # Limit hit before any incumbent was found: there is no
-            # value to report, not even an unsafe one.
-            raise SolverTimeoutError(
-                f"HiGHS hit its limit with no incumbent on model "
-                f"{model.name!r} ({stats})"
+        if result is not None:
+            obs.emit(
+                "highs.solve",
+                dur=elapsed,
+                model=model.name,
+                scipy_status=int(result.status),
+                rows=compiled.num_rows,
+                vars=compiled.num_vars,
             )
-        if status is SolveStatus.ERROR:
+        if len(failures) > len(_STATUS4_RETRY_LADDER):  # every attempt
             raise BackendUnavailableError(
-                f"HiGHS failed (scipy status {result.status}) on model "
-                f"{model.name!r}, {len(_STATUS4_RETRY_LADDER)} option "
-                f"retries included ({stats})"
+                f"HiGHS failed on model {model.name!r} with every option "
+                f"set ({'; '.join(failures)}; {stats})"
             )
         if status is SolveStatus.TARGET_REACHED:
             assert target is not None
@@ -189,15 +191,15 @@ class HighsBackend(MilpBackend):
             return MilpSolution(
                 status=status, runtime_seconds=elapsed, backend=self.name
             )
-
-        x = np.asarray(result.x, dtype=float)
-        # Snap integer variables to avoid 0.9999999 artefacts downstream.
-        int_mask = compiled.integrality.astype(bool)
-        x[int_mask] = np.round(x[int_mask])
-        objective = float(compiled.objective @ x) + compiled.objective_constant
+        if x is None or objective is None:
+            # Limit hit before any incumbent was found: there is no
+            # value to report, not even an unsafe one.
+            raise SolverTimeoutError(
+                f"HiGHS hit its limit with no incumbent on model "
+                f"{model.name!r} ({stats})"
+            )
         if (
-            self.use_dual_bound
-            and status is SolveStatus.TIME_LIMIT
+            status is SolveStatus.TIME_LIMIT
             and result.mip_dual_bound is not None
             and np.isfinite(result.mip_dual_bound)
         ):

@@ -10,16 +10,16 @@ from repro.milp.expr import Var
 
 
 class DegradationLevel(enum.IntEnum):
-    """How far a resilient solve degraded from the exact MILP.
+    """Which rung of the safe-degradation chain answered a solve.
 
     Levels are ordered from exact to most conservative; every level is
     safe-side for the delay maximisations in this package (each step's
     optimum upper-bounds the previous step's), so a higher level trades
-    tightness — never soundness — for availability.
+    tightness — never soundness — for availability. The values are
+    stable (and need not be contiguous): traces carry the integer.
     """
 
     EXACT = 0
-    DUAL_BOUND = 1
     LP_RELAXATION = 2
     CLOSED_FORM = 3
 
@@ -54,14 +54,10 @@ class MilpSolution:
         runtime_seconds: Wall-clock time spent in the backend.
         backend: Name of the backend that produced the solution.
         node_count: Branch-and-bound nodes explored (if reported).
-        degradation: Which rung of the safe-degradation ladder produced
-            this solution (:attr:`DegradationLevel.EXACT` unless a
-            :class:`repro.milp.ResilientBackend` had to fall back).
-        details: Free-form diagnostics attached by wrapping backends —
-            e.g. the :class:`repro.milp.ResilientBackend` records its
-            retry count and the capped/jittered backoff schedule here
-            (keys ``retries``, ``backoff_schedule``) next to the
-            ``degradation`` level they led to.
+        degradation: Which rung of the safe-degradation chain produced
+            this solution (:attr:`DegradationLevel.EXACT` unless the
+            analysis had to fall back after a failed solve, see
+            ``ProposedAnalysis._solve_model``).
     """
 
     status: SolveStatus
@@ -71,7 +67,6 @@ class MilpSolution:
     backend: str = ""
     node_count: int | None = None
     degradation: DegradationLevel = DegradationLevel.EXACT
-    details: Mapping[str, object] = field(default_factory=dict)
 
     def __getitem__(self, var: Var) -> float:
         return self.values[var]

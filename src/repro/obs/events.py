@@ -3,8 +3,8 @@
 A *trace* is a JSONL file of flat event records describing where a run
 spent its time and which code paths it exercised — task-set
 generation, response-time fixpoint iterations, MILP/LP solves,
-analysis-cache traffic, greedy LS rounds, resilience retries/fallbacks,
-and worker lifecycle. Three pieces cooperate:
+analysis-cache traffic, greedy LS rounds, solver retries, and worker
+lifecycle. Three pieces cooperate:
 
 * :class:`EventRecorder` — an in-memory buffer with monotonic
   timestamps (``time.perf_counter``; wall-clock reads are banned in
@@ -52,7 +52,6 @@ EVENT_VERSION = 1
 RUNTIME_PREFIXES = (
     "worker.",
     "gen.",
-    "resilience.",
     "checkpoint.",
     "highs.",
     "fault.",
@@ -112,12 +111,8 @@ EVENT_NAMES: dict[str, dict[str, str]] = {
     "service.sweep.done": {"served": "int", "dispatched": "int"},
     # durable sweep-export writes
     "checkpoint.retry": {"attempt": "int", "error": "str", "path": "str"},
-    # resilient solver backend
-    "resilience.watchdog": {"model": "str", "backend": "str",
-                            "limit": "number"},
-    "resilience.retry": {"model": "str", "attempt": "int", "error": "str"},
-    "resilience.fallback": {"model": "str", "level": "str"},
-    "resilience.closed_form": {"model": "str"},
+    # HiGHS attempts (a degraded answer shows as a ``solve`` event's
+    # ``degradation``)
     "highs.retry": {"model": "str", "options": "object"},
     "highs.solve": {"model": "str", "scipy_status": "int", "rows": "int",
                     "vars": "int"},
@@ -224,7 +219,7 @@ class EventRecorder:
     Recorders never touch the filesystem — a worker process drains its
     recorder into the unit result it returns, and the parent's
     :class:`TraceWriter` persists the events. Appending is a single
-    ``list.append``, safe from the watchdog's solver thread too.
+    ``list.append``.
     """
 
     def __init__(self, clock: Callable[[], float] = time.perf_counter) -> None:
@@ -280,10 +275,8 @@ class EventRecorder:
 # ----------------------------------------------------------------------
 # module-level recording scope
 # ----------------------------------------------------------------------
-# A plain module-level stack, deliberately *not* thread-local: the
-# resilient backend runs solves in a watchdog thread and their events
-# must land in the same recorder. Experiment code evaluates one work
-# unit at a time per process, so scopes never interleave.
+# A plain module-level stack: experiment code evaluates one work unit
+# at a time per process, on one thread, so scopes never interleave.
 _RECORDERS: list[EventRecorder] = []
 
 

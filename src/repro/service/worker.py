@@ -37,7 +37,6 @@ import multiprocessing
 import os
 import socket
 from contextlib import nullcontext
-from typing import Any
 
 from repro.analysis.interface import AnalysisOptions, RegulationConfig
 from repro.errors import ReproError
@@ -46,8 +45,6 @@ from repro.experiments.runner import _worker_evaluate
 from repro.experiments.units import unit_to_wire
 from repro.faults import injection as faults
 from repro.faults.plan import FaultPlan
-from repro.milp.resilient import ResilienceConfig
-from repro.milp.solution import DegradationLevel
 from repro.service.wire import recv_message, send_message
 
 
@@ -55,12 +52,7 @@ def options_to_dict(options: "AnalysisOptions | None") -> "dict | None":
     """JSON-safe form of :class:`AnalysisOptions` for the wire."""
     if options is None:
         return None
-    raw: dict[str, Any] = dataclasses.asdict(options)
-    if raw.get("resilience") is not None:
-        resilience = dict(raw["resilience"])
-        resilience["max_degradation"] = int(resilience["max_degradation"])
-        raw["resilience"] = resilience
-    return raw
+    return dataclasses.asdict(options)
 
 
 def options_from_dict(raw: "dict | None") -> "AnalysisOptions | None":
@@ -75,13 +67,6 @@ def options_from_dict(raw: "dict | None") -> "AnalysisOptions | None":
     if raw is None:
         return None
     fields = dict(raw)
-    resilience = fields.pop("resilience", None)
-    if resilience is not None:
-        resilience = dict(resilience)
-        resilience["max_degradation"] = DegradationLevel(
-            resilience["max_degradation"]
-        )
-        resilience = ResilienceConfig(**resilience)
     thresholds = fields.pop("preemption_thresholds", None)
     if thresholds is not None:
         thresholds = tuple(
@@ -92,7 +77,6 @@ def options_from_dict(raw: "dict | None") -> "AnalysisOptions | None":
         regulation = RegulationConfig(**regulation)
     return AnalysisOptions(
         **fields,
-        resilience=resilience,
         preemption_thresholds=thresholds,
         regulation=regulation,
     )

@@ -19,6 +19,4 @@ class StaleSignatureAnalysis:
         return (
             self.method,
             self.options.time_limit,
-            self.options.mip_rel_gap,
-            repr(self.options.resilience),
         )

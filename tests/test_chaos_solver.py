@@ -1,11 +1,11 @@
-"""Chaos: injected solver faults are absorbed by the resilient backend.
+"""Chaos: injected solver faults are absorbed by the one solver path.
 
-The ``solver.fault`` site fires inside ``ResilientBackend._guarded`` —
-one solve *attempt* misbehaves (crash, hang, garbage answer) — and the
-retry machinery must absorb it: same exact backend on retry, same
-optimum, bit-identical sweep results. Also pins the capped + jittered
-backoff schedule and its exposure in ``MilpSolution.details``
-(satellite: the schedule used to grow without bound).
+The ``solver.fault`` site fires once per HiGHS attempt inside
+``HighsBackend.solve`` — the attempt crashes, hangs, or answers
+garbage — and the backend moves on to the next rung of its option
+ladder, exactly as on HiGHS status 4: same optimum, bit-identical sweep
+results. A fault that outlasts the ladder degrades the analysis to a
+safe bound instead of failing the task set.
 """
 
 import math
@@ -13,47 +13,41 @@ import math
 import pytest
 
 from repro.analysis.interface import AnalysisOptions
+from repro.analysis.proposed import ProposedAnalysis
+from repro.analysis.proposed.formulation import AnalysisMode, build_delay_milp
+from repro.errors import BackendUnavailableError
 from repro.experiments import ExperimentConfig, SweepPoint, run_experiment
 from repro.faults import FaultPlan, FaultSpec, injecting
 from repro.generator.taskset_gen import GenerationConfig
-from repro.milp import (
-    DegradationLevel,
-    HighsBackend,
-    ResilienceConfig,
-    ResilientBackend,
-    SolveStatus,
-)
-from repro.obs import read_trace
+from repro.milp import DegradationLevel, HighsBackend, SolveStatus
+from repro.model.taskset import TaskSet
+from repro.obs import read_trace, recording
 
 
 @pytest.fixture
-def reference_milp():
-    from repro.analysis.proposed.formulation import (
-        AnalysisMode,
-        build_delay_milp,
-    )
-    from repro.model.taskset import TaskSet
-
-    taskset = TaskSet.from_parameters(
+def reference_taskset():
+    return TaskSet.from_parameters(
         [
             ("a", 1.0, 0.2, 0.2, 10.0, 9.0),
             ("b", 2.0, 0.4, 0.4, 20.0, 16.0),
         ]
     )
-    task = taskset.by_name("b")
+
+
+@pytest.fixture
+def reference_milp(reference_taskset):
+    task = reference_taskset.by_name("b")
     window = task.deadline - task.exec_time - task.copy_out
-    return build_delay_milp(taskset, task, window, AnalysisMode.NLS).model
+    return build_delay_milp(
+        reference_taskset, task, window, AnalysisMode.NLS
+    ).model
 
 
-def _backend(**overrides):
-    defaults = dict(
-        max_retries=2,
-        backoff_base=0.0,
-        backoff_jitter=0.0,
-        sleep=lambda s: None,
+def _always(mode):
+    return FaultPlan(
+        specs=(FaultSpec(site="solver.fault", mode=mode, times=None),),
+        name=f"always-{mode}",
     )
-    defaults.update(overrides)
-    return ResilientBackend(HighsBackend(), **defaults)
 
 
 class TestInjectedSolverFaults:
@@ -62,92 +56,53 @@ class TestInjectedSolverFaults:
         plan = FaultPlan(
             specs=(FaultSpec(site="solver.fault", mode=mode),), name="s"
         )
-        clean = _backend().solve(reference_milp)
-        with injecting(plan) as scope:
-            solution = _backend().solve(reference_milp)
+        clean = HighsBackend().solve(reference_milp)
+        with recording() as recorder, injecting(plan) as scope:
+            solution = HighsBackend().solve(reference_milp)
         assert [f.mode for f in scope.fired] == [mode]
         assert solution.status is SolveStatus.OPTIMAL
         assert solution.degradation is DegradationLevel.EXACT
         assert solution.objective == pytest.approx(clean.objective)
-        # The retry is visible, not silent.
-        assert solution.details["retries"] == 1
+        # The retry is visible, not silent: one ladder rung was taken.
+        retries = [e for e in recorder.events if e["name"] == "highs.retry"]
+        assert [e["f"]["options"] for e in retries] == [{"presolve": False}]
 
     def test_persistent_faults_exhaust_into_failure(self, reference_milp):
-        from repro.errors import BackendUnavailableError
-
-        plan = FaultPlan(
-            specs=(FaultSpec(site="solver.fault", mode="crash", times=None),),
-            name="always",
-        )
-        backend = _backend(max_retries=1)
-        with injecting(plan):
-            # The fallback rungs are injected too (same _guarded path),
-            # so with no closed form the whole chain exhausts.
-            with pytest.raises(BackendUnavailableError, match="exhausted"):
-                backend.solve(reference_milp)
+        # Every attempt of the ladder is injected, so the backend
+        # itself gives up — naming each failed attempt.
+        with injecting(_always("crash")) as scope:
+            with pytest.raises(
+                BackendUnavailableError, match="every option set"
+            ) as excinfo:
+                HighsBackend().solve(reference_milp)
+        assert len(scope.fired) == 4
+        assert str(excinfo.value).count("injected crash") == 4
 
     def test_garbage_solution_never_escapes(self, reference_milp):
-        # Even when every attempt returns OPTIMAL-with-NaN, the wrapper
-        # must not hand the caller a non-finite objective.
-        from repro.errors import BackendUnavailableError
-
-        plan = FaultPlan(
-            specs=(
-                FaultSpec(site="solver.fault", mode="garbage", times=None),
-            ),
-            name="liar",
-        )
-        with injecting(plan):
-            try:
-                solution = _backend(max_retries=1).solve(reference_milp)
-            except BackendUnavailableError:
-                return
-            assert math.isfinite(solution.objective)
+        # Even when every attempt answers garbage, no caller sees a
+        # non-finite objective: the backend raises, and the analysis
+        # degrades to a finite safe bound.
+        with injecting(_always("garbage")):
+            with pytest.raises(BackendUnavailableError):
+                HighsBackend().solve(reference_milp)
 
 
-class TestBackoffSchedule:
-    def test_backoff_is_capped(self):
-        backend = _backend(
-            backoff_base=0.01, backoff_factor=10.0, backoff_max=0.5
-        )
-        delays = [backend.backoff_delay(k) for k in range(8)]
-        assert all(d <= 0.5 for d in delays)
-        assert delays[0] == pytest.approx(0.01)
-
-    def test_jitter_is_deterministic_and_bounded(self):
-        backend = _backend(
-            backoff_base=0.1, backoff_max=1.0, backoff_jitter=0.25
-        )
-        a = backend.backoff_delay(0, "model-a")
-        assert a == backend.backoff_delay(0, "model-a")
-        assert 0.1 <= a <= 0.1 * 1.25
-        # Different models desynchronise.
-        assert a != backend.backoff_delay(0, "model-b")
-
-    def test_schedule_exposed_in_solution_details(self, reference_milp):
-        plan = FaultPlan(
-            specs=(FaultSpec(site="solver.fault", mode="crash", times=2),),
-            name="s",
-        )
-        sleeps: list[float] = []
-        backend = _backend(
-            max_retries=2,
-            backoff_base=0.001,
-            backoff_factor=2.0,
-            backoff_jitter=0.1,
-            sleep=sleeps.append,
-        )
-        with injecting(plan):
-            solution = backend.solve(reference_milp)
-        assert solution.details["retries"] == 2
-        assert solution.details["backoff_schedule"] == tuple(sleeps)
-        assert len(sleeps) == 2
-
-    def test_config_round_trips_backoff_knobs(self):
-        config = ResilienceConfig(backoff_max=0.25, backoff_jitter=0.0)
-        backend = ResilientBackend.from_config(HighsBackend(), config)
-        assert backend.backoff_max == 0.25
-        assert backend.backoff_jitter == 0.0
+class TestInjectedAnalysis:
+    @pytest.mark.parametrize("mode", ["crash", "timeout", "garbage"])
+    def test_persistent_fault_degrades_to_a_safe_bound(
+        self, reference_taskset, mode
+    ):
+        options = AnalysisOptions(stop_at_deadline=False)
+        exact = ProposedAnalysis(options).analyze(reference_taskset)
+        with injecting(_always(mode)):
+            degraded = ProposedAnalysis(options).analyze(reference_taskset)
+        for task in reference_taskset:
+            result = degraded.result_for(task.name)
+            assert math.isfinite(result.wcrt)
+            assert result.wcrt >= exact.result_for(task.name).wcrt - 1e-9
+            assert result.details["degradation"] >= (
+                DegradationLevel.LP_RELAXATION
+            )
 
 
 class TestSweepEquivalence:
@@ -170,27 +125,15 @@ class TestSweepEquivalence:
             method="milp",
         )
 
-    @pytest.fixture
-    def options(self):
-        # Both runs must share the options: the resilience config is
-        # part of the analysis-cache solver signature.
-        return AnalysisOptions(
-            resilience=ResilienceConfig(
-                max_retries=2, backoff_base=0.0, backoff_jitter=0.0
-            )
-        )
-
-    def test_injected_sweep_matches_clean_sweep(
-        self, config, options, tmp_path
-    ):
-        clean = run_experiment(config, options=options)
+    def test_injected_sweep_matches_clean_sweep(self, config, tmp_path):
+        clean = run_experiment(config)
         plan = FaultPlan(
             specs=(FaultSpec(site="solver.fault", mode="crash"),),
             name="one-crash-per-unit",
         )
         trace = tmp_path / "trace.jsonl"
         injected = run_experiment(
-            config, options=options, fault_plan=plan, trace_path=str(trace)
+            config, fault_plan=plan, trace_path=str(trace)
         )
         assert [p.ratios for p in injected.points] == [
             p.ratios for p in clean.points

@@ -224,19 +224,11 @@ class TestSequentialEquivalence:
     def test_injected_parallel_equals_injected_sequential(self, config):
         # Unit-scoped budgets make the *injected* runs equivalent too:
         # a solver fault plan fires identically under jobs=1 and jobs=2.
-        from repro.analysis.interface import AnalysisOptions
-        from repro.milp import ResilienceConfig
-
         config = dataclasses.replace(config, method="milp", protocols=("proposed",))
-        options = AnalysisOptions(
-            resilience=ResilienceConfig(backoff_base=0.0, backoff_jitter=0.0)
-        )
         plan = FaultPlan(
             specs=(FaultSpec(site="solver.fault", mode="crash"),),
             name="crash-per-unit",
         )
-        sequential = run_experiment(config, options=options, fault_plan=plan)
-        parallel = run_experiment(
-            config, options=options, fault_plan=plan, jobs=2
-        )
+        sequential = run_experiment(config, fault_plan=plan)
+        parallel = run_experiment(config, fault_plan=plan, jobs=2)
         _identical(parallel, sequential)

@@ -217,6 +217,36 @@ class TestCommands:
         capsys.readouterr()
         assert not missing.exists()
 
+    @pytest.mark.parametrize("action", ["stats", "gc", "clear"])
+    def test_cache_on_a_non_sqlite_file_is_one_line_error(
+        self, capsys, tmp_path, action
+    ):
+        bogus = tmp_path / "notes.sqlite"
+        bogus.write_text("hello\n")
+        assert main(["cache", action, str(bogus)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(bogus) in err
+        assert "Traceback" not in err
+        # The user's file is neither overwritten nor deleted.
+        assert bogus.read_text() == "hello\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["notes.sqlite"]
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_figure_cache_on_a_non_sqlite_file_is_one_line_error(
+        self, capsys, tmp_path, jobs
+    ):
+        bogus = tmp_path / "notes.sqlite"
+        bogus.write_text("hello\n")
+        code = main(
+            ["figure", "fig2e", "--sets", "1", "--method", "closed_form",
+             "--jobs", jobs, "--cache", str(bogus)]
+        )
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and str(bogus) in err
+        assert "Traceback" not in err
+        assert bogus.read_text() == "hello\n"
+
     def test_demo_runs(self, capsys):
         code = main(["demo"])
         out = capsys.readouterr().out

@@ -95,6 +95,59 @@ class TestFigureInject:
         assert "error: unknown fault site" in captured.err
 
 
+class TestFigureInjectSolverFault:
+    """``--inject`` with a ``solver.fault`` plan under default options:
+    the site fires once per unit that solves a MILP, HiGHS's option
+    ladder absorbs the crash, and the run matches the clean run."""
+
+    @staticmethod
+    def _run(tmp_path, tag, jobs, plan_path=None):
+        from repro.obs import read_trace
+
+        csv, trace = tmp_path / f"{tag}.csv", tmp_path / f"{tag}.jsonl"
+        args = ["figure", "fig2c", "--sets", "1", "--method", "milp",
+                "--jobs", jobs, "--csv", str(csv), "--trace", str(trace)]
+        if plan_path is not None:
+            args += ["--inject", str(plan_path)]
+        assert main(args) == 0
+        events = read_trace(trace)
+        # Ratios (the series less its wall-clock column), then each
+        # point's ledger size and analysis_stats; points may finish out
+        # of order under --jobs 2.
+        series = [line.rsplit(",", 1)[0] for line in csv.read_text().splitlines()]
+        ends = sorted(
+            (e["f"]["x"], e["f"]["failures"], e["f"]["stats"])
+            for e in events
+            if e["name"] == "point.end"
+        )
+        return series, ends, events
+
+    @staticmethod
+    def _units(events, name):
+        return [(e["point"], e["unit"]) for e in events if e["name"] == name]
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_solver_fault_fires_and_changes_nothing(
+        self, capsys, tmp_path, jobs
+    ):
+        series, ends, clean_events = self._run(tmp_path, "clean", "1")
+        plan_path = tmp_path / "plan.json"
+        save_plan(
+            FaultPlan(
+                specs=(FaultSpec(site="solver.fault", mode="crash"),),
+                name="solver-crash",
+            ),
+            plan_path,
+        )
+        injected = self._run(tmp_path, "injected", jobs, plan_path)
+        capsys.readouterr()
+        assert injected[:2] == (series, ends)
+        solved = set(self._units(clean_events, "highs.solve"))
+        fired = self._units(injected[2], "fault.solver.fault")
+        assert solved
+        assert sorted(fired) == sorted(solved)
+
+
 class TestProfileErrors:
     """``repro profile`` answers bad inputs with one line, not a
     traceback (satellite: it used to dump KeyError/JSONDecodeError)."""

@@ -123,26 +123,6 @@ class TestLedger:
         assert all(v == 0.0 for v in result.ratios.values())
 
 
-class TestResilientSweep:
-    def test_milp_sweep_with_resilience_options(self, config):
-        """End-to-end: watchdogged resilient solves inside a real sweep."""
-        import dataclasses
-
-        from repro.analysis.interface import AnalysisOptions
-        from repro.milp import ResilienceConfig
-
-        cfg = dataclasses.replace(
-            config, method="milp", sets_per_point=2, points=config.points[:1]
-        )
-        options = AnalysisOptions(
-            resilience=ResilienceConfig(watchdog_seconds=30.0, max_retries=1)
-        )
-        result = run_experiment(cfg, options=options)
-        assert result.failures == ()
-        for protocol in cfg.protocols:
-            assert 0.0 <= result.points[0].ratios[protocol] <= 1.0
-
-
 class TestAdvantageErrors:
     def test_empty_sweep_raises_experiment_error(self, config):
         empty = SweepResult(config=config, points=())

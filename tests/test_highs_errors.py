@@ -143,12 +143,3 @@ class TestTimeoutWithoutIncumbent:
     def test_new_errors_are_solver_errors(self):
         assert issubclass(SolverTimeoutError, SolverError)
         assert issubclass(BackendUnavailableError, SolverError)
-
-
-class TestExtraOptions:
-    def test_extra_options_reach_the_solver(self, monkeypatch):
-        calls = _patch_milp(
-            monkeypatch, [_FakeResult(status=0, x=np.array([0.0, 2.0]))]
-        )
-        HighsBackend(extra_options={"presolve": False}).solve(_model())
-        assert calls[0]["presolve"] is False

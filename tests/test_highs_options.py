@@ -1,4 +1,4 @@
-"""HiGHS backend option paths: gaps, time limits, dual bounds."""
+"""HiGHS backend option paths: time limits and dual bounds."""
 
 import numpy as np
 import pytest
@@ -22,23 +22,12 @@ def _hard_knapsack(n=16, seed=7):
 
 
 class TestHighsOptions:
-    def test_mip_rel_gap_with_dual_bound_is_safe(self):
-        m = _hard_knapsack()
-        exact = m.solve(HighsBackend()).objective
-        loose = m.solve(
-            HighsBackend(mip_rel_gap=0.3, use_dual_bound=True)
-        )
-        assert loose.status in (SolveStatus.OPTIMAL, SolveStatus.TIME_LIMIT)
-        # With the dual bound reported, the result can only
-        # over-approximate the true maximum.
-        assert loose.objective >= exact - 1e-6
-
     def test_dual_bound_ignored_at_optimality(self):
         m = MilpModel()
         x = m.binary("x")
         m.add(x <= 1)
         m.maximize(3 * x)
-        sol = m.solve(HighsBackend(time_limit=30.0, use_dual_bound=True))
+        sol = m.solve(HighsBackend(time_limit=30.0))
         assert sol.status is SolveStatus.OPTIMAL
         assert sol.objective == pytest.approx(3.0)
 

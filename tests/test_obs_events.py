@@ -70,7 +70,7 @@ class TestSchema:
     def test_runtime_prefixes(self):
         assert is_runtime_event("worker.unit")
         assert is_runtime_event("gen.tasksets")
-        assert is_runtime_event("resilience.retry")
+        assert is_runtime_event("highs.retry")
         assert is_runtime_event("highs.solve")
         assert not is_runtime_event("solve")
         assert not is_runtime_event("cache.hits")

@@ -150,7 +150,7 @@ class TestCompareProfiles:
 
     def test_runtime_events_do_not_matter(self):
         trimmed = [e for e in _SAMPLE if e["name"] != "worker.unit"]
-        extra = _SAMPLE + [_event("resilience.retry"), _event("gen.tasksets")]
+        extra = _SAMPLE + [_event("highs.retry"), _event("gen.tasksets")]
         assert compare_profiles(trimmed, extra) == []
 
     def test_work_count_difference_detected(self):

@@ -82,7 +82,7 @@ class TestReleaseBubbleSoundness:
 
 class TestDualBoundAtOptimality:
     def test_time_limited_optimal_solve_keeps_incumbent(self):
-        """use_dual_bound once corrupted *optimal* objectives with
+        """The dual bound once corrupted *optimal* objectives with
         stale HiGHS dual bounds, flattening every experiment to zero;
         the dual bound may only be used on genuine early stops."""
         from repro.milp import MilpModel
@@ -92,6 +92,6 @@ class TestDualBoundAtOptimality:
         y = m.binary("y")
         m.add(x + y <= 1)
         m.maximize(2 * x + 3 * y)
-        sol = m.solve(HighsBackend(time_limit=60.0, use_dual_bound=True))
+        sol = m.solve(HighsBackend(time_limit=60.0))
         assert sol.status is SolveStatus.OPTIMAL
         assert sol.objective == pytest.approx(3.0)

@@ -30,7 +30,7 @@ from repro.experiments.units import unit_digest
 from repro.faults import FaultPlan, FaultSpec
 from repro.generator.taskset_gen import GenerationConfig
 from repro.obs import read_trace
-from repro.service import run_service_sweep, serve, submit_sweep
+from repro.service import SweepService, run_service_sweep, serve, submit_sweep
 from repro.service.wire import (
     MAX_FRAME,
     WireError,
@@ -401,7 +401,10 @@ class TestColdStartJoins:
     """Regression: a cold start waits for the workers it spawned.
 
     The first dispatch used to run before any worker had connected,
-    see no live worker, and spawn a replacement — one join too many.
+    see no live worker, and spawn a replacement — one worker too many.
+    The tests count the processes the service spawns, not the joins a
+    trace records: under load the first workers may finish every unit
+    before the last one says hello, and its join is never traced.
     """
 
     @pytest.fixture
@@ -419,26 +422,30 @@ class TestColdStartJoins:
             method="closed_form",
         )
 
-    @staticmethod
-    def _joins(trace) -> int:
-        names = [e["name"] for e in read_trace(trace)]
-        return names.count("service.worker.joined")
+    @pytest.fixture
+    def spawns(self, monkeypatch):
+        """Every ``spawn_workers`` count of the run, in call order."""
+        counts: list[int] = []
+        real = SweepService.spawn_workers
+
+        def counting(service, count):
+            counts.append(count)
+            real(service, count)
+
+        monkeypatch.setattr(SweepService, "spawn_workers", counting)
+        return counts
 
     @pytest.mark.parametrize("workers", [2, 3])
     def test_service_sweep_joins_exactly_its_workers(
-        self, config, tmp_path, workers
+        self, config, spawns, workers
     ):
-        trace = tmp_path / "svc.trace.jsonl"
-        run_service_sweep(config, workers=workers, trace_path=str(trace))
-        assert self._joins(trace) == workers
+        run_service_sweep(config, workers=workers)
+        assert spawns == [workers]
 
     @pytest.mark.parametrize("jobs", [2, 3])
-    def test_local_fleet_joins_exactly_its_workers(
-        self, config, tmp_path, jobs
-    ):
-        trace = tmp_path / "local.trace.jsonl"
-        run_experiment(config, jobs=jobs, trace_path=str(trace))
-        assert self._joins(trace) == jobs
+    def test_local_fleet_joins_exactly_its_workers(self, config, spawns, jobs):
+        run_experiment(config, jobs=jobs)
+        assert spawns == [jobs]
 
 
 class TestServiceResume:

@@ -26,9 +26,9 @@ from repro.milp import (
     BranchBoundBackend,
     HighsBackend,
     MilpModel,
-    ResilientBackend,
     SolveStatus,
 )
+from repro.model.taskset import TaskSet
 
 # A 40-item, 3-constraint 0/1 knapsack: big enough that HiGHS branches
 # (so a target can stop it), small enough to solve in well under 1 s.
@@ -149,29 +149,33 @@ class TestTargetStatusPlumbing:
         assert solution.status is SolveStatus.OPTIMAL
         assert len(calls) == 2
 
-    def test_resilient_backend_does_not_retry_a_target_stop(
-        self, monkeypatch
-    ):
+    def test_degradation_chain_keeps_a_target_stop(self, monkeypatch):
+        # A target stop is an answer: the analysis takes it as it is,
+        # without degrading to a relaxation.
+        from repro.analysis.proposed.formulation import AnalysisMode
+
         calls = _patch_milp(monkeypatch, [_FakeResult(4, _STOP_MESSAGE)])
-        solution = ResilientBackend(HighsBackend()).solve(
-            _small_model(), target=1.5
+        taskset = TaskSet.from_parameters([("a", 1.0, 0.2, 0.2, 10.0, 9.0)])
+        solution = ProposedAnalysis()._solve_model(
+            _small_model(), taskset, taskset.by_name("a"), AnalysisMode.NLS,
+            target=1.5,
         )
         assert solution.status is SolveStatus.TARGET_REACHED
+        assert solution.degradation == 0
         assert len(calls) == 1
 
     def test_perturbed_retry_keeps_the_target(self, monkeypatch):
-        # The primary and its three status-4 ladder rungs fail; the
-        # first perturbed retry must still carry the objective target.
+        # The default options and the first two ladder rungs fail; the
+        # last rung (presolve off, tighter tolerance) must still carry
+        # the objective target.
         calls = _patch_milp(
             monkeypatch,
-            [_FakeResult(4)] * 4 + [_FakeResult(4, _STOP_MESSAGE)],
+            [_FakeResult(4)] * 3 + [_FakeResult(4, _STOP_MESSAGE)],
         )
-        solution = ResilientBackend(
-            HighsBackend(), max_retries=1, sleep=lambda _: None
-        ).solve(_small_model(), target=1.5)
+        solution = HighsBackend().solve(_small_model(), target=1.5)
         assert solution.status is SolveStatus.TARGET_REACHED
-        assert len(calls) == 5
-        assert calls[4]["presolve"] is False
+        assert len(calls) == 4
+        assert calls[3]["presolve"] is False
         assert all(call["objective_target"] == -1.5 for call in calls)
 
 
