@@ -46,8 +46,10 @@ class AnalysisOptions:
     """Knobs shared by the response-time analyses.
 
     Attributes:
-        max_iterations: Cap on response-time fixpoint iterations;
-            hitting it reports an unbounded (infinite) WCRT.
+        max_iterations: Cap on every response-time fixpoint's
+            iterations. Running out of them before the iteration
+            converges or stops reports an infinite WCRT: the last
+            tentative response lies below the fixpoint.
         stop_at_deadline: Abort the iteration as soon as the tentative
             response time exceeds the deadline. The task is then
             reported unschedulable with the last tentative bound; this
@@ -60,17 +62,6 @@ class AnalysisOptions:
             — the LP relaxation, then the closed form — whatever the
             options (see ``ProposedAnalysis._solve_model``).
         convergence_eps: Fixpoint convergence tolerance on the WCRT.
-        screening: Enable the verdict screening cascade (closed-form
-            bounds — vectorised or scalar —, batched LP screens, the
-            deadline-window probe, the LP fixpoint) and the
-            warm-started incremental MILP fixpoint. When ``False``,
-            every exact-MILP verdict is decided by the plain bottom-up
-            fixpoint. Screens only ever *prove* schedulability — a
-            failed screen falls through to the exact solve — and warm
-            starts are value-exact, so verdicts are bit-identical
-            either way; disable only to measure the unscreened
-            baseline (EXPERIMENTS.md, "Unit store: cold vs warm
-            runs").
         preemption_thresholds: For the ``threshold`` protocol: explicit
             per-task preemption thresholds as a tuple of ``(task name,
             threshold)`` pairs (a tuple, not a dict, so the frozen
@@ -88,7 +79,6 @@ class AnalysisOptions:
     stop_at_deadline: bool = True
     time_limit: float | None = None
     convergence_eps: float = 1e-6
-    screening: bool = True
     preemption_thresholds: tuple[tuple[str, int], ...] | None = None
     regulation: RegulationConfig | None = None
 
@@ -99,7 +89,8 @@ class TaskResult:
 
     Attributes:
         task: The analysed task (with the LS flag used for analysis).
-        wcrt: Worst-case response-time bound (``inf`` if divergent).
+        wcrt: Worst-case response-time bound (``inf`` if divergent or
+            out of iterations).
         iterations: Fixpoint iterations performed.
         converged: Whether the iteration reached a fixpoint (``False``
             when it stopped early at the deadline or at the cap).

@@ -12,6 +12,7 @@ first job not necessarily the worst one).
 from __future__ import annotations
 
 import math
+from typing import Callable, Sequence
 
 from repro.analysis.interface import AnalysisOptions, TaskResult, TaskSetResult
 from repro.errors import AnalysisError
@@ -36,6 +37,37 @@ def _fixpoint(update, start: Time, limit: Time, eps: float = 1e-9) -> Time:
         if x > limit:
             return math.inf
     return math.inf
+
+
+def carry_fixpoint(
+    task: Task,
+    hp: Sequence[Task],
+    cost: Callable[[Task], Time],
+    blocking: Time,
+    options: AnalysisOptions,
+) -> tuple[Time, int, bool]:
+    """The release-anchored carry recurrence, ``(wcrt, iterations, converged)``.
+
+    ``R = B + sum_hp (eta_j(R - c_i) + 1) * c_j + c_i`` with every
+    job's occupancy ``c = cost(job)``, iterated from ``c_i + B`` until
+    it converges, or passes the deadline with ``stop_at_deadline``.
+    Running out of ``max_iterations`` first reports an infinite WCRT:
+    the last tentative response lies below the fixpoint.
+    """
+    own = cost(task)
+    response = own + blocking
+    for iteration in range(1, options.max_iterations + 1):
+        new_response = (
+            blocking
+            + sum((t.eta(response - own) + 1) * cost(t) for t in hp)
+            + own
+        )
+        if new_response <= response + options.convergence_eps:
+            return response, iteration, True
+        response = new_response
+        if options.stop_at_deadline and response > task.deadline:
+            return response, iteration, False
+    return math.inf, options.max_iterations, False
 
 
 class NpsAnalysis:
@@ -92,27 +124,14 @@ class NpsAnalysis:
 
     def _response_time_carry(self, taskset: TaskSet, task: Task) -> TaskResult:
         """The ``"carry"`` variant: release-anchored window, +1 carry."""
-        hp = taskset.hp(task)
         blocking = self.blocking(taskset, task)
-        response = task.total_cost + blocking
-        converged = False
-        iterations = 0
-        for iterations in range(1, self.options.max_iterations + 1):
-            window = response - task.total_cost
-            new_response = (
-                blocking
-                + sum((t.eta(window) + 1) * t.total_cost for t in hp)
-                + task.total_cost
-            )
-            if new_response <= response + self.options.convergence_eps:
-                converged = True
-                break
-            response = new_response
-            if self.options.stop_at_deadline and response > task.deadline:
-                break
+        wcrt, iterations, converged = carry_fixpoint(
+            task, taskset.hp(task), lambda t: t.total_cost, blocking,
+            self.options,
+        )
         return TaskResult(
             task=task,
-            wcrt=response,
+            wcrt=wcrt,
             iterations=iterations,
             converged=converged,
             details={"variant": "carry", "blocking": blocking},

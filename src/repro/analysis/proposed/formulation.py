@@ -76,6 +76,12 @@ class AnalysisMode(enum.Enum):
         """Whether cancellations/urgency (rules R3-R5) are modelled."""
         return self is not AnalysisMode.WASLY
 
+    @property
+    def blocking_intervals(self) -> int:
+        """Lower-priority blocking intervals the closed form charges:
+        two for an NLS task of either protocol, one for an LS task."""
+        return 2 if self in (AnalysisMode.NLS, AnalysisMode.WASLY) else 1
+
 
 @dataclass(frozen=True)
 class DelayMilp:

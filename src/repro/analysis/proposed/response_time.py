@@ -6,43 +6,17 @@ curves and the interval count). Starting from the minimum possible
 response ``l_i + C_i + u_i``, the MILP is re-solved with the window
 induced by its own previous optimum until the value stabilises — the
 classical response-time fixpoint, monotone because larger windows only
-enlarge the feasible schedule set.
+enlarge the feasible schedule set. :meth:`ProposedAnalysis._fixpoint`
+is the one loop that iterates it, on integer optima or on LP bounds.
 
 For LS tasks the bound is the maximum of case (a) (not promoted —
 iterated MILP) and case (b) (promoted in ``I_0`` — window-independent,
 solved once and cross-checkable against its closed form).
 
-Cost model
-----------
-The integer solve is the expensive step, so the driver works through a
-cascade of strictly cheaper sufficient conditions before reaching it:
-
-1. **vectorised closed form** — every task's conservative fixpoint,
-   batched over the whole set with numpy
-   (:func:`~repro.analysis.proposed.closed_form.closed_form_delay_bounds_batch`);
-2. **batched LP screen** — the deadline-window models of the tasks the
-   closed form could not prove, LP-relaxed and solved as one
-   block-diagonal LP (:func:`repro.milp.relaxation.screen_batch`);
-3. **LP fixpoint** — the response-time iteration evaluated on LP bounds
-   only; it dominates the MILP iteration termwise, so a converged LP
-   fixpoint within the deadline proves schedulability;
-4. **warm-started integer fixpoint** — one compiled model is kept alive
-   across iterations (rows retargeted in place, see
-   :func:`~repro.analysis.proposed.formulation.update_delay_milp`), and
-   at each new window the LP relaxation is checked against the
-   incumbent first: ``lp <= incumbent`` squeezes the optimum to exactly
-   the incumbent (monotone fixpoint from below), so the iteration is
-   converged without the integer solve — and with the bit-identical
-   response the solved path would have produced;
-5. **deadline-targeted integer solve** — a verdict never needs a delay
-   value above ``D - u``, only the fact that it is there. Every integer
-   solve on the verdict path carries the objective target
-   ``theta = D - u`` (plus :data:`TARGET_SLACK`), and HiGHS stops at
-   the first incumbent beyond it instead of proving the optimum. Such a
-   stop only ever concludes "exceeds the deadline"; every
-   "schedulable" verdict still rests on a screen bound or an exact
-   optimum. ``response_time``/``analyze`` pass no target, so WCRT
-   values stay exact.
+A verdict needs only ``R <= D``, not ``R``, so
+:meth:`ProposedAnalysis.verdict` first tries an ordered ladder of
+cheaper sufficient conditions; docs/analysis.md, "Fast verdicts", lists
+its rungs in code order.
 
 Every memoised value is tagged (``("milp", ...)`` exact optimum /
 ``("lb", theta)`` target-stop lower bound / ``("lp", bound)``
@@ -55,9 +29,10 @@ without a solve.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 import time
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from repro.analysis.cache import (
     AnalysisCache,
@@ -121,25 +96,35 @@ def _usable(solution: MilpSolution) -> bool:
     )
 
 
-class _IterationOutcome:
-    """Internal result of one mode's fixpoint iteration."""
+def _closed_form(taskset: TaskSet, task: Task, mode: AnalysisMode) -> Time:
+    """One mode's conservative closed-form WCRT (``inf`` past ``D``)."""
+    return closed_form_delay_bound(
+        taskset,
+        task,
+        blocking_intervals=mode.blocking_intervals,
+        urgent_possible=mode.uses_ls_machinery,
+    )
 
-    __slots__ = ("wcrt", "iterations", "converged", "details")
 
-    def __init__(
-        self, wcrt: Time, iterations: int, converged: bool, details: dict
-    ) -> None:
-        self.wcrt = wcrt
-        self.iterations = iterations
-        self.converged = converged
-        self.details = details
+class _DelayEval(NamedTuple):
+    """One evaluation of the delay map ``f`` at a window.
+
+    ``objective`` is the MILP optimum (the delaying-interval length;
+    add ``copy_out`` for the response) — or, after a solve that stopped
+    at its objective target, a lower bound beyond that target.
+    """
+
+    objective: float
+    num_intervals: int
+    stats: dict
+    degradation: int
+    cached: bool
 
 
 class _IncrementalSlot:
     """Holds one fixpoint's live model across iterations.
 
-    The driver keeps the previously built :class:`DelayMilp` here; when
-    the next window preserves the interval count, the model is
+    When the next window preserves the interval count, the model is
     retargeted in place instead of rebuilt (and its cached compilation
     is patched, not re-lowered).
     """
@@ -150,39 +135,54 @@ class _IncrementalSlot:
         self.built: DelayMilp | None = None
 
 
-class _DelayEval:
-    """One evaluation of the delay map ``f`` at a window.
+class _Query:
+    """One task's analysis question and the values its rungs share.
 
-    ``objective`` is the MILP optimum (the delaying-interval length;
-    add ``copy_out`` for the response), except when ``proved_met`` is
-    set: then only the LP relaxation ran and ``objective`` is its
-    over-approximating bound, already known to fit the deadline — or
-    when ``target_reached`` is set: then the solve stopped at its
-    objective target and ``objective`` is a lower bound beyond it.
+    ``mode`` is the windowed mode the task iterates and ``theta`` the
+    objective target of its verdict's integer solves (exact-MILP
+    method only). The higher-priority WCRTs of the carry refinement,
+    and the model and memo entry at the deadline window, are computed on
+    first use, so a rung that decides early never pays for them.
     """
 
-    __slots__ = (
-        "objective", "num_intervals", "stats", "degradation",
-        "cached", "proved_met", "target_reached",
-    )
-
     def __init__(
-        self,
-        objective: float,
-        num_intervals: int,
-        stats: dict,
-        degradation: int,
-        cached: bool,
-        proved_met: bool = False,
-        target_reached: bool = False,
+        self, analysis: "ProposedAnalysis", taskset: TaskSet, task: Task
     ) -> None:
-        self.objective = objective
-        self.num_intervals = num_intervals
-        self.stats = stats
-        self.degradation = degradation
-        self.cached = cached
-        self.proved_met = proved_met
-        self.target_reached = target_reached
+        self.analysis = analysis
+        self.taskset = taskset
+        self.task = task
+        self.ls = analysis._supports_ls and task.latency_sensitive
+        self.mode = AnalysisMode.LS_CASE_A if self.ls else analysis._nls_mode
+        self.memo = (taskset, task.name, self.mode.value)
+        self.theta = (
+            task.deadline - task.copy_out + TARGET_SLACK
+            if analysis.method == "milp"
+            else None
+        )
+
+    @functools.cached_property
+    def hp_wcrt(self) -> dict[str, Time] | None:
+        return self.analysis._hp_wcrt_map(self.taskset, self.task)
+
+    @functools.cached_property
+    def deadline_window(self) -> Time:
+        """``t_D = D - C - u``, the window of a response equal to ``D``."""
+        task = self.task
+        return max(task.deadline - task.exec_time - task.copy_out, task.copy_in)
+
+    @functools.cached_property
+    def deadline_model(self) -> DelayMilp:
+        """The delay MILP at ``t_D``, built once for the rungs that need it."""
+        return build_delay_milp(
+            self.taskset, self.task, self.deadline_window, self.mode,
+            hp_wcrt=self.hp_wcrt,
+        )
+
+    @functools.cached_property
+    def at_deadline(self) -> tuple[str, int, _DelayEval | None, float | None]:
+        """The memo's answer at ``t_D`` (see :meth:`ProposedAnalysis._recall`),
+        looked up once for the LP-screen and probe rungs."""
+        return self.analysis._recall(self, self.deadline_window, self.theta)
 
 
 class ProposedAnalysis:
@@ -240,7 +240,7 @@ class ProposedAnalysis:
         self.carry_refinement = carry_refinement
         self._wcrt_cache: dict[tuple[TaskSet, str], Time] = {}
         # Scope-local screening memos fed by _screen_taskset and
-        # consumed by the per-task verdicts (counter bumps happen at
+        # consumed by the verdict rungs (counter bumps happen at
         # consumption, so early-exiting sweeps surface the same stats
         # sequentially and in parallel).
         self._screened: set[TaskSet] = set()
@@ -273,53 +273,25 @@ class ProposedAnalysis:
         return result
 
     def response_time(self, taskset: TaskSet, task: Task) -> TaskResult:
-        """WCRT bound for one task (dispatches on its LS mark)."""
+        """WCRT bound for one task: the integer fixpoint of its mode,
+        and for an LS task the larger of it and case (b)."""
         taskset.require_member(task)
-        if self._supports_ls and task.latency_sensitive:
-            return self._response_time_ls(taskset, task)
-        return self._finalize(
-            task, self._iterate(taskset, task, self._nls_mode)
-        )
-
-    def _response_time_ls(self, taskset: TaskSet, task: Task) -> TaskResult:
-        case_a = self._iterate(taskset, task, AnalysisMode.LS_CASE_A)
+        query = _Query(self, taskset, task)
+        case_a = self._iterate(query)
+        if not query.ls:
+            return case_a
         if self.method == "milp":
-            case_b_wcrt = self._solve_case_b(taskset, task)
+            case_b = self._case_b_wcrt(taskset, task)
         else:
-            case_b_wcrt = ls_case_b_bound(taskset, task)
-        wcrt = max(case_a.wcrt, case_b_wcrt)
-        details = dict(case_a.details)
-        details["case_a_wcrt"] = case_a.wcrt
-        details["case_b_wcrt"] = case_b_wcrt
-        return TaskResult(
-            task=task,
-            wcrt=wcrt,
-            iterations=case_a.iterations,
-            converged=case_a.converged,
-            details=details,
-        )
-
-    def _closed_form_objective(
-        self, taskset: TaskSet, task: Task, mode: AnalysisMode
-    ) -> float:
-        """Last-resort safe objective for one mode's delay MILP.
-
-        The closed-form WCRT upper-bounds the MILP fixpoint, hence also
-        the per-window MILP optimum (plus copy-out), for every window
-        the iteration can visit — so substituting it keeps the analysis
-        an upper bound when every solver rung has failed.
-        """
-        if mode is AnalysisMode.LS_CASE_B:
-            return ls_case_b_bound(taskset, task) - task.copy_out
-        blocking = 2 if mode in (AnalysisMode.NLS, AnalysisMode.WASLY) else 1
-        return (
-            closed_form_delay_bound(
-                taskset,
-                task,
-                blocking_intervals=blocking,
-                urgent_possible=mode.uses_ls_machinery,
-            )
-            - task.copy_out
+            case_b = ls_case_b_bound(taskset, task)
+        return dataclasses.replace(
+            case_a,
+            wcrt=max(case_a.wcrt, case_b),
+            details={
+                **case_a.details,
+                "case_a_wcrt": case_a.wcrt,
+                "case_b_wcrt": case_b,
+            },
         )
 
     def _solve_model(
@@ -334,12 +306,11 @@ class ProposedAnalysis:
 
         The chain is the exact solve (HiGHS walks its own option ladder
         first), then the LP relaxation of the same compiled model, then
-        :meth:`_closed_form_objective`. For a delay *maximisation* each
-        rung upper-bounds the previous one's optimum, so a degraded
-        value is more pessimistic, never optimistic; the rung that
-        answered is recorded in :attr:`MilpSolution.degradation`. A
-        solve fails when its backend raises
-        :class:`BackendUnavailableError` or
+        the closed form. For a delay *maximisation* each rung
+        upper-bounds the previous one's optimum, so a degraded value is
+        more pessimistic, never optimistic; the rung that answered is
+        recorded in :attr:`MilpSolution.degradation`. A solve fails
+        when its backend raises :class:`BackendUnavailableError` or
         :class:`SolverTimeoutError`, or returns an error status or a
         non-finite objective.
         """
@@ -355,9 +326,16 @@ class ProposedAnalysis:
             return dataclasses.replace(
                 relaxed, degradation=DegradationLevel.LP_RELAXATION
             )
+        # The closed-form WCRT upper-bounds the MILP fixpoint, hence
+        # also the per-window optimum (plus copy-out), for every window
+        # the iteration can visit.
+        if mode is AnalysisMode.LS_CASE_B:
+            bound = ls_case_b_bound(taskset, task)
+        else:
+            bound = _closed_form(taskset, task, mode)
         return MilpSolution(
             status=SolveStatus.TIME_LIMIT,
-            objective=self._closed_form_objective(taskset, task, mode),
+            objective=bound - task.copy_out,
             backend="closed_form",
             degradation=DegradationLevel.CLOSED_FORM,
         )
@@ -389,21 +367,17 @@ class ProposedAnalysis:
             self._solver_sig = sig
         return sig
 
-    def _window_signature(
-        self,
-        taskset: TaskSet,
-        task: Task,
-        window: Time,
-        mode: AnalysisMode,
-        hp_wcrt: dict[str, Time] | None,
-    ) -> tuple[int, tuple[int, ...], int]:
-        """The integer staircases through which the window enters the MILP.
+    def _delay_key(self, query: _Query, window: Time) -> tuple[str, int]:
+        """Cache digest and interval count of one windowed delay MILP.
 
-        Returns ``(N_i(t), per-task budgets, cancellation budget)`` —
-        together they carry *every* dependence of the formulation on
-        ``t``, so two windows with equal signatures build the identical
-        model (the fact the memo key relies on).
+        The window enters the formulation only through ``N_i(t)``, the
+        per-task budgets and the cancellation budget; together they
+        carry *every* dependence on ``t``, so two windows with equal
+        staircases build the identical model (the fact the key relies
+        on).
         """
+        taskset, task, mode = query.taskset, query.task, query.mode
+        hp_wcrt = query.hp_wcrt
         count = (
             interval_count_ls
             if mode is AnalysisMode.LS_CASE_A
@@ -420,34 +394,15 @@ class ProposedAnalysis:
             for j in taskset
             if j.name != task.name
         )
-        return n, budgets, cancellation_budget(taskset, task, window, mode)
-
-    def _delay_key(
-        self,
-        taskset: TaskSet,
-        task: Task,
-        window: Time,
-        mode: AnalysisMode,
-        hp_wcrt: dict[str, Time] | None,
-    ) -> tuple[str, int]:
-        """Cache digest and interval count of one windowed delay MILP."""
-        n, budgets, cl_budget = self._window_signature(
-            taskset, task, window, mode, hp_wcrt
-        )
         key = delay_milp_key(
-            taskset, task, mode.value, n, budgets, cl_budget,
+            taskset, task, mode.value, n, budgets,
+            cancellation_budget(taskset, task, window, mode),
             hp_wcrt, self._solver_signature(),
         )
         return key, n
 
     def _obtain_model(
-        self,
-        slot: "_IncrementalSlot | None",
-        taskset: TaskSet,
-        task: Task,
-        window: Time,
-        mode: AnalysisMode,
-        hp_wcrt: dict[str, Time] | None,
+        self, slot: _IncrementalSlot, query: _Query, window: Time
     ) -> DelayMilp:
         """Build the delay MILP — incrementally when the slot allows it.
 
@@ -457,9 +412,12 @@ class ProposedAnalysis:
         slot ends up holding the model used, ready for the next
         iteration.
         """
+        taskset, task, mode = query.taskset, query.task, query.mode
         built = None
-        if slot is not None and slot.built is not None:
-            built = update_delay_milp(slot.built, taskset, task, window, hp_wcrt)
+        if slot.built is not None:
+            built = update_delay_milp(
+                slot.built, taskset, task, window, query.hp_wcrt
+            )
             obs.emit(
                 "milp.incremental.update"
                 if built is not None
@@ -473,146 +431,83 @@ class ProposedAnalysis:
                 # start the stats table reports.
                 self.cache.bump("milp_warm_starts")
         if built is None:
-            built = build_delay_milp(taskset, task, window, mode, hp_wcrt=hp_wcrt)
-        if slot is not None:
-            slot.built = built
+            built = build_delay_milp(
+                taskset, task, window, mode, hp_wcrt=query.hp_wcrt
+            )
+        slot.built = built
         return built
 
-    def _lp_relax(
-        self, built: DelayMilp, task: Task, mode: AnalysisMode
-    ) -> MilpSolution | None:
-        """LP-relax one built model (the screening/warm-start tier)."""
+    def _recall(
+        self, query: _Query, window: Time, target: float | None
+    ) -> tuple[str, int, _DelayEval | None, float | None]:
+        """``(key, N_i(t), answer, lp_bound)`` the memo holds for a window.
+
+        The answer is an exact optimum (the float a fresh build and
+        solve would produce: the key digests the MILP's full semantic
+        content) or, for a ``target`` at or below a memoised lower
+        bound, that bound. ``lp_bound`` is a memoised LP screen.
+        """
+        key, n = self._delay_key(query, window)
+        entry = self.cache.get(key)
+        if isinstance(entry, tuple) and entry:
+            if entry[0] == "milp":
+                _, objective, num_intervals, stats, degradation = entry
+                answer = _DelayEval(
+                    objective, int(num_intervals), dict(stats),
+                    int(degradation), cached=True,
+                )
+                return key, n, answer, None
+            if entry[0] == "lb" and target is not None and target <= entry[1]:
+                return key, n, _DelayEval(entry[1], n, {}, 0, True), None
+            if entry[0] == "lp":
+                return key, n, None, entry[1]
+        return key, n, None, None
+
+    def _relax(self, built: DelayMilp, key: str, task: Task) -> float | None:
+        """The LP bound of one built model, memoised as ``("lp", bound)``.
+
+        ``None`` when the relaxation fails or ends other than optimal:
+        a bound only ever screens, so the caller falls through to the
+        next rung.
+        """
         try:
             relaxed = LpRelaxationBackend().solve_compiled(built.model.compile())
         except SolverError:
-            return None  # screen only; the exact path decides
+            return None
         self.cache.bump("lp_solves")
         obs.emit(
             "solve.screen",
             task=task.name,
             dur=relaxed.runtime_seconds,
-            mode=mode.value,
+            mode=built.mode.value,
             status=relaxed.status.value,
             rows=built.stats.get("constraints"),
             vars=built.stats.get("variables"),
         )
-        return relaxed
+        if relaxed.status is not SolveStatus.OPTIMAL:
+            return None
+        self.cache.put(key, ("lp", relaxed.objective))
+        return relaxed.objective
 
-    def _delay_objective(
+    def _solve(
         self,
+        built: DelayMilp,
+        key: str,
         taskset: TaskSet,
         task: Task,
-        window: Time,
-        mode: AnalysisMode,
-        hp_wcrt: dict[str, Time] | None,
-        lp_screen_deadline: Time | None = None,
-        slot: "_IncrementalSlot | None" = None,
-        warm_objective: float | None = None,
         target: float | None = None,
     ) -> _DelayEval:
-        """Evaluate the delay map ``f`` at ``window``, memoised.
+        """Solve one built delay MILP and memoise the answer.
 
-        A cache hit on an exact (``milp``-tagged) entry returns the
-        objective a fresh build-and-solve would produce (the key
-        digests the MILP's full semantic content, see
-        :mod:`repro.analysis.cache`). Degraded solutions — where
-        :meth:`_solve_model` substituted a weaker bound — are never
-        stored, so a retry keeps its chance of a sharper value.
-
-        With ``lp_screen_deadline`` set (verdict path, exact-MILP
-        method only), an ``lp``-tagged bound — cached or freshly
-        relaxed — that fits the deadline skips the integer solve and
-        the eval comes back ``proved_met`` (relaxing a maximisation can
-        only raise the objective).
-
-        With ``warm_objective`` set (fixpoint path: the incumbent
-        objective of the previous iteration), an LP bound at or below
-        the incumbent proves the new window's optimum *equals* the
-        incumbent: the optimum cannot drop below it (the solved path
-        would have taken the convergence branch and kept the incumbent
-        response either way), and the relaxation caps it from above.
-        The integer solve is skipped and the returned objective is
-        bit-identical to the solved path's.
-
-        With ``target`` set (verdict path, exact-MILP method only), the
-        integer solve may stop at the first incumbent beyond the target;
-        the eval then comes back ``target_reached`` and the stop is
-        memoised as ``("lb", target)``. A cached lower bound at or above
-        a later query's target answers it without a solve.
+        An exact optimum is memoised as ``("milp", ...)``. With
+        ``target`` set (verdict path, exact-MILP method only) the
+        integer solve may stop at the first incumbent beyond it; the
+        objective is then a lower bound, memoised as ``("lb", bound)``.
+        Degraded solutions — where :meth:`_solve_model` substituted a
+        weaker bound — are never memoised, so a retry keeps its chance
+        of a sharper value.
         """
-        key, n = self._delay_key(taskset, task, window, mode, hp_wcrt)
-        entry = self.cache.get(key)
-        lp_bound: float | None = None
-        if isinstance(entry, tuple) and entry:
-            if entry[0] == "milp":
-                _, objective, num_intervals, stats, degradation = entry
-                return _DelayEval(
-                    objective,
-                    int(num_intervals),
-                    dict(stats),
-                    int(degradation),
-                    cached=True,
-                )
-            if entry[0] == "lb" and target is not None and target <= entry[1]:
-                return _DelayEval(
-                    entry[1], n, {}, 0, cached=True, target_reached=True
-                )
-            if entry[0] == "lp":
-                lp_bound = entry[1]
-        screening = lp_screen_deadline is not None and self.method == "milp"
-        if lp_bound is not None:
-            if (
-                screening
-                and lp_bound + task.copy_out <= lp_screen_deadline + 1e-9
-            ):
-                self.cache.bump("lp_screens")
-                return _DelayEval(
-                    lp_bound, n, {}, 0, cached=True, proved_met=True
-                )
-            if warm_objective is not None and lp_bound <= warm_objective:
-                self.cache.bump("milp_warm_starts")
-                return _DelayEval(warm_objective, n, {}, 0, cached=True)
-        built = self._obtain_model(slot, taskset, task, window, mode, hp_wcrt)
-        if (
-            warm_objective is not None
-            and lp_bound is None
-            and self.method == "milp"
-        ):
-            relaxed = self._lp_relax(built, task, mode)
-            if relaxed is not None and relaxed.status is SolveStatus.OPTIMAL:
-                lp_bound = relaxed.objective
-                self.cache.put(key, ("lp", lp_bound))
-                if lp_bound <= warm_objective:
-                    self.cache.bump("milp_warm_starts")
-                    return _DelayEval(
-                        warm_objective,
-                        built.num_intervals,
-                        dict(built.stats),
-                        0,
-                        cached=False,
-                    )
-        if screening and lp_bound is None:
-            # Middle screening tier: the LP relaxation of the same
-            # formulation is a safe over-approximation — if even it
-            # fits the deadline, the MILP bound does too, and the
-            # integer solve never runs. The model is built exactly
-            # once and shared with the integer solve below.
-            relaxed = self._lp_relax(built, task, mode)
-            if relaxed is not None and relaxed.status is SolveStatus.OPTIMAL:
-                self.cache.put(key, ("lp", relaxed.objective))
-                if (
-                    relaxed.objective + task.copy_out
-                    <= lp_screen_deadline + 1e-9
-                ):
-                    self.cache.bump("lp_screens")
-                    return _DelayEval(
-                        relaxed.objective,
-                        built.num_intervals,
-                        dict(built.stats),
-                        0,
-                        cached=False,
-                        proved_met=True,
-                    )
+        mode = built.mode
         solution = self._solve_model(
             built.model, taskset, task, mode, target=target
         )
@@ -631,13 +526,12 @@ class ProposedAnalysis:
         if solution.status is SolveStatus.INFEASIBLE:
             raise InfeasibleModelError(
                 f"delay MILP infeasible for {task.name} (mode={mode.value}, "
-                f"window={window}); this indicates a formulation bug"
+                f"window={built.window}); this indicates a formulation bug"
             )
         if solution.status is SolveStatus.UNBOUNDED:
             raise UnboundedModelError(
                 f"delay MILP unbounded for {task.name} (mode={mode.value})"
             )
-        degradation = solution.degradation
         reached = solution.status is SolveStatus.TARGET_REACHED
         if reached or (
             target is not None
@@ -648,118 +542,137 @@ class ProposedAnalysis:
             # with other options (or a presolve that finishes the
             # model) may prove the optimum instead of stopping early.
             self.cache.bump("milp_target_stops")
-        if reached:
-            if not degradation:
-                self.cache.put(key, ("lb", solution.objective))
-            return _DelayEval(
-                solution.objective,
-                built.num_intervals,
-                dict(built.stats),
-                degradation,
-                cached=False,
-                target_reached=True,
-            )
-        if not degradation:
+        if not solution.degradation:
             self.cache.put(
                 key,
-                (
-                    "milp",
-                    solution.objective,
-                    built.num_intervals,
-                    dict(built.stats),
-                    int(degradation),
+                ("lb", solution.objective)
+                if reached
+                else (
+                    "milp", solution.objective, built.num_intervals,
+                    dict(built.stats), 0,
                 ),
             )
         return _DelayEval(
             solution.objective,
             built.num_intervals,
             dict(built.stats),
-            degradation,
+            solution.degradation,
             cached=False,
         )
 
-    def _solve_case_b(self, taskset: TaskSet, task: Task) -> Time:
+    def _delay(
+        self,
+        query: _Query,
+        window: Time,
+        slot: _IncrementalSlot,
+        incumbent: float | None = None,
+        target: float | None = None,
+    ) -> _DelayEval:
+        """Evaluate the delay map ``f`` at ``window``, memoised.
+
+        With ``incumbent`` set (the previous iteration's objective), an
+        LP bound at or below it proves the new window's optimum
+        *equals* the incumbent: the monotone fixpoint keeps it from
+        dropping below, the relaxation caps it from above. The integer
+        solve is skipped and the objective is bit-identical to the
+        solved path's.
+        """
+        key, n, answer, lp_bound = self._recall(query, window, target)
+        if answer is not None:
+            return answer
+        if incumbent is not None and lp_bound is not None and (
+            lp_bound <= incumbent
+        ):
+            self.cache.bump("milp_warm_starts")
+            return _DelayEval(incumbent, n, {}, 0, cached=True)
+        built = self._obtain_model(slot, query, window)
+        if incumbent is not None and lp_bound is None and self.method == "milp":
+            lp_bound = self._relax(built, key, query.task)
+            if lp_bound is not None and lp_bound <= incumbent:
+                self.cache.bump("milp_warm_starts")
+                return _DelayEval(
+                    incumbent, built.num_intervals, dict(built.stats), 0,
+                    cached=False,
+                )
+        return self._solve(built, key, query.taskset, query.task, target)
+
+    def _case_b_wcrt(self, taskset: TaskSet, task: Task) -> Time:
+        """LS case (b)'s MILP bound, solved once: it has no window."""
         key = case_b_key(taskset, task, self._solver_signature())
         entry = self.cache.get(key)
-        if entry is not None:
-            return entry + task.copy_out
+        if isinstance(entry, tuple):
+            return entry[1] + task.copy_out
         built = build_delay_milp(taskset, task, 0.0, AnalysisMode.LS_CASE_B)
-        solution = self._solve_model(
-            built.model, taskset, task, AnalysisMode.LS_CASE_B
-        )
-        self.cache.bump("lp_solves" if self.method == "lp" else "milp_solves")
-        obs.emit(
-            "solve",
-            task=task.name,
-            dur=solution.runtime_seconds,
-            mode=AnalysisMode.LS_CASE_B.value,
-            method=self.method,
-            status=solution.status.value,
-            degradation=int(solution.degradation),
-            rows=built.stats.get("constraints"),
-            vars=built.stats.get("variables"),
-        )
-        if solution.status is SolveStatus.INFEASIBLE:
-            raise InfeasibleModelError(f"case-(b) MILP infeasible for {task.name}")
-        if solution.status is SolveStatus.UNBOUNDED:
-            raise UnboundedModelError(f"case-(b) MILP unbounded for {task.name}")
-        if not solution.degradation:
-            self.cache.put(key, solution.objective)
-        return solution.objective + task.copy_out
+        return self._solve(built, key, taskset, task).objective + task.copy_out
 
     # ------------------------------------------------------------------
-    def _iterate(
+    def _fixpoint(
         self,
-        taskset: TaskSet,
-        task: Task,
-        mode: AnalysisMode,
-        target: float | None = None,
-    ) -> _IterationOutcome:
-        """The response-time fixpoint of one mode.
+        query: _Query,
+        step: Callable[[Time], float],
+        details: dict,
+        stop_at_deadline: bool,
+    ) -> TaskResult:
+        """The response-time fixpoint, over whichever delay map ``step`` is.
 
-        ``target`` (verdict path only) is handed to every integer solve;
-        a stop at it ends the iteration with a response beyond the
-        deadline, which is all the verdict reads.
+        From ``R = l + C + u`` each iteration evaluates ``step`` at
+        ``t = R - C - u`` and moves to ``step(t) + u``. It ends
+        converged once a step raises ``R`` by at most
+        ``convergence_eps``; unconverged at a non-finite response, or
+        past the deadline with ``stop_at_deadline``; and at
+        ``max_iterations`` without any of these with an infinite WCRT,
+        since the last tentative response lies below the fixpoint.
         """
-        options = self.options
-        if self.method == "closed_form":
-            blocking = 2 if mode in (AnalysisMode.NLS, AnalysisMode.WASLY) else 1
-            wcrt = closed_form_delay_bound(
-                taskset,
-                task,
-                blocking_intervals=blocking,
-                urgent_possible=mode.uses_ls_machinery,
-                deadline_cap=(task.deadline if options.stop_at_deadline else None),
-            )
-            return _IterationOutcome(
-                wcrt, 1, not math.isinf(wcrt), {"method": "closed_form"}
-            )
-
+        task, options = query.task, self.options
         response = task.total_cost
-        details: dict = {
-            "method": "milp", "mode": mode.value, "solves": 0, "cache_hits": 0,
-        }
-        converged = False
-        iterations = 0
-        hp_wcrt = self._hp_wcrt_map(taskset, task)
-        slot = _IncrementalSlot() if options.screening else None
-        prev_objective: float | None = None
-        for iterations in range(1, options.max_iterations + 1):
+        for iteration in range(1, options.max_iterations + 1):
             window = max(response - task.exec_time - task.copy_out, task.copy_in)
             with obs.span(
                 "fixpoint.iteration",
                 task=task.name,
-                mode=mode.value,
-                iteration=iterations,
+                mode=query.mode.value,
+                iteration=iteration,
             ):
-                evaluated = self._delay_objective(
-                    taskset, task, window, mode, hp_wcrt,
-                    slot=slot, warm_objective=prev_objective, target=target,
+                new_response = step(window) + task.copy_out
+            if new_response <= response + options.convergence_eps:
+                return TaskResult(
+                    task, max(response, new_response), iteration, True, details
                 )
-            if evaluated.cached:
-                details["cache_hits"] += 1
-            else:
-                details["solves"] += 1
+            response = new_response
+            if not math.isfinite(response) or (
+                stop_at_deadline and response > task.deadline
+            ):
+                return TaskResult(task, response, iteration, False, details)
+        return TaskResult(task, math.inf, options.max_iterations, False, details)
+
+    def _iterate(
+        self, query: _Query, target: float | None = None
+    ) -> TaskResult:
+        """The integer response-time fixpoint of one query.
+
+        One compiled model lives across iterations (see
+        :meth:`_obtain_model`) and each new window is first squeezed
+        with its LP bound (see :meth:`_delay`). ``target`` (verdict
+        path only) is handed to every integer solve; a stop at it
+        leaves a response beyond the deadline, which is all the verdict
+        reads.
+        """
+        task, mode = query.task, query.mode
+        if self.method == "closed_form":
+            wcrt = _closed_form(query.taskset, task, mode)
+            return TaskResult(
+                task, wcrt, 1, not math.isinf(wcrt), {"method": "closed_form"}
+            )
+        details: dict = {
+            "method": "milp", "mode": mode.value, "solves": 0, "cache_hits": 0,
+        }
+        slot = _IncrementalSlot()
+        incumbent: float | None = None
+
+        def step(window: Time) -> float:
+            nonlocal incumbent
+            evaluated = self._delay(query, window, slot, incumbent, target)
+            details["cache_hits" if evaluated.cached else "solves"] += 1
             details["num_intervals"] = evaluated.num_intervals
             details.setdefault("milp_stats", evaluated.stats)
             if evaluated.degradation:
@@ -767,114 +680,192 @@ class ProposedAnalysis:
                     details.get("degradation", evaluated.degradation),
                     evaluated.degradation,
                 )
-            new_response = evaluated.objective + task.copy_out
-            if evaluated.target_reached:
-                response = new_response  # a lower bound beyond the deadline
-                break
-            if new_response <= response + options.convergence_eps:
-                response = max(response, new_response)
-                converged = True
-                break
-            response = new_response
-            if options.screening:
-                prev_objective = evaluated.objective
-            if not math.isfinite(response):
-                break  # a degraded bound diverged; report unschedulable
-            if options.stop_at_deadline and response > task.deadline:
-                break
-        return _IterationOutcome(response, iterations, converged, details)
+            incumbent = evaluated.objective
+            return incumbent
 
-    @staticmethod
-    def _finalize(task: Task, outcome: _IterationOutcome) -> TaskResult:
-        return TaskResult(
-            task=task,
-            wcrt=outcome.wcrt,
-            iterations=outcome.iterations,
-            converged=outcome.converged,
-            details=outcome.details,
+        return self._fixpoint(
+            query, step, details, self.options.stop_at_deadline
         )
 
     # ------------------------------------------------------------------
-    # fast schedulability verdicts
+    # the verdict ladder
     # ------------------------------------------------------------------
-    def _solve_delay(
-        self, taskset: TaskSet, task: Task, window: Time, mode: AnalysisMode
-    ) -> Time:
-        """One MILP evaluation of the delay map ``f`` at ``window``."""
-        evaluated = self._delay_objective(
-            taskset, task, window, mode, self._hp_wcrt_map(taskset, task)
-        )
-        return evaluated.objective + task.copy_out
+    def verdict(self, taskset: TaskSet, task: Task) -> bool:
+        """Schedulability verdict for one task (no WCRT value).
 
-    def _mode_for(self, task: Task) -> AnalysisMode:
-        """The windowed analysis mode a task's verdict iterates."""
-        if self._supports_ls and task.latency_sensitive:
-            return AnalysisMode.LS_CASE_A
-        return self._nls_mode
+        Gives exactly the same answer as
+        ``self.response_time(taskset, task).schedulable`` but typically
+        needs zero or one MILP solve instead of a full fixpoint. The
+        rungs run in order (docs/analysis.md, "Fast verdicts"); each
+        answers proved (``True``), disproved (``False``) or
+        inconclusive (``None``), and the first answer stands. A rung
+        only ever proves what the integer fixpoint would prove, or
+        disproves what it would disprove.
+        """
+        taskset.require_member(task)
+        query = _Query(self, taskset, task)
+        for rung in (
+            self._case_b_rung,
+            self._closed_form_rung,
+            self._lp_screen_rung,
+            self._probe_rung,
+            self._lp_fixpoint_rung,
+        ):
+            answer = rung(query)
+            if answer is not None:
+                return answer
+        return self._fixpoint_rung(query)
+
+    def _case_b_rung(self, query: _Query) -> bool | None:
+        """LS case (b), which has no window: its exact closed form within
+        the deadline proves the case with no solve. Otherwise a case-(b)
+        bound beyond the deadline disproves the task — the MILP's for
+        the exact-MILP method, the closed form's for the others."""
+        task = query.task
+        if not query.ls:
+            return None
+        if ls_case_b_bound(query.taskset, task) <= task.deadline + 1e-9:
+            if self.method == "milp":
+                self.cache.bump("screened_out")
+            return None
+        if (
+            self.method != "milp"
+            or self._case_b_wcrt(query.taskset, task) > task.deadline + 1e-9
+        ):
+            return False
+        return None
+
+    def _closed_form_rung(self, query: _Query) -> bool | None:
+        """The closed-form WCRT (batched per task set when
+        :meth:`_screen_taskset` ran) within the deadline proves; it is
+        the whole decision of ``method="closed_form"``."""
+        task = query.task
+        if task.trivially_unschedulable:
+            return False
+        bound = self._screen_memo.get(query.memo)
+        if bound is None:
+            bound = _closed_form(query.taskset, task, query.mode)
+        if bound <= task.deadline + 1e-9:
+            self.cache.bump("closed_form_screens")
+            return True
+        return False if self.method == "closed_form" else None
+
+    def _lp_screen_rung(self, query: _Query) -> bool | None:
+        """The LP relaxation at ``t_D`` within the deadline proves
+        (batched per task set when :meth:`_screen_taskset` ran)."""
+        if self.method != "milp":
+            return None
+        task = query.task
+        if self._lp_proved.pop(query.memo, False):
+            self.cache.bump("screened_out")
+            return True
+        key, _, answer, bound = query.at_deadline
+        if answer is not None:
+            return None  # the memo already holds the probe's answer
+        if bound is None:
+            bound = self._relax(query.deadline_model, key, task)
+        if bound is not None and bound + task.copy_out <= task.deadline + 1e-9:
+            self.cache.bump("lp_screens")
+            return True
+        return None
+
+    def _probe_rung(self, query: _Query) -> bool | None:
+        """One targeted integer evaluation at ``t_D``: ``f`` is monotone,
+        so ``f(t_D) + u <= D`` makes ``D`` a pre-fixpoint and the least
+        fixpoint is ``<= D``."""
+        task = query.task
+        key, _, answer, _ = query.at_deadline
+        if answer is None:
+            answer = self._solve(
+                query.deadline_model, key, query.taskset, task, query.theta
+            )
+        if answer.objective + task.copy_out <= task.deadline + 1e-9:
+            return True
+        return None
+
+    def _lp_fixpoint_rung(self, query: _Query) -> bool | None:
+        """The fixpoint on LP bounds (or exact memoised optima, only
+        sharper) converging within the deadline proves: the LP map
+        dominates the integer map termwise. A memoised lower bound
+        beyond the deadline ends it at once, since the LP bound there
+        is at least as large."""
+        if self.method != "milp":
+            return None
+        task = query.task
+        slot = _IncrementalSlot()
+
+        def step(window: Time) -> float:
+            key, _ = self._delay_key(query, window)
+            entry = self.cache.get(key)
+            if isinstance(entry, tuple) and entry:
+                if entry[0] in ("milp", "lp"):
+                    return entry[1]
+                if entry[0] == "lb" and (
+                    entry[1] + task.copy_out > task.deadline + 1e-9
+                ):
+                    return math.inf
+            built = self._obtain_model(slot, query, window)
+            bound = self._relax(built, key, task)
+            return math.inf if bound is None else bound
+
+        result = self._fixpoint(query, step, {}, stop_at_deadline=True)
+        if not result.schedulable or not result.converged:
+            return None
+        self.cache.bump("screened_out")
+        return True
+
+    def _fixpoint_rung(self, query: _Query) -> bool:
+        """The integer fixpoint decides. Its solves carry the target
+        only with ``stop_at_deadline``, the only time it stops at the
+        deadline."""
+        target = query.theta if self.options.stop_at_deadline else None
+        return self._iterate(query, target).wcrt <= query.task.deadline + 1e-9
 
     def _screen_taskset(self, taskset: TaskSet) -> None:
-        """Run the batched screening tiers once per task set.
+        """Run the batched halves of the closed-form and LP-screen rungs
+        once per task set.
 
-        Tier 1 evaluates every task's conservative closed-form fixpoint
-        as a single vectorised batch; tier 2 LP-relaxes the
-        deadline-window models of the tasks tier 1 could not prove and
-        solves them as one block-diagonal LP. Outcomes land in
-        scope-local memos consumed by :meth:`_verdict_mode` — counter
+        Outcomes land in scope-local memos the rungs consume — counter
         bumps happen at consumption, so a sweep that stops at its first
         unschedulable task surfaces identical stats sequentially and in
-        parallel. Batch-derived LP bounds are persisted like any other
+        parallel. Batch-derived LP bounds are memoised like any other
         screening bound: the block-diagonal LP decomposes exactly, any
         valid relaxation bound proves conservatively, and a failed
-        screen always falls through to the exact solve — so verdicts
-        cannot depend on which batch a bound came from, and a warm run
-        skips the screening LPs entirely.
+        screen always falls through to the next rung.
         """
-        if taskset in self._screened or not self.options.screening:
+        if taskset in self._screened:
             return
         self._screened.add(taskset)
-        modes = {task.name: self._mode_for(task) for task in taskset}
-        groups: dict[tuple[int, bool], list[Task]] = {}
+        groups: dict[AnalysisMode, list[_Query]] = {}
         for task in taskset:
-            mode = modes[task.name]
-            blocking = 2 if mode in (AnalysisMode.NLS, AnalysisMode.WASLY) else 1
-            groups.setdefault(
-                (blocking, mode.uses_ls_machinery), []
-            ).append(task)
-        survivors: list[Task] = []
-        for (blocking, urgent), tasks in groups.items():
+            query = _Query(self, taskset, task)
+            groups.setdefault(query.mode, []).append(query)
+        survivors: list[_Query] = []
+        for mode, queries in groups.items():
+            tasks = [query.task for query in queries]
             bounds = closed_form_delay_bounds_batch(
                 taskset,
                 tasks,
-                [blocking] * len(tasks),
-                urgent,
+                [mode.blocking_intervals] * len(tasks),
+                mode.uses_ls_machinery,
                 [t.deadline for t in tasks],
             )
-            for task, bound in zip(tasks, bounds):
-                mode = modes[task.name]
-                self._screen_memo[(taskset, task.name, mode.value)] = float(
-                    bound
-                )
+            for query, bound in zip(queries, bounds):
+                self._screen_memo[query.memo] = float(bound)
+                task = query.task
                 if (
                     float(bound) > task.deadline + 1e-9
                     and not task.trivially_unschedulable
                 ):
-                    survivors.append(task)
+                    survivors.append(query)
         if self.method != "milp" or not survivors:
             return
-        batch: list[tuple[Task, AnalysisMode, str, DelayMilp]] = []
-        for task in sorted(survivors, key=lambda t: t.priority):
-            mode = modes[task.name]
-            hp_wcrt = self._hp_wcrt_map(taskset, task)
-            window_d = max(
-                task.deadline - task.exec_time - task.copy_out, task.copy_in
-            )
-            key, _ = self._delay_key(taskset, task, window_d, mode, hp_wcrt)
+        batch: list[tuple[_Query, str, DelayMilp]] = []
+        for query in sorted(survivors, key=lambda q: q.task.priority):
+            key, _ = self._delay_key(query, query.deadline_window)
             if self.cache.get(key) is not None:
                 continue  # a previous run or iteration knows this window
-            built = build_delay_milp(
-                taskset, task, window_d, mode, hp_wcrt=hp_wcrt
-            )
-            batch.append((task, mode, key, built))
+            batch.append((query, key, query.deadline_model))
         if not batch:
             return
         start = time.perf_counter()
@@ -883,201 +874,19 @@ class ProposedAnalysis:
                 [built.model.compile() for *_, built in batch]
             )
         except SolverError:
-            return  # screening only; the per-task exact path decides
+            return  # screening only; the per-task rungs decide
         self.cache.bump("lp_solves", len(batch))
         obs.emit(
             "solve.screen_batch",
             dur=time.perf_counter() - start,
             size=len(batch),
         )
-        for (task, mode, key, built), bound in zip(batch, bounds):
+        for (query, key, _), bound in zip(batch, bounds):
             if bound is None:
                 continue
             self.cache.put(key, ("lp", float(bound)))
-            if bound + task.copy_out <= task.deadline + 1e-9:
-                self._lp_proved[(taskset, task.name, mode.value)] = True
-
-    def _lp_fixpoint_leq(
-        self,
-        taskset: TaskSet,
-        task: Task,
-        mode: AnalysisMode,
-        hp_wcrt: dict[str, Time] | None,
-    ) -> bool:
-        """Screen: does the LP-relaxed fixpoint stay within the deadline?
-
-        Iterates the response-time fixpoint with every evaluation of
-        the delay map replaced by its LP-relaxation bound (or an exact
-        cached optimum, which is only sharper). The LP map dominates
-        the MILP map pointwise and both are monotone in the window, so
-        this iteration dominates the integer iteration termwise — a
-        converged LP fixpoint within the deadline proves the task
-        schedulable without a single integer solve. Inconclusive
-        whenever a relaxation fails or the iteration leaves the
-        deadline; the caller then falls back to the exact fixpoint.
-        A cached ``lb`` entry beyond the deadline is inconclusive at
-        once: the LP bound there is at least as large, so the iteration
-        would leave the deadline anyway.
-        """
-        if self.method != "milp":
-            return False
-        options = self.options
-        response = task.total_cost
-        slot = _IncrementalSlot()
-        for _ in range(options.max_iterations):
-            window = max(
-                response - task.exec_time - task.copy_out, task.copy_in
-            )
-            key, _ = self._delay_key(taskset, task, window, mode, hp_wcrt)
-            entry = self.cache.get(key)
-            bound: float | None = None
-            if isinstance(entry, tuple) and entry:
-                if entry[0] in ("milp", "lp"):
-                    bound = entry[1]
-                elif (
-                    entry[0] == "lb"
-                    and entry[1] + task.copy_out > task.deadline + 1e-9
-                ):
-                    return False
-            if bound is None:
-                built = self._obtain_model(
-                    slot, taskset, task, window, mode, hp_wcrt
-                )
-                relaxed = self._lp_relax(built, task, mode)
-                if relaxed is None or relaxed.status is not SolveStatus.OPTIMAL:
-                    return False
-                bound = relaxed.objective
-                self.cache.put(key, ("lp", bound))
-            new_response = bound + task.copy_out
-            if new_response <= response + options.convergence_eps:
-                return max(response, new_response) <= task.deadline + 1e-9
-            response = new_response
-            if not math.isfinite(response) or response > task.deadline:
-                return False
-        return False
-
-    def _verdict_mode(
-        self, taskset: TaskSet, task: Task, mode: AnalysisMode
-    ) -> bool:
-        """Fast schedulability verdict for one mode.
-
-        Identical in outcome to iterating the fixpoint, but cheaper —
-        the screening cascade of the module docstring applied to one
-        task:
-
-        1. a conservative closed-form bound within the deadline proves
-           schedulability without any MILP (batched per task set by
-           :meth:`_screen_taskset`, recomputed scalar otherwise);
-        2. an LP relaxation at the deadline-induced window
-           ``t_D = D - C - u`` within the deadline proves it with no
-           integer solve (batched when the screen pre-ran, solved
-           individually otherwise): the response map ``f`` is monotone,
-           so ``f(D) <= D`` makes ``D`` a pre-fixpoint and the least
-           fixpoint (the WCRT bound) is ``<= D``;
-        3. one integer evaluation at ``t_D`` decides the same way;
-        4. the LP-only fixpoint screen proves schedulability when it
-           converges within the deadline;
-        5. otherwise the standard bottom-up iteration decides.
-
-        The integer solves of tiers 3 and 5 carry the objective target
-        ``D - u + TARGET_SLACK`` (tier 5 only with ``stop_at_deadline``,
-        the only time it stops at the deadline): past it the solve may
-        stop without proving the optimum, which changes no verdict.
-
-        ``options.screening=False`` skips tiers 1-4 entirely (for the
-        exact-MILP method; the closed form *is* the decision procedure
-        of ``method="closed_form"`` and always runs) and decides every
-        verdict with tier 5 — the unscreened baseline (EXPERIMENTS.md,
-        "Unit store: cold vs warm runs", records it on reduced fig2a).
-        Every skipped tier only ever
-        *proves* schedulability the iteration would also prove, so the
-        verdict is identical either way.
-        """
-        if task.trivially_unschedulable:
-            return False
-        if self.options.screening or self.method == "closed_form":
-            screen = self._screen_memo.get((taskset, task.name, mode.value))
-            if screen is None:
-                blocking = (
-                    2 if mode in (AnalysisMode.NLS, AnalysisMode.WASLY) else 1
-                )
-                screen = closed_form_delay_bound(
-                    taskset,
-                    task,
-                    blocking_intervals=blocking,
-                    urgent_possible=mode.uses_ls_machinery,
-                    deadline_cap=task.deadline,
-                )
-            if screen <= task.deadline + 1e-9:
-                self.cache.bump("closed_form_screens")
-                return True
-        if self.method == "closed_form":
-            return False
-        # Integer solves of a verdict stop once f exceeds D - u. The
-        # fixpoint only reads that when it stops at the deadline.
-        theta = None
-        if self.method == "milp":
-            theta = task.deadline - task.copy_out + TARGET_SLACK
-        iterate_target = theta if self.options.stop_at_deadline else None
-        if not self.options.screening:
-            outcome = self._iterate(taskset, task, mode, iterate_target)
-            return outcome.wcrt <= task.deadline + 1e-9
-        if self._lp_proved.pop((taskset, task.name, mode.value), False):
-            self.cache.bump("screened_out")
-            return True
-        hp_wcrt = self._hp_wcrt_map(taskset, task)
-        window_d = max(
-            task.deadline - task.exec_time - task.copy_out, task.copy_in
-        )
-        evaluated = self._delay_objective(
-            taskset,
-            task,
-            window_d,
-            mode,
-            hp_wcrt,
-            lp_screen_deadline=task.deadline,
-            target=theta,
-        )
-        if evaluated.proved_met:
-            return True
-        if evaluated.objective + task.copy_out <= task.deadline + 1e-9:
-            return True
-        if self.options.screening and self._lp_fixpoint_leq(
-            taskset, task, mode, hp_wcrt
-        ):
-            self.cache.bump("screened_out")
-            return True
-        outcome = self._iterate(taskset, task, mode, iterate_target)
-        return outcome.wcrt <= task.deadline + 1e-9
-
-    def verdict(self, taskset: TaskSet, task: Task) -> bool:
-        """Schedulability verdict for one task (no WCRT value).
-
-        Gives exactly the same answer as
-        ``self.response_time(taskset, task).schedulable`` but typically
-        needs zero or one MILP solve instead of a full fixpoint.
-        """
-        taskset.require_member(task)
-        if self._supports_ls and task.latency_sensitive:
-            if self.method == "milp":
-                # Case (b) has an exact closed form (cross-checked
-                # against the MILP by the formulation tests); within
-                # the deadline it already proves this case, so the
-                # integer solve is screened out.
-                if (
-                    self.options.screening
-                    and ls_case_b_bound(taskset, task) <= task.deadline + 1e-9
-                ):
-                    self.cache.bump("screened_out")
-                else:
-                    case_b = self._solve_case_b(taskset, task)
-                    if case_b > task.deadline + 1e-9:
-                        return False
-            else:
-                if ls_case_b_bound(taskset, task) > task.deadline + 1e-9:
-                    return False
-            return self._verdict_mode(taskset, task, AnalysisMode.LS_CASE_A)
-        return self._verdict_mode(taskset, task, self._nls_mode)
+            if bound + query.task.copy_out <= query.task.deadline + 1e-9:
+                self._lp_proved[query.memo] = True
 
     def first_unschedulable(self, taskset: TaskSet) -> Task | None:
         """Highest-priority task whose verdict is negative, or None."""

@@ -39,6 +39,7 @@ from repro.analysis.interface import (
     TaskResult,
     TaskSetResult,
 )
+from repro.analysis.nps import carry_fixpoint
 from repro.model.task import Task
 from repro.model.taskset import TaskSet
 from repro.types import Time
@@ -91,32 +92,18 @@ class RegulatedAnalysis:
     def response_time(self, taskset: TaskSet, task: Task) -> TaskResult:
         """Release-anchored carry fixpoint with regulated costs."""
         taskset.require_member(task)
-        hp = taskset.hp(task)
         blocking = self.blocking(taskset, task)
         own_cost = regulated_cost(task, self.regulation)
-        eps = self.options.convergence_eps
-        response = own_cost + blocking
-        converged = False
-        iterations = 0
-        for iterations in range(1, self.options.max_iterations + 1):
-            window = response - own_cost
-            new_response = (
-                blocking
-                + sum(
-                    (t.eta(window) + 1) * regulated_cost(t, self.regulation)
-                    for t in hp
-                )
-                + own_cost
-            )
-            if new_response <= response + eps:
-                converged = True
-                break
-            response = new_response
-            if self.options.stop_at_deadline and response > task.deadline:
-                break
+        wcrt, iterations, converged = carry_fixpoint(
+            task,
+            taskset.hp(task),
+            lambda t: regulated_cost(t, self.regulation),
+            blocking,
+            self.options,
+        )
         return TaskResult(
             task=task,
-            wcrt=response,
+            wcrt=wcrt,
             iterations=iterations,
             converged=converged,
             details={

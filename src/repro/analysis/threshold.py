@@ -39,6 +39,8 @@ cross-validation asserts observed <= bound on the experiment matrix.
 
 from __future__ import annotations
 
+import math
+
 from repro.analysis.interface import AnalysisOptions, TaskResult, TaskSetResult
 from repro.errors import AnalysisError
 from repro.model.task import Task
@@ -131,6 +133,8 @@ class ThresholdAnalysis:
                 and start + task.total_cost > task.deadline
             ):
                 break
+        else:
+            start = math.inf  # out of iterations: below the fixpoint
         if not converged:
             return TaskResult(
                 task=task,
@@ -159,6 +163,8 @@ class ThresholdAnalysis:
             finish = new_finish
             if self.options.stop_at_deadline and finish > task.deadline:
                 break
+        else:
+            finish = math.inf  # out of iterations: below the fixpoint
         return TaskResult(
             task=task,
             wcrt=finish,

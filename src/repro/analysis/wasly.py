@@ -20,6 +20,8 @@ LS marks on tasks are ignored: protocol [3] predates the distinction.
 
 from __future__ import annotations
 
+import dataclasses
+
 from repro.analysis.proposed.formulation import AnalysisMode
 from repro.analysis.proposed.response_time import ProposedAnalysis
 from repro.model.task import Task
@@ -41,10 +43,4 @@ class WaslyAnalysis(ProposedAnalysis):
         plain_task = plain.by_name(task.name)
         result = super().response_time(plain, plain_task)
         # Report against the caller's task object (with original marks).
-        return type(result)(
-            task=task,
-            wcrt=result.wcrt,
-            iterations=result.iterations,
-            converged=result.converged,
-            details=result.details,
-        )
+        return dataclasses.replace(result, task=task)

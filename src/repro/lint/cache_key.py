@@ -20,7 +20,8 @@ stored or memoised answer could outlive its configuration:
 * every :class:`~repro.analysis.interface.AnalysisOptions` field must
   be read by ``_solver_signature`` (it scopes cache keys to the solver
   configuration) or carry a written exemption explaining why two runs
-  differing only in that field may share entries;
+  differing only in that field may share entries — and every exemption
+  must name a field, so a removed option leaves no stale entry behind;
 * :mod:`repro.analysis.store` must define ``SCHEMA_VERSION`` and gate
   its connection setup on it — the cross-run unit store may never
   serve rows written under a different encoding.
@@ -88,11 +89,6 @@ EXEMPT_OPTION_FIELDS: dict[str, str] = {
     "convergence_eps": (
         "decides when the iteration stops consuming values, not what "
         "any solve returns"
-    ),
-    "screening": (
-        "selects which sufficient conditions are tried before a solve; "
-        "every solved window's optimum — the value the cache stores — "
-        "is unchanged"
     ),
 }
 
@@ -303,6 +299,16 @@ def solver_options_rule(
                 f"{SOLVER_SIGNATURE_FUNCTION}; two runs differing only "
                 "in it would share cache entries. Sign it or add a "
                 "justified exemption."
+            ),
+        ))
+    for name in sorted(set(EXEMPT_OPTION_FIELDS) - set(fields)):
+        violations.append(LintViolation(
+            rule="cache-key-solver-options",
+            path=modules[OPTIONS_MODULE].path,
+            line=1,
+            message=(
+                f"EXEMPT_OPTION_FIELDS exempts {name!r}, which is no "
+                "AnalysisOptions field; delete the stale exemption."
             ),
         ))
     defined, used = _store_schema_ok(modules[STORE_MODULE])

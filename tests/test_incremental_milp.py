@@ -22,6 +22,7 @@ from repro.analysis.proposed.formulation import (
 from repro.analysis.proposed.response_time import (
     ProposedAnalysis,
     _IncrementalSlot,
+    _Query,
 )
 from repro.errors import SolverError
 from repro.milp.audit import audit_delay_milp
@@ -123,31 +124,34 @@ class TestUpdateDelayMilp:
         assert audit_delay_milp(updated, ts, task).ok
 
 
+def _query(analysis, ts, name, hp_wcrt=None):
+    query = _Query(analysis, ts, ts.by_name(name))
+    assert query.mode is AnalysisMode.NLS
+    query.hp_wcrt = hp_wcrt
+    return query
+
+
 class TestWarmStartedFixpoint:
     def test_successful_update_counts_as_a_warm_start(self, ts):
-        task = ts.by_name("c")
         cache = AnalysisCache()
         analysis = ProposedAnalysis(cache=cache)
+        query = _query(analysis, ts, "c", _HP_WCRT)
         slot = _IncrementalSlot()
         with cache_scope(cache), recording() as recorder:
-            analysis._obtain_model(
-                slot, ts, task, 14.5, AnalysisMode.NLS, _HP_WCRT
-            )
-            analysis._obtain_model(
-                slot, ts, task, 17.25, AnalysisMode.NLS, _HP_WCRT
-            )
+            analysis._obtain_model(slot, query, 14.5)
+            analysis._obtain_model(slot, query, 17.25)
         assert cache.counters.get("milp_warm_starts") == 1
         names = [e["name"] for e in recorder.events]
         assert "milp.incremental.update" in names
 
     def test_interval_count_change_is_a_visible_rebuild(self, ts):
-        task = ts.by_name("c")
         cache = AnalysisCache()
         analysis = ProposedAnalysis(cache=cache)
+        query = _query(analysis, ts, "c")
         slot = _IncrementalSlot()
         with cache_scope(cache), recording() as recorder:
-            analysis._obtain_model(slot, ts, task, 8.0, AnalysisMode.NLS, None)
-            analysis._obtain_model(slot, ts, task, 30.0, AnalysisMode.NLS, None)
+            analysis._obtain_model(slot, query, 8.0)
+            analysis._obtain_model(slot, query, 30.0)
         assert not cache.counters.get("milp_warm_starts")
         names = [e["name"] for e in recorder.events]
         assert "milp.incremental.rebuild" in names
@@ -158,19 +162,15 @@ class TestWarmStartedFixpoint:
         # When the LP bound cannot exceed the incumbent, a solved MILP
         # could not either (lp >= opt and the fixpoint is monotone), so
         # the iteration closes at exactly the incumbent value.
-        task = ts.by_name("c")
         cache = AnalysisCache()
         analysis = ProposedAnalysis(cache=cache)
         incumbent = 1e6
         with cache_scope(cache):
-            evaluated = analysis._delay_objective(
-                ts,
-                task,
+            evaluated = analysis._delay(
+                _query(analysis, ts, "c"),
                 8.0,
-                AnalysisMode.NLS,
-                None,
-                slot=_IncrementalSlot(),
-                warm_objective=incumbent,
+                _IncrementalSlot(),
+                incumbent=incumbent,
             )
         assert evaluated.objective == incumbent
         assert cache.counters.get("milp_warm_starts") == 1

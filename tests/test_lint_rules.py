@@ -313,6 +313,20 @@ class TestSolverOptionsRule:
         # The solver knobs the fixture does sign stay clean.
         assert not any("time_limit" in v.message for v in violations)
 
+    def test_stale_exemption_fails_lint(self):
+        fixture = (
+            REPO_ROOT / "tests" / "lint_fixtures" / "options_stale_exemption.py"
+        )
+        modules = dict(load_repo_modules())
+        modules["repro.analysis.interface"] = SourceModule.parse(
+            "repro.analysis.interface", str(fixture), fixture.read_text()
+        )
+        violations = solver_options_rule(modules)
+        assert [v.message for v in violations] == [
+            "EXEMPT_OPTION_FIELDS exempts 'convergence_eps', which is no "
+            "AnalysisOptions field; delete the stale exemption."
+        ]
+
     def test_missing_module_reports_instead_of_passing(self):
         modules = dict(load_repo_modules())
         del modules["repro.analysis.store"]

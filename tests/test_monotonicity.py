@@ -100,10 +100,14 @@ class TestWindowMonotonicity:
         ts = _mk_taskset([(1.0, 10.0, 0.2), (2.0, 20.0, 0.2), (3.0, 40.0, 0.2)])
         analysis = ProposedAnalysis(_EXACT)
         task = ts[2]
-        from repro.analysis.proposed.formulation import AnalysisMode
+        from repro.analysis.proposed.response_time import (
+            _IncrementalSlot,
+            _Query,
+        )
 
+        query = _Query(analysis, ts, task)
         values = [
-            analysis._solve_delay(ts, task, w, AnalysisMode.NLS)
+            analysis._delay(query, w, _IncrementalSlot()).objective
             for w in (2.0, 5.0, 10.0, 20.0, 40.0)
         ]
         assert values == sorted(values)

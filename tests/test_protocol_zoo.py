@@ -9,12 +9,16 @@ no regulation == ``nps_carry``, an unregulated ``RegulatedSimulator``
 == ``NpsSimulator``).
 """
 
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
 from repro.analysis import registry as registry_module
 from repro.analysis.interface import AnalysisOptions, RegulationConfig
 from repro.analysis.nps import NpsAnalysis
+from repro.analysis.proposed import ProposedAnalysis
 from repro.analysis.regulated import (
     RegulatedAnalysis,
     regulated_cost,
@@ -35,6 +39,7 @@ from repro.analysis.threshold import (
     max_phase,
     resolve_thresholds,
 )
+from repro.analysis.wasly import WaslyAnalysis
 from repro.errors import AnalysisError, ReproError
 from repro.generator.taskset_gen import GenerationConfig, generate_tasksets
 from repro.model.taskset import TaskSet
@@ -357,3 +362,39 @@ class TestCrossValidation:
                 taskset, taskset.by_name(victim)
             ).wcrt
             assert adv.worst_response <= bound + 1e-6
+
+
+def _regulated(options):
+    return RegulatedAnalysis(
+        dataclasses.replace(options, regulation=RegulationConfig(0.5, 1.0))
+    )
+
+
+#: (analysis factory, (n, U, index of the seed-1 task set), task): on
+#: each, one iteration ends below a fixpoint that misses the deadline.
+_CAPPED = [
+    pytest.param(ProposedAnalysis, (4, 0.7, 1), "t2", id="proposed"),
+    pytest.param(WaslyAnalysis, (5, 0.7, 0), "t3", id="wasly"),
+    pytest.param(
+        lambda options: NpsAnalysis(options, variant="carry"),
+        (4, 0.7, 1), "t2", id="nps_carry",
+    ),
+    pytest.param(ThresholdAnalysis, (5, 0.5, 0), "t3", id="threshold"),
+    pytest.param(_regulated, (5, 0.5, 1), "t1", id="regulated"),
+]
+
+
+class TestIterationCap:
+    @pytest.mark.parametrize("make, cell, name", _CAPPED)
+    def test_an_exhausted_cap_reports_an_infinite_wcrt(self, make, cell, name):
+        n, utilization, index = cell
+        config = GenerationConfig(n=n, utilization=utilization, gamma=0.3)
+        taskset = list(generate_tasksets(config, count=index + 1, seed=1))[index]
+        task = taskset.by_name(name)
+        assert not make(AnalysisOptions()).response_time(taskset, task).schedulable
+        capped = make(AnalysisOptions(max_iterations=1))
+        result = capped.response_time(taskset, task)
+        assert result.wcrt == math.inf
+        assert not result.converged and not result.schedulable
+        if hasattr(capped, "verdict"):
+            assert not capped.verdict(taskset, task)

@@ -208,13 +208,25 @@ class TestLowerBoundEntries:
         assert cache.get("d") == exact
 
 
-_MATRIX = ((4, 0.4, 11), (4, 0.5, 12))
+#: ``(n, U, seed, LS)`` cells; with ``LS`` set, the lowest-priority
+#: task of each set is marked latency-sensitive, so LS case (b) runs.
+_MATRIX = ((4, 0.4, 11, False), (4, 0.5, 12, False), (4, 0.4, 11, True))
+
+#: The verdict rungs' counters; each must fire somewhere on the matrix.
+_RUNG_COUNTERS = (
+    "closed_form_screens",
+    "lp_screens",
+    "screened_out",
+    "milp_solves",
+    "milp_target_stops",
+)
 
 
 def _matrix(cells=_MATRIX):
-    for n, utilization, seed in cells:
+    for n, utilization, seed, ls in cells:
         config = GenerationConfig(n=n, utilization=utilization, gamma=0.3)
-        yield from generate_tasksets(config, count=3, seed=seed)
+        for taskset in generate_tasksets(config, count=3, seed=seed):
+            yield taskset.with_ls_marks([taskset[-1].name]) if ls else taskset
 
 
 class TestVerdictsAndWcrts:
@@ -222,7 +234,7 @@ class TestVerdictsAndWcrts:
     def test_verdict_equals_full_analysis_on_generated_matrix(
         self, analysis_cls
     ):
-        stops = 0
+        counters = dict.fromkeys(_RUNG_COUNTERS, 0)
         for taskset in _matrix():
             cache = AnalysisCache()
             fast = analysis_cls(cache=cache)
@@ -231,8 +243,14 @@ class TestVerdictsAndWcrts:
                 assert fast.verdict(taskset, task) == full.response_time(
                     taskset, task
                 ).schedulable, (taskset, task.name)
-            stops += cache.counters.get("milp_target_stops", 0)
-        assert stops > 0  # the matrix exercises the early stop
+            for name in counters:
+                counters[name] += cache.counters.get(name, 0)
+        # Every rung fires somewhere on the matrix, so a ladder that
+        # sent each task straight to the integer fixpoint would show.
+        # WASLY has no LS case (b), the rung that screens out here.
+        if not analysis_cls._supports_ls:
+            del counters["screened_out"]
+        assert all(counters.values()), counters
 
     def test_lb_entries_never_leak_into_wcrt_values(self):
         options = AnalysisOptions(stop_at_deadline=False)
