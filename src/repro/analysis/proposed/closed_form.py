@@ -6,7 +6,9 @@ and count intervals exactly as Theorem 1 / Corollary 1 do. They are
 cheap fixpoints, provably no tighter than the MILP (whose per-interval
 lengths are tied to the specific occupant), and serve three purposes:
 
-* a fast screening mode for large experiments;
+* the first screen of every verdict, one call per task set and mode
+  (:func:`closed_form_delay_bounds_batch`), and the whole of
+  ``method="closed_form"``;
 * a property-test oracle (``simulation <= MILP <= closed form``);
 * the *exact* treatment of LS case (b), whose two-interval structure
   admits a closed form (used to cross-check the case-(b) MILP).
@@ -17,13 +19,10 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
-import numpy as np
-
-from repro.curves import BurstyArrival, PeriodicJitterArrival, SporadicArrival
 from repro.errors import AnalysisError
 from repro.model.task import Task
 from repro.model.taskset import TaskSet
-from repro.types import TIME_EPS, Time
+from repro.types import Time
 
 _FIXPOINT_CAP = 100_000
 
@@ -86,11 +85,13 @@ def closed_form_delay_bound(
         urgent_possible: Whether LS tasks may run with a sequential
             copy-in (True for the proposed protocol, False for [3]).
         deadline_cap: Abort (returning ``inf``) once the bound passes
-            this value; defaults to the task's deadline.
+            this value; defaults to the task's deadline. With
+            ``math.inf`` the fixpoint itself is returned, or ``inf``
+            when it diverges.
 
     Returns:
-        A WCRT upper bound, or ``inf`` when the fixpoint diverges past
-        the cap.
+        A WCRT upper bound, or ``inf`` when the fixpoint passes the cap
+        or the response overflows.
     """
     taskset.require_member(task)
     cap = task.deadline if deadline_cap is None else deadline_cap
@@ -121,117 +122,24 @@ def closed_form_delay_bound(
         if new_window <= window + 1e-9:
             return response
         window = new_window
-        if response > cap:
+        if response > cap or not math.isfinite(response):
             return math.inf
     return math.inf
-
-
-# ----------------------------------------------------------------------
-# vectorised batch screening
-# ----------------------------------------------------------------------
-def _ceil_div_vec(delta: np.ndarray, period: float) -> np.ndarray:
-    """Vectorised replica of ``curves.arrival._ceil_div`` (with the
-    same near-integer snapping), applied elementwise."""
-    raw = delta / period
-    nearest = np.round(raw)
-    snapped = np.abs(raw - nearest) <= TIME_EPS * np.maximum(
-        1.0, np.abs(nearest)
-    )
-    counts = np.where(snapped, nearest, np.ceil(raw))
-    return np.where(delta > 0, counts, 0.0)
-
-
-def eta_batch(task: Task, deltas: np.ndarray) -> np.ndarray:
-    """``task.eta`` over a whole vector of windows at once.
-
-    The closed forms of the three arrival models in
-    :mod:`repro.curves` are evaluated with numpy (bit-equal to the
-    scalar implementations — same snapping, same rounding); unknown
-    curve types fall back to elementwise calls.
-    """
-    arrivals = task.arrivals
-    if isinstance(arrivals, SporadicArrival):
-        return _ceil_div_vec(deltas, arrivals.period)
-    if isinstance(arrivals, BurstyArrival):
-        return np.minimum(
-            _ceil_div_vec(deltas + arrivals.jitter, arrivals.period),
-            _ceil_div_vec(deltas, arrivals.d_min),
-        )
-    if isinstance(arrivals, PeriodicJitterArrival):
-        return _ceil_div_vec(deltas + arrivals.jitter, arrivals.period)
-    return np.array([float(arrivals.eta(float(d))) for d in deltas])
 
 
 def closed_form_delay_bounds_batch(
     taskset: TaskSet,
     tasks: Sequence[Task],
-    blocking_intervals: Sequence[int],
+    blocking_intervals: int,
     urgent_possible: bool,
-    caps: Sequence[Time],
-) -> np.ndarray:
-    """All tasks' conservative WCRT fixpoints, iterated as one batch.
+) -> list[Time]:
+    """:func:`closed_form_delay_bound` of each task, capped at its deadline.
 
-    Semantically equal to calling :func:`closed_form_delay_bound` per
-    task (same interval bounds, same convergence/cap rules) but the
-    per-iteration interference sums run as one numpy matrix product
-    across every task still iterating — the screening tier of a whole
-    task set costs a handful of vector operations instead of
-    ``O(tasks x iterations x hp)`` Python arithmetic.
-
-    Returns an array of WCRT upper bounds (``inf`` where the fixpoint
-    passed its cap).
+    The screen of a whole task set (one call per analysis mode). A
+    numpy replica of the fixpoint measured slower than this loop on
+    generated fig2 sets, so the scalar bound is the only one.
     """
-    if not tasks:
-        return np.empty(0)
-    members = list(taskset)
-    bounds_by_name = {
-        j.name: _interval_bound(taskset, j, urgent_possible) for j in members
-    }
-    dma_side = taskset.max_copy_in() + taskset.max_copy_out()
-
-    m = len(tasks)
-    # Static per-task quantities.
-    blocking = np.empty(m)
-    own = np.empty(m)
-    exec_out = np.empty(m)
-    copy_in = np.empty(m)
-    cap_arr = np.asarray([float(c) for c in caps])
-    # hp interference structure: matrix W[i, j] = interval bound of
-    # member j if j has higher priority than analysed task i, else 0.
-    weights = np.zeros((m, len(members)))
-    for i, task in enumerate(tasks):
-        lp_bounds = sorted(
-            (bounds_by_name[j.name] for j in taskset.lp(task)), reverse=True
-        )
-        k = min(int(blocking_intervals[i]), len(lp_bounds))
-        blocking[i] = sum(lp_bounds[:k])
-        own[i] = max(task.exec_time, dma_side) + task.copy_out
-        exec_out[i] = task.exec_time + task.copy_out
-        copy_in[i] = task.copy_in
-        for j_index, j in enumerate(members):
-            if j.priority < task.priority:
-                weights[i, j_index] = bounds_by_name[j.name]
-
-    windows = copy_in.copy()
-    results = np.full(m, math.inf)
-    active = np.ones(m, dtype=bool)
-    for _ in range(_FIXPOINT_CAP):
-        if not active.any():
-            break
-        idx = np.flatnonzero(active)
-        w = windows[idx]
-        # eta matrix over the active tasks: E[a, j] = eta_j(w_a).
-        eta = np.empty((len(idx), len(members)))
-        for j_index, j in enumerate(members):
-            eta[:, j_index] = eta_batch(j, w)
-        interference = ((eta + 1.0) * weights[idx]).sum(axis=1)
-        response = dma_side + blocking[idx] + interference + own[idx]
-        new_window = response - exec_out[idx]
-        converged = new_window <= w + 1e-9
-        results[idx[converged]] = response[converged]
-        diverged = ~converged & (response > cap_arr[idx])
-        still = ~converged & ~diverged
-        windows[idx[still]] = new_window[still]
-        active[idx[converged]] = False
-        active[idx[diverged]] = False
-    return results
+    return [
+        closed_form_delay_bound(taskset, task, blocking_intervals, urgent_possible)
+        for task in tasks
+    ]

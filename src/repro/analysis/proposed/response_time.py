@@ -6,8 +6,8 @@ curves and the interval count). Starting from the minimum possible
 response ``l_i + C_i + u_i``, the MILP is re-solved with the window
 induced by its own previous optimum until the value stabilises — the
 classical response-time fixpoint, monotone because larger windows only
-enlarge the feasible schedule set. :meth:`ProposedAnalysis._fixpoint`
-is the one loop that iterates it, on integer optima or on LP bounds.
+enlarge the feasible schedule set. :meth:`ProposedAnalysis._iterate`
+is the one loop that iterates it.
 
 For LS tasks the bound is the maximum of case (a) (not promoted —
 iterated MILP) and case (b) (promoted in ``I_0`` — window-independent,
@@ -16,7 +16,9 @@ solved once and cross-checkable against its closed form).
 A verdict needs only ``R <= D``, not ``R``, so
 :meth:`ProposedAnalysis.verdict` first tries an ordered ladder of
 cheaper sufficient conditions; docs/analysis.md, "Fast verdicts", lists
-its rungs in code order.
+its rungs in code order. The two screens of the ladder, the closed form
+and the LP relaxation at the deadline window, run once per task, in
+:meth:`ProposedAnalysis._screened`, for one task or a whole task set.
 
 Every memoised value is tagged (``("milp", ...)`` exact optimum /
 ``("lb", theta)`` target-stop lower bound / ``("lp", bound)``
@@ -32,7 +34,7 @@ import dataclasses
 import functools
 import math
 import time
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Sequence
 
 from repro.analysis.cache import (
     AnalysisCache,
@@ -86,6 +88,11 @@ def _default_backend_factory(options: AnalysisOptions) -> BackendFactory:
     return lambda: HighsBackend(time_limit=options.time_limit)
 
 
+def _meets(task: Task, response: Time) -> bool:
+    """``response <= D``, up to the verdicts' 1e-9 deadline tolerance."""
+    return response <= task.deadline + 1e-9
+
+
 def _usable(solution: MilpSolution) -> bool:
     """Whether a backend's answer may stand: no error status, and a
     finite objective whenever it reports one."""
@@ -93,16 +100,6 @@ def _usable(solution: MilpSolution) -> bool:
         return False
     return not solution.status.has_solution or math.isfinite(
         solution.objective
-    )
-
-
-def _closed_form(taskset: TaskSet, task: Task, mode: AnalysisMode) -> Time:
-    """One mode's conservative closed-form WCRT (``inf`` past ``D``)."""
-    return closed_form_delay_bound(
-        taskset,
-        task,
-        blocking_intervals=mode.blocking_intervals,
-        urgent_possible=mode.uses_ls_machinery,
     )
 
 
@@ -140,9 +137,15 @@ class _Query:
 
     ``mode`` is the windowed mode the task iterates and ``theta`` the
     objective target of its verdict's integer solves (exact-MILP
-    method only). The higher-priority WCRTs of the carry refinement,
-    and the model and memo entry at the deadline window, are computed on
-    first use, so a rung that decides early never pays for them.
+    method only). :meth:`ProposedAnalysis._screened` fills in the
+    screens' outcomes once: ``closed_form``, the closed-form WCRT
+    (``inf`` past ``D``); and, for a task that bound does not prove,
+    ``deadline_key`` and ``deadline_answer``, the memo's digest and
+    answer at ``t_D`` (see :meth:`ProposedAnalysis._recall`), and
+    ``lp_proved``, whether the LP relaxation there fits ``D``. The
+    higher-priority WCRTs of the carry refinement and the model at
+    ``t_D`` are computed on first use, so a rung that decides early
+    never pays for them.
     """
 
     def __init__(
@@ -153,36 +156,32 @@ class _Query:
         self.task = task
         self.ls = analysis._supports_ls and task.latency_sensitive
         self.mode = AnalysisMode.LS_CASE_A if self.ls else analysis._nls_mode
-        self.memo = (taskset, task.name, self.mode.value)
         self.theta = (
             task.deadline - task.copy_out + TARGET_SLACK
             if analysis.method == "milp"
             else None
         )
+        #: ``t_D = D - C - u``, the window of a response equal to ``D``.
+        self.deadline_window = max(
+            task.deadline - task.exec_time - task.copy_out, task.copy_in
+        )
+        self.closed_form: Time = math.inf
+        self.deadline_key = ""
+        self.deadline_answer: _DelayEval | None = None
+        self.lp_proved = False
 
     @functools.cached_property
     def hp_wcrt(self) -> dict[str, Time] | None:
         return self.analysis._hp_wcrt_map(self.taskset, self.task)
 
     @functools.cached_property
-    def deadline_window(self) -> Time:
-        """``t_D = D - C - u``, the window of a response equal to ``D``."""
-        task = self.task
-        return max(task.deadline - task.exec_time - task.copy_out, task.copy_in)
-
-    @functools.cached_property
     def deadline_model(self) -> DelayMilp:
-        """The delay MILP at ``t_D``, built once for the rungs that need it."""
+        """The delay MILP at ``t_D``, built once for the LP screen and
+        the probe."""
         return build_delay_milp(
             self.taskset, self.task, self.deadline_window, self.mode,
             hp_wcrt=self.hp_wcrt,
         )
-
-    @functools.cached_property
-    def at_deadline(self) -> tuple[str, int, _DelayEval | None, float | None]:
-        """The memo's answer at ``t_D`` (see :meth:`ProposedAnalysis._recall`),
-        looked up once for the LP-screen and probe rungs."""
-        return self.analysis._recall(self, self.deadline_window, self.theta)
 
 
 class ProposedAnalysis:
@@ -239,13 +238,6 @@ class ProposedAnalysis:
         #: analysis and memoised per task set.
         self.carry_refinement = carry_refinement
         self._wcrt_cache: dict[tuple[TaskSet, str], Time] = {}
-        # Scope-local screening memos fed by _screen_taskset and
-        # consumed by the verdict rungs (counter bumps happen at
-        # consumption, so early-exiting sweeps surface the same stats
-        # sequentially and in parallel).
-        self._screened: set[TaskSet] = set()
-        self._screen_memo: dict[tuple[TaskSet, str, str], float] = {}
-        self._lp_proved: dict[tuple[TaskSet, str, str], bool] = {}
 
     # ------------------------------------------------------------------
     def _hp_wcrt_map(
@@ -294,6 +286,14 @@ class ProposedAnalysis:
             },
         )
 
+    def _closed_form(self, taskset: TaskSet, task: Task, mode: AnalysisMode) -> Time:
+        """One mode's conservative closed-form WCRT: ``inf`` past ``D``
+        with ``stop_at_deadline``, the fixpoint itself without."""
+        return closed_form_delay_bound(
+            taskset, task, mode.blocking_intervals, mode.uses_ls_machinery,
+            None if self.options.stop_at_deadline else math.inf,
+        )
+
     def _solve_model(
         self,
         model: MilpModel,
@@ -332,7 +332,7 @@ class ProposedAnalysis:
         if mode is AnalysisMode.LS_CASE_B:
             bound = ls_case_b_bound(taskset, task)
         else:
-            bound = _closed_form(taskset, task, mode)
+            bound = self._closed_form(taskset, task, mode)
         return MilpSolution(
             status=SolveStatus.TIME_LIMIT,
             objective=bound - task.copy_out,
@@ -467,8 +467,7 @@ class ProposedAnalysis:
         """The LP bound of one built model, memoised as ``("lp", bound)``.
 
         ``None`` when the relaxation fails or ends other than optimal:
-        a bound only ever screens, so the caller falls through to the
-        next rung.
+        the squeeze of :meth:`_delay` then solves the integer model.
         """
         try:
             relaxed = LpRelaxationBackend().solve_compiled(built.model.compile())
@@ -606,49 +605,18 @@ class ProposedAnalysis:
         return self._solve(built, key, taskset, task).objective + task.copy_out
 
     # ------------------------------------------------------------------
-    def _fixpoint(
-        self,
-        query: _Query,
-        step: Callable[[Time], float],
-        details: dict,
-        stop_at_deadline: bool,
-    ) -> TaskResult:
-        """The response-time fixpoint, over whichever delay map ``step`` is.
-
-        From ``R = l + C + u`` each iteration evaluates ``step`` at
-        ``t = R - C - u`` and moves to ``step(t) + u``. It ends
-        converged once a step raises ``R`` by at most
-        ``convergence_eps``; unconverged at a non-finite response, or
-        past the deadline with ``stop_at_deadline``; and at
-        ``max_iterations`` without any of these with an infinite WCRT,
-        since the last tentative response lies below the fixpoint.
-        """
-        task, options = query.task, self.options
-        response = task.total_cost
-        for iteration in range(1, options.max_iterations + 1):
-            window = max(response - task.exec_time - task.copy_out, task.copy_in)
-            with obs.span(
-                "fixpoint.iteration",
-                task=task.name,
-                mode=query.mode.value,
-                iteration=iteration,
-            ):
-                new_response = step(window) + task.copy_out
-            if new_response <= response + options.convergence_eps:
-                return TaskResult(
-                    task, max(response, new_response), iteration, True, details
-                )
-            response = new_response
-            if not math.isfinite(response) or (
-                stop_at_deadline and response > task.deadline
-            ):
-                return TaskResult(task, response, iteration, False, details)
-        return TaskResult(task, math.inf, options.max_iterations, False, details)
-
     def _iterate(
         self, query: _Query, target: float | None = None
     ) -> TaskResult:
         """The integer response-time fixpoint of one query.
+
+        From ``R = l + C + u`` each iteration evaluates the delay map at
+        ``t = R - C - u`` and moves to ``f(t) + u``. It ends converged
+        once a step raises ``R`` by at most ``convergence_eps``;
+        unconverged at a non-finite response, or past the deadline with
+        ``stop_at_deadline``; and at ``max_iterations`` without any of
+        these with an infinite WCRT, since the last tentative response
+        lies below the fixpoint.
 
         One compiled model lives across iterations (see
         :meth:`_obtain_model`) and each new window is first squeezed
@@ -657,9 +625,9 @@ class ProposedAnalysis:
         leaves a response beyond the deadline, which is all the verdict
         reads.
         """
-        task, mode = query.task, query.mode
+        task, mode, options = query.task, query.mode, self.options
         if self.method == "closed_form":
-            wcrt = _closed_form(query.taskset, task, mode)
+            wcrt = self._closed_form(query.taskset, task, mode)
             return TaskResult(
                 task, wcrt, 1, not math.isinf(wcrt), {"method": "closed_form"}
             )
@@ -668,24 +636,35 @@ class ProposedAnalysis:
         }
         slot = _IncrementalSlot()
         incumbent: float | None = None
-
-        def step(window: Time) -> float:
-            nonlocal incumbent
-            evaluated = self._delay(query, window, slot, incumbent, target)
-            details["cache_hits" if evaluated.cached else "solves"] += 1
-            details["num_intervals"] = evaluated.num_intervals
-            details.setdefault("milp_stats", evaluated.stats)
-            if evaluated.degradation:
-                details["degradation"] = max(
-                    details.get("degradation", evaluated.degradation),
-                    evaluated.degradation,
+        response = task.total_cost
+        for iteration in range(1, options.max_iterations + 1):
+            window = max(response - task.exec_time - task.copy_out, task.copy_in)
+            with obs.span(
+                "fixpoint.iteration",
+                task=task.name,
+                mode=mode.value,
+                iteration=iteration,
+            ):
+                evaluated = self._delay(query, window, slot, incumbent, target)
+                details["cache_hits" if evaluated.cached else "solves"] += 1
+                details["num_intervals"] = evaluated.num_intervals
+                details.setdefault("milp_stats", evaluated.stats)
+                if evaluated.degradation:
+                    details["degradation"] = max(
+                        details.get("degradation", 0), evaluated.degradation
+                    )
+                incumbent = evaluated.objective
+            new_response = incumbent + task.copy_out
+            if new_response <= response + options.convergence_eps:
+                return TaskResult(
+                    task, max(response, new_response), iteration, True, details
                 )
-            incumbent = evaluated.objective
-            return incumbent
-
-        return self._fixpoint(
-            query, step, details, self.options.stop_at_deadline
-        )
+            response = new_response
+            if not math.isfinite(response) or (
+                options.stop_at_deadline and response > task.deadline
+            ):
+                return TaskResult(task, response, iteration, False, details)
+        return TaskResult(task, math.inf, options.max_iterations, False, details)
 
     # ------------------------------------------------------------------
     # the verdict ladder
@@ -696,20 +675,25 @@ class ProposedAnalysis:
         Gives exactly the same answer as
         ``self.response_time(taskset, task).schedulable`` but typically
         needs zero or one MILP solve instead of a full fixpoint. The
-        rungs run in order (docs/analysis.md, "Fast verdicts"); each
-        answers proved (``True``), disproved (``False``) or
-        inconclusive (``None``), and the first answer stands. A rung
-        only ever proves what the integer fixpoint would prove, or
-        disproves what it would disprove.
+        task is screened as :meth:`first_unschedulable` screens a whole
+        set, then the rungs run in order (docs/analysis.md, "Fast
+        verdicts").
         """
         taskset.require_member(task)
-        query = _Query(self, taskset, task)
+        (query,) = self._screened(taskset, [task])
+        return self._decide(query)
+
+    def _decide(self, query: _Query) -> bool:
+        """Walk the verdict ladder of one screened query. Each rung
+        answers proved (``True``), disproved (``False``) or inconclusive
+        (``None``), and the first answer stands. A rung only ever proves
+        what the integer fixpoint would prove, or disproves what it
+        would disprove."""
         for rung in (
             self._case_b_rung,
             self._closed_form_rung,
             self._lp_screen_rung,
             self._probe_rung,
-            self._lp_fixpoint_rung,
         ):
             answer = rung(query)
             if answer is not None:
@@ -724,176 +708,127 @@ class ProposedAnalysis:
         task = query.task
         if not query.ls:
             return None
-        if ls_case_b_bound(query.taskset, task) <= task.deadline + 1e-9:
+        if _meets(task, ls_case_b_bound(query.taskset, task)):
             if self.method == "milp":
                 self.cache.bump("screened_out")
             return None
-        if (
-            self.method != "milp"
-            or self._case_b_wcrt(query.taskset, task) > task.deadline + 1e-9
+        if self.method != "milp" or not _meets(
+            task, self._case_b_wcrt(query.taskset, task)
         ):
             return False
         return None
 
     def _closed_form_rung(self, query: _Query) -> bool | None:
-        """The closed-form WCRT (batched per task set when
-        :meth:`_screen_taskset` ran) within the deadline proves; it is
-        the whole decision of ``method="closed_form"``."""
+        """The screen's closed-form WCRT within the deadline proves; it
+        is the whole decision of ``method="closed_form"``."""
         task = query.task
         if task.trivially_unschedulable:
             return False
-        bound = self._screen_memo.get(query.memo)
-        if bound is None:
-            bound = _closed_form(query.taskset, task, query.mode)
-        if bound <= task.deadline + 1e-9:
+        if _meets(task, query.closed_form):
             self.cache.bump("closed_form_screens")
             return True
         return False if self.method == "closed_form" else None
 
     def _lp_screen_rung(self, query: _Query) -> bool | None:
-        """The LP relaxation at ``t_D`` within the deadline proves
-        (batched per task set when :meth:`_screen_taskset` ran)."""
-        if self.method != "milp":
+        """The screen's LP relaxation at ``t_D`` within the deadline
+        proves (exact-MILP method only)."""
+        if not query.lp_proved:
             return None
-        task = query.task
-        if self._lp_proved.pop(query.memo, False):
-            self.cache.bump("screened_out")
-            return True
-        key, _, answer, bound = query.at_deadline
-        if answer is not None:
-            return None  # the memo already holds the probe's answer
-        if bound is None:
-            bound = self._relax(query.deadline_model, key, task)
-        if bound is not None and bound + task.copy_out <= task.deadline + 1e-9:
-            self.cache.bump("lp_screens")
-            return True
-        return None
+        self.cache.bump("lp_screens")
+        return True
 
     def _probe_rung(self, query: _Query) -> bool | None:
         """One targeted integer evaluation at ``t_D``: ``f`` is monotone,
         so ``f(t_D) + u <= D`` makes ``D`` a pre-fixpoint and the least
-        fixpoint is ``<= D``."""
+        fixpoint is ``<= D``. A memoised answer the screen read stands
+        in for the solve."""
         task = query.task
-        key, _, answer, _ = query.at_deadline
+        answer = query.deadline_answer
         if answer is None:
             answer = self._solve(
-                query.deadline_model, key, query.taskset, task, query.theta
+                query.deadline_model, query.deadline_key, query.taskset, task,
+                query.theta,
             )
-        if answer.objective + task.copy_out <= task.deadline + 1e-9:
-            return True
-        return None
-
-    def _lp_fixpoint_rung(self, query: _Query) -> bool | None:
-        """The fixpoint on LP bounds (or exact memoised optima, only
-        sharper) converging within the deadline proves: the LP map
-        dominates the integer map termwise. A memoised lower bound
-        beyond the deadline ends it at once, since the LP bound there
-        is at least as large."""
-        if self.method != "milp":
-            return None
-        task = query.task
-        slot = _IncrementalSlot()
-
-        def step(window: Time) -> float:
-            key, _ = self._delay_key(query, window)
-            entry = self.cache.get(key)
-            if isinstance(entry, tuple) and entry:
-                if entry[0] in ("milp", "lp"):
-                    return entry[1]
-                if entry[0] == "lb" and (
-                    entry[1] + task.copy_out > task.deadline + 1e-9
-                ):
-                    return math.inf
-            built = self._obtain_model(slot, query, window)
-            bound = self._relax(built, key, task)
-            return math.inf if bound is None else bound
-
-        result = self._fixpoint(query, step, {}, stop_at_deadline=True)
-        if not result.schedulable or not result.converged:
-            return None
-        self.cache.bump("screened_out")
-        return True
+        return True if _meets(task, answer.objective + task.copy_out) else None
 
     def _fixpoint_rung(self, query: _Query) -> bool:
         """The integer fixpoint decides. Its solves carry the target
         only with ``stop_at_deadline``, the only time it stops at the
         deadline."""
         target = query.theta if self.options.stop_at_deadline else None
-        return self._iterate(query, target).wcrt <= query.task.deadline + 1e-9
+        return _meets(query.task, self._iterate(query, target).wcrt)
 
-    def _screen_taskset(self, taskset: TaskSet) -> None:
-        """Run the batched halves of the closed-form and LP-screen rungs
-        once per task set.
+    def _screened(self, taskset: TaskSet, tasks: Sequence[Task]) -> list[_Query]:
+        """One query per task, with the closed-form and LP screens run once.
 
-        Outcomes land in scope-local memos the rungs consume — counter
-        bumps happen at consumption, so a sweep that stops at its first
+        The closed form bounds every task, one
+        :func:`closed_form_delay_bounds_batch` call per mode. For each
+        task it leaves undecided the memo is read once at ``t_D``: an
+        exact or ``lb`` answer is kept for the probe, and an LP bound
+        screens as it is. The exact-MILP method relaxes the remaining
+        deadline-window models as one block-diagonal LP
+        (:func:`screen_batch`) and memoises the bounds; a failed screen
+        leaves the decision to the probe. The rungs bump the counters
+        as they read the outcomes, so a sweep that stops at its first
         unschedulable task surfaces identical stats sequentially and in
-        parallel. Batch-derived LP bounds are memoised like any other
-        screening bound: the block-diagonal LP decomposes exactly, any
-        valid relaxation bound proves conservatively, and a failed
-        screen always falls through to the next rung.
+        parallel.
         """
-        if taskset in self._screened:
-            return
-        self._screened.add(taskset)
-        groups: dict[AnalysisMode, list[_Query]] = {}
-        for task in taskset:
-            query = _Query(self, taskset, task)
-            groups.setdefault(query.mode, []).append(query)
-        survivors: list[_Query] = []
-        for mode, queries in groups.items():
-            tasks = [query.task for query in queries]
+        queries = [_Query(self, taskset, task) for task in tasks]
+        modes: dict[AnalysisMode, list[_Query]] = {}
+        for query in queries:
+            modes.setdefault(query.mode, []).append(query)
+        for mode, group in modes.items():
             bounds = closed_form_delay_bounds_batch(
                 taskset,
-                tasks,
-                [mode.blocking_intervals] * len(tasks),
+                [query.task for query in group],
+                mode.blocking_intervals,
                 mode.uses_ls_machinery,
-                [t.deadline for t in tasks],
             )
-            for query, bound in zip(queries, bounds):
-                self._screen_memo[query.memo] = float(bound)
-                task = query.task
-                if (
-                    float(bound) > task.deadline + 1e-9
-                    and not task.trivially_unschedulable
-                ):
-                    survivors.append(query)
-        if self.method != "milp" or not survivors:
-            return
-        batch: list[tuple[_Query, str, DelayMilp]] = []
-        for query in sorted(survivors, key=lambda q: q.task.priority):
-            key, _ = self._delay_key(query, query.deadline_window)
-            if self.cache.get(key) is not None:
-                continue  # a previous run or iteration knows this window
-            batch.append((query, key, query.deadline_model))
+            for query, bound in zip(group, bounds):
+                query.closed_form = bound
+        if self.method == "closed_form":
+            return queries
+        batch: list[_Query] = []
+        for query in queries:  # priority order
+            task = query.task
+            if _meets(task, query.closed_form) or task.trivially_unschedulable:
+                continue
+            key, _, answer, bound = self._recall(
+                query, query.deadline_window, query.theta
+            )
+            query.deadline_key, query.deadline_answer = key, answer
+            if answer is not None or self.method != "milp":
+                continue
+            if bound is None:
+                batch.append(query)
+            else:
+                query.lp_proved = _meets(task, bound + task.copy_out)
         if not batch:
-            return
+            return queries
+        models = [query.deadline_model.model for query in batch]
         start = time.perf_counter()
         try:
-            bounds = screen_batch(
-                [built.model.compile() for *_, built in batch]
-            )
+            lp_bounds = screen_batch([model.compile() for model in models])
         except SolverError:
-            return  # screening only; the per-task rungs decide
+            return queries
         self.cache.bump("lp_solves", len(batch))
         obs.emit(
             "solve.screen_batch",
             dur=time.perf_counter() - start,
             size=len(batch),
         )
-        for (query, key, _), bound in zip(batch, bounds):
-            if bound is None:
+        for query, lp_bound in zip(batch, lp_bounds):
+            if lp_bound is None:
                 continue
-            self.cache.put(key, ("lp", float(bound)))
-            if bound + query.task.copy_out <= query.task.deadline + 1e-9:
-                self._lp_proved[query.memo] = True
+            self.cache.put(query.deadline_key, ("lp", lp_bound))
+            query.lp_proved = _meets(query.task, lp_bound + query.task.copy_out)
+        return queries
 
     def first_unschedulable(self, taskset: TaskSet) -> Task | None:
         """Highest-priority task whose verdict is negative, or None."""
-        self._screen_taskset(taskset)
-        for task in taskset:  # TaskSet iterates in priority order
-            if not self.verdict(taskset, task):
-                return task
+        for query in self._screened(taskset, list(taskset)):  # priority order
+            if not self._decide(query):
+                return query.task
         return None
 
     # ------------------------------------------------------------------

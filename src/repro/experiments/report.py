@@ -107,10 +107,14 @@ def render_sweep_table(result: SweepResult, baseline: str | None = None) -> str:
             f"{stats.get('lp_solves', 0)} LP solves, "
             f"{stats.get('milp_warm_starts', 0)} warm starts"
         )
+    screens = {
+        "closed form": stats.get("closed_form_screens", 0),
+        "LP at t_D": stats.get("lp_screens", 0),
+        "LS case (b)": stats.get("screened_out", 0),
+    }
+    if any(screens.values()):
         lines.append(
-            f"screens: {stats.get('closed_form_screens', 0)} closed-form + "
-            f"{stats.get('lp_screens', 0)} LP, "
-            f"{stats.get('screened_out', 0)} integer solves screened out"
+            "screens: " + ", ".join(f"{n} {rung}" for rung, n in screens.items())
         )
     served = stats.get("unit_store.hits", 0)
     corrupt = stats.get("unit_store.corrupt", 0)

@@ -4,17 +4,18 @@ Solves a model with all integrality constraints dropped. For a
 *maximisation* the relaxed optimum upper-bounds the MILP optimum, so —
 for the delay analyses in this package — the result is still a safe
 (more pessimistic) delay bound at a fraction of the cost: one LP solve,
-no branching. Used as the middle tier of the verdict pipeline
-(closed form → LP → MILP) and as an ablation axis.
+no branching. Used as the LP screen of the verdict ladder (closed form
+→ LP → MILP), as the fixpoint's LP squeeze and as an ablation axis.
 
-:func:`screen_batch` extends the same soundness argument to a whole
-task set at once: independent relaxations are joined into one
+:func:`screen_batch` is the LP screen's one entry point, for one task
+or a whole task set: independent relaxations are joined into one
 block-diagonal LP (their feasible sets do not interact, so the joint
 optimum decomposes into the per-block optima) and solved in a single
 HiGHS call, replacing per-window Python/solver round-trips with one
-vectorised assembly. Batched bounds are *screening* values: each is a
-safe upper bound for its block, but its floating-point value may
-differ in the last ulp from a standalone solve, so they are only
+vectorised assembly. A lone model is solved on its own, so its bound
+is the standalone relaxation's. Batched bounds are *screening* values:
+each is a safe upper bound for its block, but its floating-point value
+may differ in the last ulp from a standalone solve, so they are only
 ever memoised in a unit's own analysis cache, which dies with its
 scope.
 """

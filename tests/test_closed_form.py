@@ -9,6 +9,7 @@ from repro.analysis.proposed.closed_form import (
     ls_case_b_bound,
 )
 from repro.errors import AnalysisError
+from repro.generator.taskset_gen import GenerationConfig, generate_tasksets
 from repro.model.taskset import TaskSet
 
 
@@ -99,6 +100,22 @@ class TestDelayBound:
         )
         bound = closed_form_delay_bound(
             overload, overload.by_name("y"), 2, True
+        )
+        assert math.isinf(bound)
+
+    def test_uncapped_divergence_returns_inf(self):
+        # Without a cap the response grows until it overflows; the bound
+        # is then inf, not an OverflowError from the arrival curves.
+        taskset = next(
+            iter(
+                generate_tasksets(
+                    GenerationConfig(n=6, utilization=0.6, gamma=0.1), 1, seed=12
+                )
+            )
+        )
+        bound = closed_form_delay_bound(
+            taskset, taskset.by_name("t1"), blocking_intervals=2,
+            urgent_possible=True, deadline_cap=math.inf,
         )
         assert math.isinf(bound)
 

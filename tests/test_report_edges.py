@@ -4,9 +4,13 @@ import pytest
 
 from repro.curves import SporadicArrival, StaircaseCurve
 from repro.errors import CurveError
-from repro.experiments.config import ExperimentConfig, SweepPoint
-from repro.experiments.report import ascii_plot, render_sweep_table
-from repro.experiments.runner import PointResult, SweepResult
+from repro.experiments.config import ExperimentConfig, SweepPoint, figure2_config
+from repro.experiments.report import (
+    aggregate_analysis_stats,
+    ascii_plot,
+    render_sweep_table,
+)
+from repro.experiments.runner import PointResult, SweepResult, run_experiment
 from repro.generator.taskset_gen import GenerationConfig
 
 
@@ -49,6 +53,20 @@ class TestReportEdges:
         table = render_sweep_table(_result([(0.3, 0.5)]))
         assert "0.3" in table
         assert "max advantage" in table
+
+
+    def test_closed_form_sweep_footer_names_every_screen(self):
+        # A closed-form sweep looks nothing up in the analysis cache,
+        # yet its screens proved tasks: the footer still shows them.
+        sweep = run_experiment(
+            figure2_config("fig2e", sets_per_point=2, seed=2020, method="closed_form")
+        )
+        stats = aggregate_analysis_stats(sweep.points)
+        assert stats["hits"] + stats["misses"] == 0
+        assert stats["closed_form_screens"] == 6
+        table = render_sweep_table(sweep)
+        assert "analysis cache:" not in table
+        assert "screens: 6 closed form, 0 LP at t_D, 0 LS case (b)" in table
 
 
 class TestCurveValidation:

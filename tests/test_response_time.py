@@ -1,11 +1,14 @@
 """Unit tests for the iterative response-time driver (proposed protocol)."""
 
+import math
+
 import pytest
 
 from repro.analysis.interface import AnalysisOptions
 from repro.analysis.proposed.closed_form import closed_form_delay_bound
 from repro.analysis.proposed.response_time import ProposedAnalysis
 from repro.errors import ModelError
+from repro.generator.taskset_gen import GenerationConfig, generate_tasksets
 from repro.milp import BranchBoundBackend
 from repro.model.taskset import TaskSet
 
@@ -51,6 +54,25 @@ class TestNlsIteration:
         analysis = ProposedAnalysis(method="closed_form")
         result = analysis.response_time(ts, ts.by_name("a"))
         assert result.details["method"] == "closed_form"
+
+    def test_closed_form_method_without_deadline_stop(self):
+        # The closed-form fixpoint of t2 lies past its deadline: without
+        # stop_at_deadline it is reported, and it bounds the MILP one.
+        taskset = list(
+            generate_tasksets(
+                GenerationConfig(n=4, utilization=0.7, gamma=0.3),
+                count=2,
+                seed=1,
+            )
+        )[1]
+        task = taskset.by_name("t2")
+        options = AnalysisOptions(stop_at_deadline=False)
+        closed = ProposedAnalysis(options, method="closed_form").response_time(
+            taskset, task
+        )
+        milp = ProposedAnalysis(options).response_time(taskset, task)
+        assert closed.converged
+        assert task.deadline < milp.wcrt <= closed.wcrt < math.inf
 
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError):

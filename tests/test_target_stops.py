@@ -13,10 +13,12 @@ import warnings
 import numpy as np
 import pytest
 
+import repro.analysis.proposed.response_time as response_time_module
 import repro.milp.highs as highs_module
 from repro.analysis.cache import AnalysisCache, _entry_rank
 from repro.analysis.interface import AnalysisOptions
 from repro.analysis.proposed import ProposedAnalysis
+from repro.analysis.proposed.formulation import build_delay_milp
 from repro.analysis.wasly import WaslyAnalysis
 from repro.experiments import run_experiment
 from repro.experiments.config import figure2_config
@@ -230,27 +232,70 @@ def _matrix(cells=_MATRIX):
 
 
 class TestVerdictsAndWcrts:
+    @pytest.mark.parametrize("method", ["milp", "closed_form"])
     @pytest.mark.parametrize("analysis_cls", [ProposedAnalysis, WaslyAnalysis])
     def test_verdict_equals_full_analysis_on_generated_matrix(
-        self, analysis_cls
+        self, analysis_cls, method
     ):
         counters = dict.fromkeys(_RUNG_COUNTERS, 0)
         for taskset in _matrix():
             cache = AnalysisCache()
-            fast = analysis_cls(cache=cache)
-            full = analysis_cls()
-            for task in taskset:
-                assert fast.verdict(taskset, task) == full.response_time(
-                    taskset, task
-                ).schedulable, (taskset, task.name)
+            fast = analysis_cls(cache=cache, method=method)
+            full = analysis_cls(method=method)
+            schedulable = [
+                full.response_time(taskset, task).schedulable
+                for task in taskset
+            ]
+            for task, expected in zip(taskset, schedulable):
+                assert fast.verdict(taskset, task) == expected, (
+                    taskset, task.name,
+                )
             for name in counters:
                 counters[name] += cache.counters.get(name, 0)
+            # The sweep's path: the set screened at once, then the
+            # ladder until the first negative verdict.
+            first = analysis_cls(method=method).first_unschedulable(taskset)
+            assert first == next(
+                (t for t, ok in zip(taskset, schedulable) if not ok), None
+            ), taskset
         # Every rung fires somewhere on the matrix, so a ladder that
         # sent each task straight to the integer fixpoint would show.
-        # WASLY has no LS case (b), the rung that screens out here.
-        if not analysis_cls._supports_ls:
+        # WASLY has no LS case (b), the rung that screens out here; the
+        # closed-form method stops at the closed-form rung.
+        if method == "closed_form":
+            counters = {"closed_form_screens": counters["closed_form_screens"]}
+        elif not analysis_cls._supports_ls:
             del counters["screened_out"]
         assert all(counters.values()), counters
+
+    @pytest.mark.parametrize("analysis_cls", [ProposedAnalysis, WaslyAnalysis])
+    def test_sweep_builds_each_deadline_model_once(
+        self, analysis_cls, monkeypatch
+    ):
+        # The LP screen and the probe share one query per task, so the
+        # model at the deadline window t_D = D - C - u is built once.
+        builds = []
+
+        def counting_build(taskset, task, window, mode, **kwargs):
+            builds.append((task.name, mode, window))
+            return build_delay_milp(taskset, task, window, mode, **kwargs)
+
+        monkeypatch.setattr(
+            response_time_module, "build_delay_milp", counting_build
+        )
+        deadline_builds = 0
+        for taskset in _matrix():
+            builds.clear()
+            analysis_cls().first_unschedulable(taskset)
+            for task in taskset:
+                t_d = task.deadline - task.exec_time - task.copy_out
+                count = sum(
+                    name == task.name and window == t_d
+                    for name, _, window in builds
+                )
+                assert count <= 1, (taskset, task.name, builds)
+                deadline_builds += count
+        assert deadline_builds > 0
 
     def test_lb_entries_never_leak_into_wcrt_values(self):
         options = AnalysisOptions(stop_at_deadline=False)
