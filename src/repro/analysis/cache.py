@@ -66,12 +66,16 @@ from repro.obs import events as obs
 #: target — nearly always because HiGHS stopped early at it. An exact
 #: optimum beyond the target counts too, so the counter does not
 #: depend on which solver attempt answered.
+#: ``milp_cutoff_proofs`` counts the integer solves (also in
+#: ``milp_solves``) that proved no schedule exceeds a probe's cutoff
+#: (:attr:`repro.milp.SolveStatus.BELOW_CUTOFF`).
 COUNTER_NAMES = (
     "hits",
     "misses",
     "unit_store.corrupt",
     "milp_solves",
     "milp_target_stops",
+    "milp_cutoff_proofs",
     "lp_solves",
     "milp_warm_starts",
     "closed_form_screens",
@@ -83,12 +87,13 @@ COUNTER_NAMES = (
 def _entry_rank(value: object) -> int:
     """Soundness rank of a cache entry: bounds below exact verdicts.
 
-    ``("lp", bound)`` screen entries rank lowest, ``("lb", bound)``
-    target-stop lower bounds next, and ``("milp", ...)`` tuples and
-    bare solved objectives (exact) highest.
+    ``("lp", bound)`` screen entries and ``("ub", bound)`` cutoff-proof
+    upper bounds rank lowest, ``("lb", bound)`` target-stop lower bounds
+    next, and ``("milp", ...)`` tuples and bare solved objectives
+    (exact) highest.
     """
     if isinstance(value, tuple) and value:
-        if value[0] == "lp":
+        if value[0] in ("lp", "ub"):
             return 1
         if value[0] == "lb":
             return 2

@@ -22,10 +22,11 @@ and the LP relaxation at the deadline window, run once per task, in
 
 Every memoised value is tagged (``("milp", ...)`` exact optimum /
 ``("lb", theta)`` target-stop lower bound / ``("lp", bound)``
-screening bound), and the analysis cache ranks the tags so a bound
-never shadows an exact optimum; see :mod:`repro.analysis.cache`. An
-``lb`` entry answers any later target query at or below its bound
-without a solve.
+screening bound / ``("ub", bound)`` cutoff-proof upper bound), and the
+analysis cache ranks the tags so a bound never shadows an exact
+optimum; see :mod:`repro.analysis.cache`. An ``lb`` entry answers any
+later target query at or below its bound without a solve; ``lp`` and
+``ub`` entries are upper bounds and never stand in for an optimum.
 """
 
 from __future__ import annotations
@@ -83,6 +84,11 @@ BackendFactory = Callable[[], MilpBackend]
 #: so a stop and an exact solve decide every verdict the same way.
 TARGET_SLACK = 1e-6
 
+#: Relative margin of the probe's objective cutoff below ``D - u``
+#: (scaled by ``max(1, |D - u|)``). It absorbs HiGHS's LP tolerances in
+#: the pruning test, so a delay above ``D - u`` is never pruned.
+CUTOFF_MARGIN = 1e-6
+
 
 def _default_backend_factory(options: AnalysisOptions) -> BackendFactory:
     return lambda: HighsBackend(time_limit=options.time_limit)
@@ -108,7 +114,8 @@ class _DelayEval(NamedTuple):
 
     ``objective`` is the MILP optimum (the delaying-interval length;
     add ``copy_out`` for the response) — or, after a solve that stopped
-    at its objective target, a lower bound beyond that target.
+    at its objective target, a lower bound beyond that target; or, after
+    a probe's cutoff proof, an upper bound at or below ``D - u``.
     """
 
     objective: float
@@ -135,11 +142,12 @@ class _IncrementalSlot:
 class _Query:
     """One task's analysis question and the values its rungs share.
 
-    ``mode`` is the windowed mode the task iterates and ``theta`` the
-    objective target of its verdict's integer solves (exact-MILP
-    method only). :meth:`ProposedAnalysis._screened` fills in the
-    screens' outcomes once: ``closed_form``, the closed-form WCRT
-    (``inf`` past ``D``); and, for a task that bound does not prove,
+    ``mode`` is the windowed mode the task iterates, ``theta`` the
+    objective target of its verdict's integer solves and ``cutoff`` the
+    objective cutoff of its probe (both exact-MILP method only).
+    :meth:`ProposedAnalysis._screened` fills in the screens' outcomes
+    once: ``closed_form``, the closed-form WCRT (``inf`` past ``D``);
+    and, for a task that bound does not prove,
     ``deadline_key`` and ``deadline_answer``, the memo's digest and
     answer at ``t_D`` (see :meth:`ProposedAnalysis._recall`), and
     ``lp_proved``, whether the LP relaxation there fits ``D``. The
@@ -156,11 +164,11 @@ class _Query:
         self.task = task
         self.ls = analysis._supports_ls and task.latency_sensitive
         self.mode = AnalysisMode.LS_CASE_A if self.ls else analysis._nls_mode
-        self.theta = (
-            task.deadline - task.copy_out + TARGET_SLACK
-            if analysis.method == "milp"
-            else None
-        )
+        self.theta = self.cutoff = None
+        if analysis.method == "milp":
+            slack = task.deadline - task.copy_out
+            self.theta = slack + TARGET_SLACK
+            self.cutoff = slack - CUTOFF_MARGIN * max(1.0, abs(slack))
         #: ``t_D = D - C - u``, the window of a response equal to ``D``.
         self.deadline_window = max(
             task.deadline - task.exec_time - task.copy_out, task.copy_in
@@ -301,6 +309,7 @@ class ProposedAnalysis:
         task: Task,
         mode: AnalysisMode,
         target: float | None = None,
+        cutoff: float | None = None,
     ) -> MilpSolution:
         """Solve one delay MILP, degrading safely when the solver fails.
 
@@ -315,7 +324,9 @@ class ProposedAnalysis:
         non-finite objective.
         """
         try:
-            solution = model.solve(self.backend_factory(), target=target)
+            solution = model.solve(
+                self.backend_factory(), target=target, cutoff=cutoff
+            )
         except (BackendUnavailableError, SolverTimeoutError):
             pass
         else:
@@ -445,7 +456,8 @@ class ProposedAnalysis:
         The answer is an exact optimum (the float a fresh build and
         solve would produce: the key digests the MILP's full semantic
         content) or, for a ``target`` at or below a memoised lower
-        bound, that bound. ``lp_bound`` is a memoised LP screen.
+        bound, that bound. ``lp_bound`` is a memoised upper bound: an
+        LP screen or a cutoff proof.
         """
         key, n = self._delay_key(query, window)
         entry = self.cache.get(key)
@@ -459,7 +471,7 @@ class ProposedAnalysis:
                 return key, n, answer, None
             if entry[0] == "lb" and target is not None and target <= entry[1]:
                 return key, n, _DelayEval(entry[1], n, {}, 0, True), None
-            if entry[0] == "lp":
+            if entry[0] in ("lp", "ub"):
                 return key, n, None, entry[1]
         return key, n, None, None
 
@@ -495,6 +507,7 @@ class ProposedAnalysis:
         taskset: TaskSet,
         task: Task,
         target: float | None = None,
+        cutoff: float | None = None,
     ) -> _DelayEval:
         """Solve one built delay MILP and memoise the answer.
 
@@ -502,13 +515,16 @@ class ProposedAnalysis:
         ``target`` set (verdict path, exact-MILP method only) the
         integer solve may stop at the first incumbent beyond it; the
         objective is then a lower bound, memoised as ``("lb", bound)``.
-        Degraded solutions — where :meth:`_solve_model` substituted a
-        weaker bound — are never memoised, so a retry keeps its chance
-        of a sharper value.
+        With ``cutoff`` set (the probe only) it may instead prove that
+        nothing lies above the cutoff; the objective is then an upper
+        bound, memoised as ``("ub", bound)`` and never read as an
+        optimum. Degraded solutions — where :meth:`_solve_model`
+        substituted a weaker bound — are never memoised, so a retry
+        keeps its chance of a sharper value.
         """
         mode = built.mode
         solution = self._solve_model(
-            built.model, taskset, task, mode, target=target
+            built.model, taskset, task, mode, target=target, cutoff=cutoff
         )
         self.cache.bump("lp_solves" if self.method == "lp" else "milp_solves")
         obs.emit(
@@ -541,16 +557,18 @@ class ProposedAnalysis:
             # with other options (or a presolve that finishes the
             # model) may prove the optimum instead of stopping early.
             self.cache.bump("milp_target_stops")
+        below = solution.status is SolveStatus.BELOW_CUTOFF
+        if below:
+            self.cache.bump("milp_cutoff_proofs")
         if not solution.degradation:
-            self.cache.put(
-                key,
-                ("lb", solution.objective)
-                if reached
-                else (
+            if reached or below:
+                entry: tuple = ("lb" if reached else "ub", solution.objective)
+            else:
+                entry = (
                     "milp", solution.objective, built.num_intervals,
                     dict(built.stats), 0,
-                ),
-            )
+                )
+            self.cache.put(key, entry)
         return _DelayEval(
             solution.objective,
             built.num_intervals,
@@ -569,12 +587,12 @@ class ProposedAnalysis:
     ) -> _DelayEval:
         """Evaluate the delay map ``f`` at ``window``, memoised.
 
-        With ``incumbent`` set (the previous iteration's objective), an
-        LP bound at or below it proves the new window's optimum
-        *equals* the incumbent: the monotone fixpoint keeps it from
-        dropping below, the relaxation caps it from above. The integer
-        solve is skipped and the objective is bit-identical to the
-        solved path's.
+        With ``incumbent`` set (the previous iteration's objective), a
+        memoised upper bound (LP screen or cutoff proof) or an LP bound
+        at or below it proves the new window's optimum *equals* the
+        incumbent: the monotone fixpoint keeps it from dropping below,
+        the bound caps it from above. The integer solve is skipped and
+        the objective is bit-identical to the solved path's.
         """
         key, n, answer, lp_bound = self._recall(query, window, target)
         if answer is not None:
@@ -740,14 +758,16 @@ class ProposedAnalysis:
     def _probe_rung(self, query: _Query) -> bool | None:
         """One targeted integer evaluation at ``t_D``: ``f`` is monotone,
         so ``f(t_D) + u <= D`` makes ``D`` a pre-fixpoint and the least
-        fixpoint is ``<= D``. A memoised answer the screen read stands
-        in for the solve."""
+        fixpoint is ``<= D``. The solve carries the cutoff just below
+        ``D - u``, so it only has to show that no schedule exceeds it
+        (docs/analysis.md, "Fast verdicts"). A memoised answer the screen
+        read stands in for the solve."""
         task = query.task
         answer = query.deadline_answer
         if answer is None:
             answer = self._solve(
                 query.deadline_model, query.deadline_key, query.taskset, task,
-                query.theta,
+                query.theta, query.cutoff,
             )
         return True if _meets(task, answer.objective + task.copy_out) else None
 
@@ -764,9 +784,10 @@ class ProposedAnalysis:
         The closed form bounds every task, one
         :func:`closed_form_delay_bounds_batch` call per mode. For each
         task it leaves undecided the memo is read once at ``t_D``: an
-        exact or ``lb`` answer is kept for the probe, and an LP bound
-        screens as it is. The exact-MILP method relaxes the remaining
-        deadline-window models as one block-diagonal LP
+        exact or ``lb`` answer is kept for the probe, and an upper bound
+        (an LP screen's, or a probe's cutoff proof) screens as it is.
+        The exact-MILP method relaxes the remaining deadline-window
+        models as one block-diagonal LP
         (:func:`screen_batch`) and memoises the bounds; a failed screen
         leaves the decision to the probe. The rungs bump the counters
         as they read the outcomes, so a sweep that stops at its first

@@ -38,6 +38,7 @@ import hashlib
 import json
 import os
 import sqlite3
+import time
 from pathlib import Path
 from typing import Any, Iterable, Iterator
 
@@ -49,6 +50,14 @@ SCHEMA_VERSION = 4
 
 #: One stored entry; a finished unit is ``("unit", row)``.
 Entry = tuple[Any, ...]
+
+#: Attempts at a connection's set-up before a ``database is locked``
+#: error is reported. Switching a fresh file to WAL needs an exclusive
+#: lock, and sqlite reports that contention at once, without waiting
+#: out the busy timeout, when waiting could deadlock (two processes
+#: opening one fresh store). Retrying after a short pause resolves it.
+OPEN_ATTEMPTS = 20
+
 
 def _encode(entry: Entry) -> str:
     """Canonical JSON text of one entry (the tuple as a JSON list).
@@ -79,6 +88,46 @@ def _sha(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+def _set_up(conn: sqlite3.Connection) -> None:
+    """Put a fresh connection in WAL mode and create or migrate the
+    tables (see the module notes on the schema version)."""
+    conn.execute("PRAGMA journal_mode=WAL")
+    conn.execute("PRAGMA synchronous=NORMAL")
+    conn.execute("PRAGMA busy_timeout=30000")
+    conn.execute(
+        "CREATE TABLE IF NOT EXISTS meta (key TEXT PRIMARY KEY, value TEXT)"
+    )
+    row = conn.execute(
+        "SELECT value FROM meta WHERE key = 'schema_version'"
+    ).fetchone()
+    if row is not None and row[0] != str(SCHEMA_VERSION):
+        # A different build wrote this store; its rows may alias
+        # new-format digests, so the whole store is discarded.
+        conn.execute("DROP TABLE IF EXISTS entries")
+        conn.execute("DELETE FROM meta")
+        row = None
+    if row is None:
+        conn.execute(
+            "INSERT OR REPLACE INTO meta VALUES "
+            "('schema_version', ?)",
+            (str(SCHEMA_VERSION),),
+        )
+    conn.execute(
+        "CREATE TABLE IF NOT EXISTS entries ("
+        " digest TEXT PRIMARY KEY,"
+        " payload TEXT NOT NULL,"
+        " sha TEXT NOT NULL,"
+        " protocols INTEGER NOT NULL,"
+        " created REAL NOT NULL)"
+    )
+    # ``store`` reads MAX(created) on every upsert and ``gc`` orders
+    # by it; without the index both scan the whole table.
+    conn.execute(
+        "CREATE INDEX IF NOT EXISTS entries_created ON entries(created)"
+    )
+    conn.commit()
+
+
 class PersistentStore:
     """Digest-keyed sqlite store of finished sweep units.
 
@@ -96,48 +145,20 @@ class PersistentStore:
         if self._conn is not None and self._pid == pid:
             return self._conn
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        conn = sqlite3.connect(self.path, timeout=30.0)
-        try:
-            conn.execute("PRAGMA journal_mode=WAL")
-            conn.execute("PRAGMA synchronous=NORMAL")
-            conn.execute("PRAGMA busy_timeout=30000")
-            conn.execute(
-                "CREATE TABLE IF NOT EXISTS meta (key TEXT PRIMARY KEY, value TEXT)"
-            )
-            row = conn.execute(
-                "SELECT value FROM meta WHERE key = 'schema_version'"
-            ).fetchone()
-            if row is not None and row[0] != str(SCHEMA_VERSION):
-                # A different build wrote this store; its rows may alias
-                # new-format digests, so the whole store is discarded.
-                conn.execute("DROP TABLE IF EXISTS entries")
-                conn.execute("DELETE FROM meta")
-                row = None
-            if row is None:
-                conn.execute(
-                    "INSERT OR REPLACE INTO meta VALUES "
-                    "('schema_version', ?)",
-                    (str(SCHEMA_VERSION),),
-                )
-            conn.execute(
-                "CREATE TABLE IF NOT EXISTS entries ("
-                " digest TEXT PRIMARY KEY,"
-                " payload TEXT NOT NULL,"
-                " sha TEXT NOT NULL,"
-                " protocols INTEGER NOT NULL,"
-                " created REAL NOT NULL)"
-            )
-            # ``store`` reads MAX(created) on every upsert and ``gc`` orders
-            # by it; without the index both scan the whole table.
-            conn.execute(
-                "CREATE INDEX IF NOT EXISTS entries_created ON entries(created)"
-            )
-            conn.commit()
-        except sqlite3.DatabaseError as exc:
-            # Not a database (or not one sqlite can use): name the
-            # path, and leave the file as it is.
-            conn.close()
-            raise self._unusable(exc) from exc
+        for attempt in range(1, OPEN_ATTEMPTS + 1):
+            conn = sqlite3.connect(self.path, timeout=30.0)
+            try:
+                _set_up(conn)
+            except sqlite3.DatabaseError as exc:
+                conn.close()
+                locked = "database is locked" in str(exc)
+                if locked and attempt < OPEN_ATTEMPTS:
+                    time.sleep(0.01 * attempt)
+                    continue
+                # Not a database (or not one sqlite can use): name the
+                # path, and leave the file as it is.
+                raise self._unusable(exc) from exc
+            break
         self._conn = conn
         self._pid = pid
         return conn

@@ -103,7 +103,8 @@ def render_sweep_table(result: SweepResult, baseline: str | None = None) -> str:
             f"analysis cache: {hits} hits / {lookups} "
             f"lookups ({hits / lookups:.0%}), "
             f"{stats.get('milp_solves', 0)} MILP "
-            f"({stats.get('milp_target_stops', 0)} stopped at target) + "
+            f"({stats.get('milp_target_stops', 0)} stopped at target, "
+            f"{stats.get('milp_cutoff_proofs', 0)} proved below cutoff) + "
             f"{stats.get('lp_solves', 0)} LP solves, "
             f"{stats.get('milp_warm_starts', 0)} warm starts"
         )

@@ -104,9 +104,13 @@ class BranchBoundBackend(MilpBackend):
         return float(compiled.objective @ x), x
 
     def solve(
-        self, model: MilpModel, target: float | None = None
+        self,
+        model: MilpModel,
+        target: float | None = None,
+        cutoff: float | None = None,
     ) -> MilpSolution:
-        del target  # no target support: the exact optimum answers it
+        # No target or cutoff support: the exact optimum answers both.
+        del target, cutoff
         compiled = model.compile()
         start = time.perf_counter()
         counter = itertools.count()

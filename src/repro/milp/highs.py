@@ -68,14 +68,15 @@ class HighsBackend(MilpBackend):
     garbage answer into it; a failed attempt moves on to the next
     option set. :class:`BackendUnavailableError` is raised once every
     attempt has failed. Definitive outcomes (optimal, infeasible,
-    unbounded, a target stop, a time-limit stop) are answers and end
-    the solve.
+    unbounded, a target stop, a cutoff proof, a time-limit stop) are
+    answers and end the solve.
 
     Attributes:
         time_limit: Wall-clock cap in seconds per attempt (``None`` =
             unlimited). A stop at the limit reports the larger of the
             incumbent and HiGHS' dual bound, so the value stays an
-            upper bound on the maximum.
+            upper bound on the maximum; under a cutoff it raises
+            :class:`SolverTimeoutError` instead.
     """
 
     name = "highs"
@@ -84,14 +85,33 @@ class HighsBackend(MilpBackend):
         self.time_limit = time_limit
 
     def solve(
-        self, model: MilpModel, target: float | None = None
+        self,
+        model: MilpModel,
+        target: float | None = None,
+        cutoff: float | None = None,
     ) -> MilpSolution:
-        """Solve ``model``; with ``target``, stop once an incumbent beats it.
+        """Solve ``model``; with ``target``, stop once an incumbent beats
+        it; with ``cutoff``, prune everything at or below the cutoff.
 
         The target reaches HiGHS as its ``objective_target`` option. A
         stop there returns :attr:`SolveStatus.TARGET_REACHED` with the
         target as the objective (the optimum exceeds it). It is an
         answer, not a fault, so the option ladder does not retry it.
+
+        The cutoff reaches HiGHS as its ``objective_bound`` option, so
+        branch and bound prunes every node whose LP bound cannot exceed
+        it. HiGHS's dual bound is meaningless under a cutoff (it can
+        report an optimum below the true one), so no value of such a
+        solve is read as exact: a solve that ends optimal or infeasible
+        returns :attr:`SolveStatus.BELOW_CUTOFF` with the larger of the
+        cutoff and the incumbent, an upper bound on the optimum; an
+        incumbent beyond ``target`` returns ``TARGET_REACHED`` as a stop
+        would; and a time-limit stop raises :class:`SolverTimeoutError`,
+        because it bounds nothing.
+
+        Any solve with a target or a cutoff runs at zero relative and
+        absolute MIP gap, so an optimal answer is the optimum rather
+        than an incumbent within HiGHS's default gap of it.
         """
         compiled = model.compile()
         # scipy minimises; our canonical sense is maximise.
@@ -105,11 +125,19 @@ class HighsBackend(MilpBackend):
         options: dict[str, object] = {}
         if self.time_limit is not None:
             options["time_limit"] = self.time_limit
+        if target is not None or cutoff is not None:
+            options["mip_rel_gap"] = options["mip_abs_gap"] = 0.0
         if target is not None:
             # scipy minimises -(c @ x); HiGHS stops once that drops
             # below -(target - c0), i.e. once the objective exceeds it.
             options["objective_target"] = -(
                 target - compiled.objective_constant
+            )
+        if cutoff is not None:
+            # ... and prunes every node whose bound on -(c @ x) is not
+            # below -(cutoff - c0): those cannot exceed the cutoff.
+            options["objective_bound"] = -(
+                cutoff - compiled.objective_constant
             )
 
         start = time.perf_counter()
@@ -178,6 +206,24 @@ class HighsBackend(MilpBackend):
                 f"HiGHS failed on model {model.name!r} with every option "
                 f"set ({'; '.join(failures)}; {stats})"
             )
+        node_count = getattr(result, "mip_node_count", None)
+        if cutoff is not None and status in (
+            SolveStatus.OPTIMAL, SolveStatus.INFEASIBLE
+        ):
+            if target is not None and objective is not None and (
+                objective > target
+            ):
+                status = SolveStatus.TARGET_REACHED
+            else:
+                return MilpSolution(
+                    status=SolveStatus.BELOW_CUTOFF,
+                    objective=float(cutoff)
+                    if objective is None
+                    else max(float(cutoff), objective),
+                    runtime_seconds=elapsed,
+                    backend=self.name,
+                    node_count=node_count,
+                )
         if status is SolveStatus.TARGET_REACHED:
             assert target is not None
             return MilpSolution(
@@ -185,7 +231,12 @@ class HighsBackend(MilpBackend):
                 objective=float(target),
                 runtime_seconds=elapsed,
                 backend=self.name,
-                node_count=getattr(result, "mip_node_count", None),
+                node_count=node_count,
+            )
+        if cutoff is not None and status is SolveStatus.TIME_LIMIT:
+            raise SolverTimeoutError(
+                f"HiGHS hit its limit under a cutoff on model "
+                f"{model.name!r}; its bounds are void there ({stats})"
             )
         if not status.has_solution:
             return MilpSolution(
@@ -219,5 +270,5 @@ class HighsBackend(MilpBackend):
             values=values,
             runtime_seconds=elapsed,
             backend=self.name,
-            node_count=getattr(result, "mip_node_count", None),
+            node_count=node_count,
         )

@@ -265,6 +265,7 @@ class MilpModel:
         backend: "MilpBackend | None" = None,
         audit: bool | None = None,
         target: float | None = None,
+        cutoff: float | None = None,
     ) -> MilpSolution:
         """Solve with the given backend (HiGHS by default).
 
@@ -276,6 +277,8 @@ class MilpModel:
                 defect. ``None`` defers to the class-wide opt-in
                 ``MilpModel.audit_before_solve``.
             target: Optional objective target (see
+                :meth:`MilpBackend.solve`).
+            cutoff: Optional objective cutoff (see
                 :meth:`MilpBackend.solve`).
         """
         if audit is None:
@@ -292,7 +295,7 @@ class MilpModel:
             from repro.milp.highs import HighsBackend
 
             backend = HighsBackend()
-        return solve_with_target(backend, self, target)
+        return solve_with_target(backend, self, target, cutoff)
 
     def check_assignment(
         self, values: Sequence[float], tol: float = 1e-6
@@ -318,27 +321,41 @@ class MilpBackend:
     name = "abstract"
 
     def solve(
-        self, model: MilpModel, target: float | None = None
+        self,
+        model: MilpModel,
+        target: float | None = None,
+        cutoff: float | None = None,
     ) -> MilpSolution:
         """Solve ``model`` (canonical sense: maximise).
 
         With ``target`` set, a backend may stop as soon as it holds an
         incumbent whose objective exceeds the target and report
         :attr:`SolveStatus.TARGET_REACHED` with the target as the
-        objective. A backend without target support ignores it and
-        returns the exact optimum, which answers the same question.
+        objective. With ``cutoff`` set, it may prune every solution at
+        or below the cutoff and, when none lies above it, report
+        :attr:`SolveStatus.BELOW_CUTOFF` with an upper bound as the
+        objective. A backend without target or cutoff support ignores
+        them and returns the exact optimum (or, for a relaxation, its
+        usual upper bound), which answers the same questions.
         """
         raise NotImplementedError
 
 
 def solve_with_target(
-    backend: MilpBackend, model: MilpModel, target: float | None
+    backend: MilpBackend,
+    model: MilpModel,
+    target: float | None,
+    cutoff: float | None = None,
 ) -> MilpSolution:
-    """``backend.solve(model, target=target)``, omitting an unset target.
+    """``backend.solve(model, target=target, cutoff=cutoff)``, omitting
+    whichever of the two is unset.
 
     Backends written against the one-argument ``solve(model)`` keep
     working for every exact solve.
     """
-    if target is None:
-        return backend.solve(model)
-    return backend.solve(model, target=target)
+    limits = {
+        name: value
+        for name, value in (("target", target), ("cutoff", cutoff))
+        if value is not None
+    }
+    return backend.solve(model, **limits)

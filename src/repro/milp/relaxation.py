@@ -70,9 +70,14 @@ class LpRelaxationBackend(MilpBackend):
     name = "lp_relaxation"
 
     def solve(
-        self, model: MilpModel, target: float | None = None
+        self,
+        model: MilpModel,
+        target: float | None = None,
+        cutoff: float | None = None,
     ) -> MilpSolution:
-        del target  # unsupported: the usual relaxation bound is returned
+        # Unsupported: the relaxation bound, an upper bound on the
+        # optimum, answers both.
+        del target, cutoff
         return self.solve_compiled(model.compile())
 
     def solve_compiled(self, compiled: CompiledMilp) -> MilpSolution:

@@ -35,6 +35,13 @@ class SolveStatus(enum.Enum):
     #: target, so the optimum exceeds it. ``objective`` is the target,
     #: a lower bound on the optimum; no variable values are reported.
     TARGET_REACHED = "target_reached"
+    #: The mirror of ``TARGET_REACHED``: a solve under an objective
+    #: cutoff ended with no incumbent beyond its target. ``objective``
+    #: is the larger of the cutoff and the incumbent, an *upper* bound
+    #: on the optimum (the cutoff itself whenever no solution lies
+    #: above it) and never read as an exact optimum, since HiGHS's own
+    #: bounds are void under a cutoff. No variable values are reported.
+    BELOW_CUTOFF = "below_cutoff"
     ERROR = "error"
 
     @property

@@ -10,12 +10,15 @@ pre-populated, sequential, and under ``--jobs N``.
 """
 
 import dataclasses
+import multiprocessing
 import sqlite3
 from concurrent import futures
 
 import pytest
 
+import repro.analysis.store as store_module
 from repro.analysis.store import SCHEMA_VERSION, PersistentStore
+from repro.errors import ReproError
 from repro.experiments import run_experiment
 from repro.experiments.config import figure2_config
 from repro.experiments.report import aggregate_analysis_stats
@@ -160,7 +163,69 @@ def _hammer(path: str, digest: str, first, second, rounds: int = 20) -> None:
     store.close()
 
 
+def _open_fresh_stores(directory, count, barrier, errors) -> None:
+    """Worker body: open ``count`` fresh stores in step with a peer."""
+    failed = []
+    for index in range(count):
+        barrier.wait()
+        try:
+            store = PersistentStore(f"{directory}/s{index}.sqlite")
+            store.store("u", ROW_2)
+            store.close()
+        except ReproError as exc:
+            failed.append(str(exc))
+    errors.put(failed)
+
+
 class TestConcurrentWriters:
+    def test_two_processes_open_one_fresh_store(self, tmp_path):
+        # Both processes open each fresh file at the same moment, so
+        # both race to switch it to WAL; neither may fail.
+        context = multiprocessing.get_context("spawn")
+        barrier, errors = context.Barrier(2), context.Queue()
+        workers = [
+            context.Process(
+                target=_open_fresh_stores,
+                args=(str(tmp_path), 150, barrier, errors),
+            )
+            for _ in range(2)
+        ]
+        for worker in workers:
+            worker.start()
+        failed = errors.get(timeout=120) + errors.get(timeout=120)
+        for worker in workers:
+            worker.join(timeout=120)
+        assert failed == []
+        assert all(worker.exitcode == 0 for worker in workers)
+
+    def test_locked_set_up_is_retried(self, tmp_path, monkeypatch):
+        # The race above is rare; this pins the retry it needs.
+        calls = []
+        real_set_up = store_module._set_up
+
+        def locked_twice(conn):
+            calls.append(conn)
+            if len(calls) <= 2:
+                raise sqlite3.OperationalError("database is locked")
+            real_set_up(conn)
+
+        monkeypatch.setattr(store_module, "_set_up", locked_twice)
+        store = PersistentStore(tmp_path / "c.sqlite")
+        store.store("u", ROW_2)
+        assert len(calls) == 3
+        assert store.fetch("u") == (ROW_2, False)
+
+    def test_a_store_that_stays_locked_is_reported(
+        self, tmp_path, monkeypatch
+    ):
+        def always_locked(conn):
+            raise sqlite3.OperationalError("database is locked")
+
+        monkeypatch.setattr(store_module, "_set_up", always_locked)
+        monkeypatch.setattr(store_module, "OPEN_ATTEMPTS", 3)
+        with pytest.raises(ReproError, match="database is locked"):
+            len(PersistentStore(tmp_path / "c.sqlite"))
+
     def test_racing_upserts_converge_to_the_wider_row(self, tmp_path):
         # Two processes hammer the same digest with a 2-protocol and a
         # 3-protocol row in opposite orders; the store must end with

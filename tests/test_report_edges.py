@@ -1,5 +1,7 @@
 """Edge cases of reporting and curve validation helpers."""
 
+import dataclasses
+
 import pytest
 
 from repro.curves import SporadicArrival, StaircaseCurve
@@ -67,6 +69,19 @@ class TestReportEdges:
         table = render_sweep_table(sweep)
         assert "analysis cache:" not in table
         assert "screens: 6 closed form, 0 LP at t_D, 0 LS case (b)" in table
+
+    def test_milp_footer_splits_target_stops_from_cutoff_proofs(self):
+        sweep = _result([(0.3, 0.5)])
+        stats = {
+            "misses": 6, "milp_solves": 5, "milp_target_stops": 2,
+            "milp_cutoff_proofs": 3, "lp_solves": 4,
+        }
+        point = dataclasses.replace(sweep.points[0], analysis_stats=stats)
+        sweep = dataclasses.replace(sweep, points=(point,))
+        assert (
+            "5 MILP (2 stopped at target, 3 proved below cutoff) + 4 LP solves"
+            in render_sweep_table(sweep)
+        )
 
 
 class TestCurveValidation:

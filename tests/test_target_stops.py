@@ -1,10 +1,13 @@
-"""Deadline-targeted integer solves and the ``lb`` cache tier.
+"""Deadline-targeted integer solves and the ``lb``/``ub`` cache tiers.
 
 A verdict only asks whether a delay exceeds ``D - u``, so its integer
 solves carry that value as an objective target and HiGHS may stop at
-the first incumbent beyond it. These tests pin the three layers: the
-backend's ``TARGET_REACHED`` status, the rank-ordered ``lb`` entries of
-the analysis cache, and verdicts/WCRTs that the early stops never move.
+the first incumbent beyond it; the probe at ``t_D`` also carries a
+cutoff just below it, so HiGHS may prune every schedule that cannot
+exceed it. These tests pin the three layers: the backend's
+``TARGET_REACHED`` and ``BELOW_CUTOFF`` statuses, the rank-ordered
+``lb`` and ``ub`` entries of the analysis cache, and verdicts/WCRTs
+that the early stops never move.
 """
 
 import dataclasses
@@ -12,21 +15,26 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.optimize import Bounds, LinearConstraint, milp
 
 import repro.analysis.proposed.response_time as response_time_module
 import repro.milp.highs as highs_module
 from repro.analysis.cache import AnalysisCache, _entry_rank
 from repro.analysis.interface import AnalysisOptions
 from repro.analysis.proposed import ProposedAnalysis
-from repro.analysis.proposed.formulation import build_delay_milp
+from repro.analysis.proposed.formulation import AnalysisMode, build_delay_milp
+from repro.analysis.proposed.response_time import _Query
 from repro.analysis.wasly import WaslyAnalysis
 from repro.experiments import run_experiment
 from repro.experiments.config import figure2_config
 from repro.experiments.report import aggregate_analysis_stats
 from repro.generator.taskset_gen import GenerationConfig, generate_tasksets
+from repro.errors import SolverTimeoutError
 from repro.milp import (
     BranchBoundBackend,
+    DegradationLevel,
     HighsBackend,
+    LpRelaxationBackend,
     MilpModel,
     SolveStatus,
 )
@@ -94,6 +102,47 @@ class TestHighsTarget:
         solution = BranchBoundBackend().solve(model, target=0.5)
         assert solution.status is SolveStatus.OPTIMAL
         assert solution.objective == pytest.approx(7.5)
+
+
+class TestHighsCutoff:
+    def test_cutoff_above_optimum_proves_nothing_exceeds_it(
+        self, knapsack_optimum
+    ):
+        cutoff = knapsack_optimum + 5.0
+        solution = HighsBackend().solve(
+            _knapsack(), target=cutoff + 1.0, cutoff=cutoff
+        )
+        assert solution.status is SolveStatus.BELOW_CUTOFF
+        assert solution.objective == cutoff
+        assert not solution.status.has_solution
+
+    def test_cutoff_below_optimum_reports_the_optimum(self, knapsack_optimum):
+        solution = HighsBackend().solve(
+            _knapsack(), cutoff=knapsack_optimum - 5.0
+        )
+        assert solution.status is SolveStatus.BELOW_CUTOFF
+        assert solution.objective == knapsack_optimum
+
+    def test_target_stop_wins_over_the_cutoff(self, knapsack_optimum):
+        target = knapsack_optimum - 50.0
+        solution = HighsBackend().solve(
+            _knapsack(), target=target, cutoff=target - 1.0
+        )
+        assert solution.status is SolveStatus.TARGET_REACHED
+        assert solution.objective == target
+
+    def test_model_solve_forwards_the_cutoff(self, knapsack_optimum):
+        solution = _knapsack().solve(cutoff=knapsack_optimum + 5.0)
+        assert solution.status is SolveStatus.BELOW_CUTOFF
+
+    @pytest.mark.parametrize(
+        "backend", [BranchBoundBackend, LpRelaxationBackend]
+    )
+    def test_backends_without_cutoff_support_ignore_it(self, backend):
+        plain = backend().solve(_small_model())
+        limited = _small_model().solve(backend(), target=0.5, cutoff=0.5)
+        assert plain.status is limited.status is SolveStatus.OPTIMAL
+        assert limited.objective == plain.objective == pytest.approx(2.0)
 
 
 class _FakeResult:
@@ -181,6 +230,60 @@ class TestTargetStatusPlumbing:
         assert all(call["objective_target"] == -1.5 for call in calls)
 
 
+class TestCutoffStatusPlumbing:
+    def test_cutoff_reaches_highs_as_an_objective_bound_at_zero_gap(
+        self, monkeypatch
+    ):
+        calls = _patch_milp(monkeypatch, [_FakeResult(2)])
+        solution = HighsBackend().solve(_small_model(), target=1.6, cutoff=1.5)
+        assert solution.status is SolveStatus.BELOW_CUTOFF
+        assert solution.objective == 1.5
+        assert len(calls) == 1
+        assert calls[0]["objective_bound"] == -1.5
+        assert calls[0]["objective_target"] == -1.6
+        assert calls[0]["mip_rel_gap"] == calls[0]["mip_abs_gap"] == 0.0
+
+    def test_targeted_solves_run_at_zero_gap_and_exact_ones_do_not(
+        self, monkeypatch
+    ):
+        calls = _patch_milp(
+            monkeypatch, [_FakeResult(0, x=np.array([1.0, 1.0]))]
+        )
+        HighsBackend().solve(_small_model(), target=5.0)
+        HighsBackend().solve(_small_model())
+        assert calls[0]["mip_rel_gap"] == calls[0]["mip_abs_gap"] == 0.0
+        assert "objective_bound" not in calls[0]
+        assert calls[1] == {}
+
+    def test_an_optimum_below_the_cutoff_reports_the_cutoff(self, monkeypatch):
+        # HiGHS's "optimal" incumbent under a cutoff may lie below the
+        # true optimum; only the cutoff bounds it.
+        _patch_milp(monkeypatch, [_FakeResult(0, x=np.array([0.0, 0.5]))])
+        solution = HighsBackend().solve(_small_model(), target=1.6, cutoff=1.5)
+        assert solution.status is SolveStatus.BELOW_CUTOFF
+        assert solution.objective == 1.5
+
+    def test_an_incumbent_beyond_the_target_is_a_target_stop(
+        self, monkeypatch
+    ):
+        _patch_milp(monkeypatch, [_FakeResult(0, x=np.array([1.0, 1.0]))])
+        solution = HighsBackend().solve(_small_model(), target=1.6, cutoff=1.5)
+        assert solution.status is SolveStatus.TARGET_REACHED
+        assert solution.objective == 1.6
+
+    def test_a_time_limit_under_a_cutoff_degrades(self, monkeypatch):
+        _patch_milp(monkeypatch, [_FakeResult(1, x=np.array([0.0, 0.5]))])
+        with pytest.raises(SolverTimeoutError):
+            HighsBackend().solve(_small_model(), target=1.6, cutoff=1.5)
+        taskset = TaskSet.from_parameters([("a", 1.0, 0.2, 0.2, 10.0, 9.0)])
+        solution = ProposedAnalysis()._solve_model(
+            _small_model(), taskset, taskset.by_name("a"), AnalysisMode.NLS,
+            target=1.6, cutoff=1.5,
+        )
+        assert solution.degradation is DegradationLevel.LP_RELAXATION
+        assert solution.objective == pytest.approx(2.0)
+
+
 class TestLowerBoundEntries:
     def test_ranks_order_lp_below_lb_below_milp(self):
         lp, lb = _entry_rank(("lp", 9.0)), _entry_rank(("lb", 3.0))
@@ -202,6 +305,13 @@ class TestLowerBoundEntries:
             cache.put("d", value)
         assert cache.get("d") == ("lb", 5.0)
 
+    def test_cutoff_proofs_rank_with_the_lp_screens(self):
+        assert _entry_rank(("ub", 2.0)) == _entry_rank(("lp", 9.0))
+        cache = AnalysisCache()
+        for value in (("lp", 9.0), ("ub", 2.0), ("milp", 1.5, 3, {}, 0)):
+            cache.put("d", value)
+        assert cache.get("d") == ("milp", 1.5, 3, {}, 0)
+
     def test_exact_entry_supersedes_lb_never_vice_versa(self):
         exact = ("milp", 4.0, 3, {}, 0)
         cache = AnalysisCache()
@@ -221,6 +331,7 @@ _RUNG_COUNTERS = (
     "screened_out",
     "milp_solves",
     "milp_target_stops",
+    "milp_cutoff_proofs",
 )
 
 
@@ -328,6 +439,91 @@ class TestVerdictsAndWcrts:
         second = ProposedAnalysis(cache=cache)
         assert [second.verdict(taskset, task) for task in taskset] == verdicts
         assert cache.counters.get("milp_solves", 0) == before
+
+
+def _zero_gap_optimum(model: MilpModel) -> float:
+    """The optimum at zero MIP gap, straight from HiGHS."""
+    compiled = model.compile()
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", message="Unrecognized options")
+        result = milp(
+            c=-compiled.objective,
+            constraints=LinearConstraint(
+                compiled.row_matrix, compiled.row_lower, compiled.row_upper
+            ),
+            bounds=Bounds(compiled.var_lower, compiled.var_upper),
+            integrality=compiled.integrality,
+            options={"mip_rel_gap": 0.0, "mip_abs_gap": 0.0},
+        )
+    assert result.status == 0, result.message
+    return -result.fun + compiled.objective_constant
+
+
+@pytest.fixture(scope="module")
+def probe_queries():
+    """The probe's question at ``t_D`` for every task of the matrix."""
+    analysis = ProposedAnalysis()
+    return [
+        _Query(analysis, taskset, task)
+        for taskset in _matrix()
+        for task in taskset
+    ]
+
+
+class TestProbeCutoffOnGeneratedMatrix:
+    def test_cutoff_answers_bound_the_zero_gap_optimum(self, probe_queries):
+        statuses = set()
+        for query in probe_queries:
+            model = query.deadline_model.model
+            optimum = _zero_gap_optimum(model)
+            answer = HighsBackend().solve(
+                model, target=query.theta, cutoff=query.cutoff
+            )
+            task = query.task
+            label = (query.taskset, task.name, optimum)
+            if answer.status is SolveStatus.BELOW_CUTOFF:
+                assert answer.objective >= optimum, label
+                assert optimum <= task.deadline - task.copy_out, label
+            else:
+                assert answer.status is SolveStatus.TARGET_REACHED, label
+                assert optimum > query.theta, label
+            statuses.add(answer.status)
+        assert statuses == {
+            SolveStatus.BELOW_CUTOFF, SolveStatus.TARGET_REACHED
+        }
+
+    def test_the_zero_schedule_is_feasible(self, probe_queries):
+        # So a probe that comes back infeasible under its cutoff has
+        # pruned every schedule, and has not hidden a broken model.
+        for query in probe_queries:
+            model = query.deadline_model.model
+            compiled = model.compile()
+            zero = np.clip(
+                np.zeros(compiled.num_vars),
+                compiled.var_lower,
+                compiled.var_upper,
+            )
+            assert model.check_assignment(zero) == [], query.task.name
+
+    def test_cutoff_proof_is_memoised_as_an_upper_bound(self):
+        for taskset in _matrix():
+            cache = AnalysisCache()
+            first = ProposedAnalysis(cache=cache)
+            verdicts = [first.verdict(taskset, task) for task in taskset]
+            proofs = cache.counters.get("milp_cutoff_proofs", 0)
+            if proofs:
+                break
+        bounds = [
+            v[1] for v in cache._entries.values()
+            if isinstance(v, tuple) and v[0] == "ub"
+        ]
+        assert proofs > 0 and len(bounds) == proofs
+        # A second analysis on the same cache proves from the ub tier.
+        solves = cache.counters["milp_solves"]
+        second = ProposedAnalysis(cache=cache)
+        assert [second.verdict(taskset, task) for task in taskset] == verdicts
+        assert cache.counters["milp_solves"] == solves
+        assert cache.counters["milp_cutoff_proofs"] == proofs
 
 
 def test_warm_rerun_on_a_cold_store_solves_nothing(tmp_path):
