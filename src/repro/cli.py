@@ -508,66 +508,21 @@ def _cmd_audit(args: argparse.Namespace) -> int:
 
 
 def _cmd_lint(args: argparse.Namespace) -> int:
-    """Exit 0 on a clean tree, 1 on findings, 2 on usage/config errors.
+    """Exit 0 on a clean tree, 1 on findings.
 
-    Findings go to stdout (one per line, plus optional SARIF); counts
-    and the all-clear go to stderr so piped output stays clean.
+    Findings go to stdout (one per line); the count and the all-clear
+    go to stderr so piped output stays clean.
     """
-    import json
+    from repro.lint import run_lint
 
-    from repro.lint import (
-        load_baseline,
-        load_project,
-        run_lint,
-        suppress_baseline,
-        to_sarif,
-        write_baseline,
-    )
-
-    project = load_project()
-    violations = sorted(
-        project.findings + run_lint(project.modules, rules=args.rule),
-        key=lambda v: (v.path, v.line, v.rule),
-    )
-    if args.update_baseline:
-        if not args.baseline:
-            print(
-                "error: --update-baseline requires --baseline PATH",
-                file=sys.stderr,
-            )
-            return 2
-        write_baseline(violations, args.baseline)
-        print(
-            f"baseline {args.baseline} updated with "
-            f"{len(violations)} finding(s)",
-            file=sys.stderr,
-        )
-        return 0
-    if args.baseline:
-        try:
-            baseline = load_baseline(args.baseline)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        violations = suppress_baseline(violations, baseline)
-    if args.sarif:
-        Path(args.sarif).write_text(
-            json.dumps(to_sarif(violations), indent=2) + "\n"
-        )
+    violations = run_lint(rules=args.rule)
     for violation in violations:
         print(violation.render())
-    errors = sum(1 for v in violations if v.severity == "error")
-    warnings = len(violations) - errors
     if violations:
-        print(
-            f"{len(violations)} finding(s): {errors} error(s), "
-            f"{warnings} warning(s)",
-            file=sys.stderr,
-        )
-    else:
-        print("all project invariants hold", file=sys.stderr)
-    failing = len(violations) if args.strict else errors
-    return 1 if failing else 0
+        print(f"{len(violations)} finding(s)", file=sys.stderr)
+        return 1
+    print("all project invariants hold", file=sys.stderr)
+    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -849,28 +804,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="append",
         choices=sorted(RULES),
         help="run only this rule (repeatable; default: all)",
-    )
-    p_lint.add_argument(
-        "--strict",
-        action="store_true",
-        help="treat warnings (unprovable facts) as failures",
-    )
-    p_lint.add_argument(
-        "--baseline",
-        default=None,
-        metavar="PATH",
-        help="JSON file of grandfathered finding fingerprints",
-    )
-    p_lint.add_argument(
-        "--update-baseline",
-        action="store_true",
-        help="rewrite --baseline with the current findings and exit 0",
-    )
-    p_lint.add_argument(
-        "--sarif",
-        default=None,
-        metavar="PATH",
-        help="also write the findings as a SARIF 2.1.0 log",
     )
     p_lint.set_defaults(func=_cmd_lint)
     return parser

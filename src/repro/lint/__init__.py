@@ -1,33 +1,16 @@
-"""Project invariant linter (call-graph-aware AST rules).
+"""Project invariant linter: the AST rules no runtime check can replace.
 
-Generic linters cannot know that this repo's analysis cache must digest
-*every* semantic input of the MILP formulation, that code reachable
-from the worker work units must be deterministic, or that every trace
-event must match its declared schema. These rules encode exactly those
-invariants; they run as ``repro lint``, as ``python
-tools/lint_rules.py``, and in CI alongside ruff and mypy.
+The sweep's bit-identity promise dies if worker code reads the wall
+clock, and a convergence test that compares iterated floats exactly is
+a tolerance bug waiting to happen. Neither shows in a test run that
+happens to pass, so these two rules read the source instead. They run
+as ``repro lint`` and in CI alongside ruff and mypy.
 
 The engine (:mod:`repro.lint.engine`) parses the whole package once
-and hands every rule the full module mapping; the cross-function rules
-share a :class:`~repro.lint.dataflow.ProjectModel` symbol table and
-interprocedural literal resolution through the call graph
-(:mod:`repro.lint.callgraph`).
-Findings carry a severity (warnings fail only ``--strict``) and a
-stable fingerprint for baseline suppression; ``repro lint`` can emit
-SARIF for CI annotation.
+and hands every rule the full module mapping.
 
 Rules
 -----
-``cache-key-completeness``
-    Every :class:`repro.model.task.Task` attribute read by the MILP
-    formulation must be covered by the analysis-cache digest (or be on
-    the documented exemption list). See :mod:`repro.lint.cache_key`.
-``cache-key-solver-options``
-    Every :class:`repro.analysis.interface.AnalysisOptions` field must
-    enter ``_solver_signature`` (or carry a written exemption), and
-    the unit store must define and gate on its ``SCHEMA_VERSION`` —
-    together they keep stored verdicts from aliasing across solver
-    configurations or store formats.
 ``worker-determinism``
     No unseeded randomness or wall-clock-dependent values in code
     statically reachable from the worker work units. See
@@ -36,15 +19,12 @@ Rules
     No ``==``/``!=`` between time-valued floats (windows, WCRTs,
     phases); exact comparison of iterated fixpoint values is a
     tolerance bug waiting to happen.
-``mutable-default-argument``
-    No mutable default arguments (shared-state aliasing across calls).
-``trace-contract``
-    Every ``emit()``/``span()`` site resolves (through the call
-    graph) to event names declared in ``EVENT_NAMES``, with declared
-    payload keys and literal types; no dead catalogue entries; emit
-    sinks accept the full envelope; ``bump`` counters reconcile with
-    ``COUNTER_NAMES`` and the sweep report. See
-    :mod:`repro.lint.trace_contract`.
+
+The project's other invariants are checked where they run: the trace
+contract by :func:`repro.obs.events.validate_event` and the test
+suite's session hook, cache-key completeness by a perturbation test
+over ``Task`` and ``AnalysisOptions`` fields, and mutable default
+arguments by ruff's ``B006``.
 """
 
 from repro.lint.engine import (
@@ -52,13 +32,8 @@ from repro.lint.engine import (
     LintViolation,
     LoadedProject,
     SourceModule,
-    load_baseline,
     load_project,
-    load_repo_modules,
     run_lint,
-    suppress_baseline,
-    to_sarif,
-    write_baseline,
 )
 
 __all__ = [
@@ -66,11 +41,6 @@ __all__ = [
     "LintViolation",
     "LoadedProject",
     "SourceModule",
-    "load_baseline",
     "load_project",
-    "load_repo_modules",
     "run_lint",
-    "suppress_baseline",
-    "to_sarif",
-    "write_baseline",
 ]

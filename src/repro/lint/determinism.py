@@ -25,7 +25,6 @@ from __future__ import annotations
 import ast
 from typing import Mapping
 
-from repro.lint.dataflow import dotted
 from repro.lint.engine import LintViolation, SourceModule
 
 #: Modules holding the worker work units; everything they can
@@ -52,6 +51,18 @@ BANNED_CALL_SUFFIXES = frozenset({
 #: seeded generators); every other ``*.random.*`` call is legacy
 #: global-state API.
 _SEEDED_FACTORIES = frozenset({"default_rng", "Generator", "SeedSequence"})
+
+
+def dotted(node: ast.expr) -> str | None:
+    """Render an ``a.b.c`` attribute chain; ``None`` for anything else."""
+    parts: list[str] = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if isinstance(node, ast.Name):
+        parts.append(node.id)
+        return ".".join(reversed(parts))
+    return None
 
 
 def import_edges(module: SourceModule) -> set[str]:

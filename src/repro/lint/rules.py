@@ -1,4 +1,4 @@
-"""Per-module AST rules: mutable defaults and float time equality."""
+"""Per-module AST rule: float time equality."""
 
 from __future__ import annotations
 
@@ -33,16 +33,6 @@ TIME_VALUED_NAMES = frozenset({
     "arrival_time",
 })
 
-_MUTABLE_LITERALS = (
-    ast.List,
-    ast.Dict,
-    ast.Set,
-    ast.ListComp,
-    ast.DictComp,
-    ast.SetComp,
-)
-_MUTABLE_CALLS = frozenset({"list", "dict", "set", "bytearray"})
-
 #: Methods whose bodies legitimately compare parameters exactly:
 #: they *define* value identity (dataclass-style semantics), they do
 #: not test convergence of computed quantities.
@@ -53,36 +43,6 @@ def _functions(tree: ast.Module) -> Iterator[ast.AST]:
     for node in ast.walk(tree):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
             yield node
-
-
-def mutable_default_rule(
-    modules: Mapping[str, SourceModule],
-) -> list[LintViolation]:
-    """Flag ``def f(x=[])``-style defaults: one object, every call."""
-    violations: list[LintViolation] = []
-    for module in modules.values():
-        for func in _functions(module.tree):
-            defaults = list(func.args.defaults) + [
-                d for d in func.args.kw_defaults if d is not None
-            ]
-            for default in defaults:
-                mutable = isinstance(default, _MUTABLE_LITERALS) or (
-                    isinstance(default, ast.Call)
-                    and isinstance(default.func, ast.Name)
-                    and default.func.id in _MUTABLE_CALLS
-                )
-                if mutable:
-                    label = getattr(func, "name", "<lambda>")
-                    violations.append(LintViolation(
-                        rule="mutable-default-argument",
-                        path=module.path,
-                        line=default.lineno,
-                        message=(
-                            f"{label}: mutable default argument is shared "
-                            "across calls; use None and create inside"
-                        ),
-                    ))
-    return violations
 
 
 def _is_time_valued(node: ast.expr) -> str | None:

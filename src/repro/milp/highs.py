@@ -111,7 +111,10 @@ class HighsBackend(MilpBackend):
 
         Any solve with a target or a cutoff runs at zero relative and
         absolute MIP gap, so an optimal answer is the optimum rather
-        than an incumbent within HiGHS's default gap of it.
+        than an incumbent within HiGHS's default gap of it. An
+        untargeted solve keeps that gap, so its objective is the larger
+        of the incumbent and HiGHS's dual bound: an upper bound on the
+        optimum, as is every time-limited answer's.
         """
         compiled = model.compile()
         # scipy minimises; our canonical sense is maximise.
@@ -249,19 +252,19 @@ class HighsBackend(MilpBackend):
                 f"HiGHS hit its limit with no incumbent on model "
                 f"{model.name!r} ({stats})"
             )
+        dual_bound = getattr(result, "mip_dual_bound", None)
         if (
-            status is SolveStatus.TIME_LIMIT
-            and result.mip_dual_bound is not None
-            and np.isfinite(result.mip_dual_bound)
+            (target is None or status is SolveStatus.TIME_LIMIT)
+            and dual_bound is not None
+            and np.isfinite(dual_bound)
         ):
-            # Early stop: report the safe side. scipy's dual bound is
-            # for the minimisation of -obj, and is only meaningful when
-            # the solve actually stopped early (at optimality the
-            # incumbent is exact and some HiGHS builds report stale
-            # dual bounds).
+            # Report the safe side: an untargeted solve stops within
+            # HiGHS's default gap, and a time limit anywhere, so the
+            # incumbent may lie below the optimum. scipy's dual bound
+            # is for the minimisation of -obj.
             objective = max(
                 objective,
-                float(-result.mip_dual_bound) + compiled.objective_constant,
+                float(-dual_bound) + compiled.objective_constant,
             )
         values = {var: float(x[var.index]) for var in compiled.variables}
         return MilpSolution(

@@ -61,11 +61,12 @@ RUNTIME_PREFIXES = (
 #: Per-event-name payload contract: every event name the project may
 #: emit, mapped to the keys its ``f`` payload may carry and their
 #: types. Type strings are ``str``/``int``/``number``/``bool``/
-#: ``object``; a ``?`` suffix marks a key that may be absent or null.
-#: The ``trace-contract`` lint rule statically resolves every
-#: ``emit()``/``span()`` call site in ``src/repro`` against this table
-#: — an emit of an uncatalogued name, an uncatalogued payload key, or
-#: a catalogued name nothing emits all fail ``repro lint``.
+#: ``object``; a ``?`` suffix marks a key that may also be null.
+#: :func:`validate_event` checks every record against this table, so
+#: an uncatalogued name, an undeclared payload key or a wrongly typed
+#: value fails the writer, the readers and the test suite, whose
+#: session hook (``tests/conftest.py``) also fails on an entry no test
+#: emits.
 EVENT_NAMES: dict[str, dict[str, str]] = {
     # run / point lifecycle (parent process)
     "run.start": {"points": "int", "sets": "int", "jobs": "int"},
@@ -164,6 +165,44 @@ _OPTIONAL_TYPES: dict[str, type | tuple[type, ...]] = {
 }
 
 
+_PAYLOAD_TYPES: dict[str, type | tuple[type, ...]] = {
+    "str": str,
+    "int": int,
+    "number": (int, float),
+    "bool": bool,
+    "object": dict,
+}
+
+
+def _payload_problems(name: str, payload: Mapping[str, object]) -> list[str]:
+    """Problems of one ``f`` payload against ``EVENT_NAMES[name]``.
+
+    A declared key may be absent; a ``?`` key may also be null.
+    """
+    declared = EVENT_NAMES.get(name)
+    if declared is None:
+        return [f"event {name!r} is not in EVENT_NAMES"]
+    problems: list[str] = []
+    for key, value in payload.items():
+        kind = declared.get(key)
+        if kind is None:
+            problems.append(f"payload key {key!r} is not declared for {name!r}")
+            continue
+        if value is None and kind.endswith("?"):
+            continue
+        base = kind.rstrip("?")
+        # bool is an int subclass: only a "bool" key may hold one.
+        typed = isinstance(value, _PAYLOAD_TYPES[base]) and (
+            isinstance(value, bool) == (base == "bool")
+        )
+        if not typed:
+            problems.append(
+                f"payload key {key!r} of {name!r} must be {kind}, "
+                f"got {value!r}"
+            )
+    return problems
+
+
 def is_runtime_event(name: str) -> bool:
     """Whether an event name is outside the determinism contract."""
     return name.startswith(RUNTIME_PREFIXES)
@@ -173,7 +212,10 @@ def validate_event(event: object) -> list[str]:
     """Problems of one event record against :data:`EVENT_SCHEMA`.
 
     Hand-rolled (the schema is small and ``jsonschema`` is not a
-    dependency); returns an empty list for a valid record.
+    dependency); returns an empty list for a valid record. Beyond the
+    envelope it checks the record against :data:`EVENT_NAMES`: the
+    name is catalogued, and each ``f`` key is declared for it with a
+    value of the declared type.
     """
     if not isinstance(event, dict):
         return [f"event must be an object, got {type(event).__name__}"]
@@ -199,6 +241,9 @@ def validate_event(event: object) -> list[str]:
     extras = set(event) - set(EVENT_SCHEMA["properties"])
     if extras:
         problems.append(f"unknown fields {sorted(extras)}")
+    payload = event.get("f", {})
+    if isinstance(name, str) and name and isinstance(payload, dict):
+        problems.extend(_payload_problems(name, payload))
     return problems
 
 
@@ -312,9 +357,8 @@ def emit(
 
     Accepts the full envelope (``dur``/``task``/``point``/``unit``)
     so correlation ids land as top-level record fields, never inside
-    the ``f`` payload — the same signature contract as
-    :meth:`EventRecorder.emit` and :meth:`TraceWriter.emit`, enforced
-    statically by the ``trace-contract`` lint rule.
+    the ``f`` payload — the same signature as
+    :meth:`EventRecorder.emit` and :meth:`TraceWriter.emit`.
     """
     recorder = active_recorder()
     if recorder is not None:

@@ -22,6 +22,7 @@ from repro.obs import (
     profile_trace,
     read_trace,
     read_trace_lenient,
+    recording,
     validate_event,
 )
 
@@ -29,7 +30,7 @@ from repro.obs import (
 def _write_clean(path, count=4):
     with TraceWriter(path, run_id="r1") as writer:
         for index in range(count):
-            writer.emit("unit.start", point=0, unit=index)
+            writer.emit("worker.unit", point=0, unit=index, pid=index)
 
 
 class TestInjectedCorruption:
@@ -48,11 +49,24 @@ class TestInjectedCorruption:
         assert corruption.truncated_final == 0
         assert corruption.total == 1
         # Three of the four events survived, plus the injection marker.
-        assert [e["name"] for e in events].count("unit.start") == 3
+        assert [e["name"] for e in events].count("worker.unit") == 3
         markers = [e for e in events if e["name"] == "fault.trace.corrupt"]
         assert len(markers) == 1
         assert validate_event(markers[0]) == []
-        assert markers[0]["f"] == {"mode": "garbage", "name": "unit.start"}
+        assert markers[0]["f"] == {"mode": "garbage", "name": "worker.unit"}
+
+    def test_injection_reaches_an_active_recorder(self, tmp_path):
+        # Injection.fire reports the fault to the recorder in scope, as
+        # it does for every site.
+        plan = FaultPlan(
+            specs=(FaultSpec(site="trace.corrupt", mode="garbage"),),
+            name="garble",
+        )
+        with injecting(plan), recording() as recorder:
+            _write_clean(tmp_path / "t.jsonl", count=1)
+        (event,) = recorder.events
+        assert event["name"] == "fault.trace.corrupt"
+        assert event["f"] == {"mode": "garbage", "spec": 0, "plan": "garble"}
 
     def test_truncated_final_line(self, tmp_path):
         path = tmp_path / "t.jsonl"
@@ -68,7 +82,7 @@ class TestInjectedCorruption:
         events, corruption = read_trace_lenient(path)
         assert corruption.bad_json == 1
         assert corruption.truncated_final == 1
-        assert [e["name"] for e in events].count("unit.start") == 3
+        assert [e["name"] for e in events].count("worker.unit") == 3
 
     def test_truncated_middle_line_glues_onto_next(self, tmp_path):
         # A mid-file truncation has no newline, so the following append
@@ -85,7 +99,7 @@ class TestInjectedCorruption:
         events, corruption = read_trace_lenient(path)
         assert corruption.bad_json == 1
         assert corruption.truncated_final == 0
-        assert [e["name"] for e in events].count("unit.start") == 2
+        assert [e["name"] for e in events].count("worker.unit") == 2
 
 
 class TestLenientReader:
@@ -106,7 +120,7 @@ class TestLenientReader:
         path = tmp_path / "t.jsonl"
         _write_clean(path, count=2)
         with open(path, "a") as handle:
-            handle.write(json.dumps({"v": 1, "name": "x"}) + "\n")  # no t
+            handle.write(json.dumps({"v": 1, "name": "run.end"}) + "\n")  # no t
             handle.write(json.dumps(["not", "an", "object"]) + "\n")
         _, corruption = read_trace_lenient(path)
         assert corruption.invalid_schema == 2

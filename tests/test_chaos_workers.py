@@ -95,7 +95,7 @@ class TestDeathOnce:
 
 
 class TestQuarantine:
-    def test_persistent_killer_is_quarantined(self, config):
+    def test_persistent_killer_is_quarantined(self, config, tmp_path):
         baseline = run_experiment(config)
         plan = FaultPlan(
             specs=(
@@ -106,7 +106,15 @@ class TestQuarantine:
             ),
             name="death-always",
         )
-        result = run_experiment(config, jobs=2, fault_plan=plan)
+        trace = tmp_path / "trace.jsonl"
+        result = run_experiment(
+            config, jobs=2, fault_plan=plan, trace_path=str(trace)
+        )
+        (quarantined,) = [
+            e for e in read_trace(trace) if e["name"] == "worker.quarantined"
+        ]
+        assert (quarantined["point"], quarantined["unit"]) == (1, 0)
+        assert quarantined["f"]["crashes"] == 2
         # The poisoned unit is ledgered, one record per protocol...
         ledger = result.points[1].failures
         assert {f.error_type for f in ledger} == {"WorkerCrashError"}

@@ -1,23 +1,37 @@
-"""Tests for the project invariant linter (repro.lint)."""
+"""Tests for the project invariant linter (``repro.lint``) and for the
+cache-key contract, which is checked at runtime.
 
+The cache-key classes perturb one input at a time. A ``Task`` field must
+change the memo key of every delay model it changes, and an
+``AnalysisOptions`` field must change ``_solver_signature``. The
+alternative is a written exemption in this file.
+"""
+
+import dataclasses
+import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from repro.lint import RULES, LintViolation, SourceModule, run_lint
-from repro.lint.cache_key import (
-    cache_key_completeness_rule,
-    solver_options_rule,
-)
+from repro.analysis import cache as cache_module
+from repro.analysis.cache import case_b_key
+from repro.analysis.interface import AnalysisOptions, RegulationConfig
+from repro.analysis.proposed import formulation
+from repro.analysis.proposed.response_time import ProposedAnalysis, _Query
+from repro.curves import SporadicArrival
+from repro.generator.taskset_gen import GenerationConfig, generate_tasksets
+from repro.lint import RULES, LintViolation, SourceModule, load_project, run_lint
 from repro.lint.determinism import (
     import_edges,
     reachable_modules,
     worker_determinism_rule,
 )
-from repro.lint.engine import load_repo_modules
-from repro.lint.rules import float_time_equality_rule, mutable_default_rule
+from repro.lint.rules import float_time_equality_rule
+from repro.model.task import Task
+from repro.model.taskset import TaskSet
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -37,46 +51,26 @@ class TestEngine:
             run_lint(rules=["no-such-rule"])
 
     def test_rule_subset_runs_only_selected(self):
-        bad = _module("m", "def f(x=[]):\n    return x\n")
-        only_float = run_lint({"m": bad}, rules=["float-time-equality"])
-        assert only_float == []
-        only_mutable = run_lint({"m": bad}, rules=["mutable-default-argument"])
-        assert len(only_mutable) == 1
+        bad = {
+            "repro.experiments.runner": _module(
+                "repro.experiments.runner",
+                "import random\n\ndef f(window, last):\n"
+                "    return window == last\n",
+            ),
+        }
+        only_float = run_lint(bad, rules=["float-time-equality"])
+        assert [v.rule for v in only_float] == ["float-time-equality"]
+        only_worker = run_lint(bad, rules=["worker-determinism"])
+        assert [v.rule for v in only_worker] == ["worker-determinism"]
 
     def test_all_registered_rules_discoverable(self):
-        assert set(RULES) == {
-            "cache-key-completeness",
-            "cache-key-solver-options",
-            "worker-determinism",
-            "float-time-equality",
-            "mutable-default-argument",
-            "trace-contract",
-        }
+        assert set(RULES) == {"worker-determinism", "float-time-equality"}
 
     def test_load_repo_modules_names(self):
-        modules = load_repo_modules()
+        modules = load_project().modules
         assert "repro.milp.model" in modules
         assert "repro.lint" in modules  # __init__ collapses to the package
         assert "repro.analysis.cache" in modules
-
-
-class TestMutableDefaultRule:
-    def test_flags_literal_and_call_defaults(self):
-        src = (
-            "def f(x=[]):\n    return x\n"
-            "def g(*, y=dict()):\n    return y\n"
-        )
-        violations = mutable_default_rule({"m": _module("m", src)})
-        assert [v.line for v in violations] == [1, 3]
-
-    def test_allows_none_and_immutable_defaults(self):
-        src = "def f(x=None, y=(), z=0.0, w='s'):\n    return x, y, z, w\n"
-        assert mutable_default_rule({"m": _module("m", src)}) == []
-
-    def test_flags_lambda_defaults(self):
-        src = "h = lambda x=[]: x\n"
-        violations = mutable_default_rule({"m": _module("m", src)})
-        assert len(violations) == 1
 
 
 class TestFloatTimeEqualityRule:
@@ -194,151 +188,244 @@ class TestWorkerDeterminismRule:
         assert len(worker_determinism_rule(self._graph(src))) == 1
 
 
+# ----------------------------------------------------------------------
+# cache-key contract (checked at runtime)
+# ----------------------------------------------------------------------
+#: Task fields that may change a delay model without changing its memo
+#: key. Each needs a written reason; an entry that names no field fails.
+EXEMPT_TASK_ATTRS: dict[str, str] = {}
+
+#: One perturbation per non-exempt ``Task`` field, applied to
+#: :data:`_PERTURBED`, the second-highest-priority task of the set.
+TASK_PERTURBATIONS = {
+    "name": lambda t: dataclasses.replace(t, name=f"{t.name}_renamed"),
+    "exec_time": lambda t: dataclasses.replace(t, exec_time=t.exec_time * 1.5),
+    "copy_in": lambda t: dataclasses.replace(t, copy_in=t.copy_in + 0.5),
+    "copy_out": lambda t: dataclasses.replace(t, copy_out=t.copy_out + 0.5),
+    "deadline": lambda t: dataclasses.replace(t, deadline=t.deadline * 0.8),
+    "priority": lambda t: dataclasses.replace(t, priority=-1),
+    "arrivals": lambda t: dataclasses.replace(
+        t, arrivals=SporadicArrival(t.period / 2)
+    ),
+    "latency_sensitive": lambda t: t.as_latency_sensitive(
+        not t.latency_sensitive
+    ),
+    "footprint": lambda t: dataclasses.replace(t, footprint=4096),
+}
+_PERTURBED = 1
+
+_COMPILED_ARRAYS = (
+    "objective", "objective_constant", "row_matrix", "row_lower",
+    "row_upper", "var_lower", "var_upper", "integrality",
+)
+
+
+def _seeded_tasks() -> list[Task]:
+    """Four generated tasks in priority order, the lowest marked LS."""
+    (taskset,) = generate_tasksets(
+        GenerationConfig(n=4, utilization=0.4, gamma=0.3), count=1, seed=11
+    )
+    return list(taskset.with_ls_marks([taskset[-1].name]))
+
+
+def _delay_models(tasks: list[Task]) -> list[tuple[str, list]]:
+    """Memo key and compiled arrays of each task's delay models: the
+    model at ``t_D`` and, for an LS task, its case-(b) model."""
+    taskset = TaskSet(tasks)
+    analysis = ProposedAnalysis()
+    models = []
+    for task in tasks:
+        query = _Query(analysis, taskset, task)
+        window = query.deadline_window
+        key, _ = analysis._delay_key(query, window)
+        queries = [(key, window, query.mode)]
+        if task.latency_sensitive:
+            queries.append((
+                case_b_key(taskset, task, analysis._solver_signature()),
+                window, formulation.AnalysisMode.LS_CASE_B,
+            ))
+        for key, window, mode in queries:
+            compiled = formulation.build_delay_milp(
+                taskset, task, window, mode, hp_wcrt=query.hp_wcrt
+            ).model.compile()
+            models.append(
+                (key, [getattr(compiled, name) for name in _COMPILED_ARRAYS])
+            )
+    return models
+
+
+def _unkeyed_task_fields(exempt=EXEMPT_TASK_ATTRS) -> list[str]:
+    """Task fields that change some delay model but not its memo key."""
+    fields = {field.name for field in dataclasses.fields(Task)}
+    findings = [
+        f"EXEMPT_TASK_ATTRS exempts {name!r}, which is no Task field"
+        for name in sorted(set(exempt) - fields)
+    ]
+    tasks = _seeded_tasks()
+    base = _delay_models(tasks)
+    for name in sorted(fields):
+        if exempt.get(name):
+            continue
+        if name not in TASK_PERTURBATIONS:
+            findings.append(f"Task.{name} has no perturbation; add one")
+            continue
+        perturbed = list(tasks)
+        perturbed[_PERTURBED] = TASK_PERTURBATIONS[name](tasks[_PERTURBED])
+        for (key, arrays), (new_key, new_arrays) in zip(
+            base, _delay_models(perturbed)
+        ):
+            same = all(map(np.array_equal, arrays, new_arrays))
+            if key == new_key and not same:
+                findings.append(
+                    f"Task.{name} changes a delay model but not its memo key"
+                )
+                break
+    return findings
+
+
+#: AnalysisOptions fields that may stay out of ``_solver_signature``:
+#: each provably unable to change any *individual* solve's optimum.
+EXEMPT_OPTION_FIELDS: dict[str, str] = {
+    "max_iterations": (
+        "bounds how many windows the fixpoint visits, never the optimum "
+        "of any one windowed MILP the cache memoises"
+    ),
+    "stop_at_deadline": (
+        "aborts the iteration between solves; each solved window's "
+        "optimum is unchanged"
+    ),
+    "convergence_eps": (
+        "decides when the iteration stops consuming values, not what "
+        "any solve returns"
+    ),
+}
+
+#: One perturbation per non-exempt ``AnalysisOptions`` field.
+OPTION_PERTURBATIONS = {
+    "time_limit": 5.0,
+    "preemption_thresholds": (("t0", 1),),
+    "regulation": RegulationConfig(budget=1.0, period=2.0),
+}
+
+
+def _unsigned_options(
+    options_type=AnalysisOptions,
+    perturbations=OPTION_PERTURBATIONS,
+    exempt=EXEMPT_OPTION_FIELDS,
+) -> list[str]:
+    """Option fields that leave ``_solver_signature`` unchanged."""
+    fields = {field.name for field in dataclasses.fields(options_type)}
+    findings = [
+        f"EXEMPT_OPTION_FIELDS exempts {name!r}, which is no "
+        "AnalysisOptions field"
+        for name in sorted(set(exempt) - fields)
+    ]
+    base = ProposedAnalysis(options_type())._solver_signature()
+    for name in sorted(fields):
+        if exempt.get(name):
+            continue
+        if name not in perturbations:
+            findings.append(
+                f"AnalysisOptions.{name} has no perturbation; add one"
+            )
+            continue
+        options = dataclasses.replace(
+            options_type(), **{name: perturbations[name]}
+        )
+        if ProposedAnalysis(options)._solver_signature() == base:
+            findings.append(
+                f"AnalysisOptions.{name} does not change _solver_signature"
+            )
+    return findings
+
+
 class TestCacheKeyCompletenessRule:
     def test_real_digest_is_complete(self):
-        assert cache_key_completeness_rule(load_repo_modules()) == []
+        assert _unkeyed_task_fields() == []
 
-    def test_removing_semantic_field_fails_lint(self):
-        # Acceptance pin: strip `latency_sensitive` out of the cache
-        # digest; the formulation still reads it, so two semantically
-        # different MILPs would collide — the lint must fail.
-        modules = dict(load_repo_modules())
-        cache = modules["repro.analysis.cache"]
-        source = Path(cache.path).read_text()
-        assert "task.latency_sensitive" in source
-        tampered = source.replace("task.latency_sensitive", "True")
-        modules["repro.analysis.cache"] = SourceModule.parse(
-            cache.name, cache.path, tampered
+    def test_removing_semantic_field_fails_lint(self, monkeypatch):
+        # A digest that forgets copy_out lets two tasks differing only
+        # in it share one memo entry.
+        monkeypatch.setattr(
+            cache_module,
+            "_task_signature",
+            lambda task: (task.copy_in, task.exec_time, task.latency_sensitive),
         )
-        violations = cache_key_completeness_rule(modules)
-        assert violations, "tampered digest must fail the lint"
-        assert all("latency_sensitive" in v.message for v in violations)
+        assert _unkeyed_task_fields() == [
+            "Task.copy_out changes a delay model but not its memo key"
+        ]
 
-    def test_missing_module_reports_instead_of_passing(self):
-        modules = dict(load_repo_modules())
-        del modules["repro.analysis.cache"]
-        violations = cache_key_completeness_rule(modules)
-        assert len(violations) == 1
-        assert "cannot check" in violations[0].message
+    def test_synthetic_uncovered_read(self, monkeypatch):
+        # A formulation that starts reading an undigested field.
+        build = formulation.build_delay_milp
 
-    def test_synthetic_uncovered_read(self):
-        modules = dict(load_repo_modules())
-        formulation = modules["repro.analysis.proposed.formulation"]
-        tampered = (
-            formulation.tree and Path(formulation.path).read_text()
-        ) + "\n\ndef _peek(task):\n    return task.footprint_bytes\n"
-        task_src = Path(modules["repro.model.task"].path).read_text()
-        task_src = task_src.replace(
-            "class Task:", "class Task:\n    footprint_bytes: int", 1
-        )
-        modules["repro.model.task"] = SourceModule.parse(
-            "repro.model.task", "task.py", task_src
-        )
-        modules["repro.analysis.proposed.formulation"] = SourceModule.parse(
-            formulation.name, formulation.path, tampered
-        )
-        violations = cache_key_completeness_rule(modules)
-        assert any("footprint_bytes" in v.message for v in violations)
+        def reads_footprint(taskset, task, window, mode, hp_wcrt=None):
+            built = build(taskset, task, window, mode, hp_wcrt=hp_wcrt)
+            built.model.var("footprint", 0.0, float(task.footprint or 1))
+            return built
+
+        monkeypatch.setattr(formulation, "build_delay_milp", reads_footprint)
+        assert _unkeyed_task_fields() == [
+            "Task.footprint changes a delay model but not its memo key"
+        ]
 
     def test_exemptions_have_written_justifications(self):
-        from repro.lint.cache_key import EXEMPT_TASK_ATTRS
-
         assert all(reason.strip() for reason in EXEMPT_TASK_ATTRS.values())
+        assert _unkeyed_task_fields({"period": "derived"}) == [
+            "EXEMPT_TASK_ATTRS exempts 'period', which is no Task field"
+        ]
 
 
 class TestSolverOptionsRule:
     def test_real_signature_covers_every_option(self):
-        assert solver_options_rule(load_repo_modules()) == []
+        assert _unsigned_options() == []
 
     def test_unsigned_new_option_field_fails_lint(self):
-        # Acceptance pin: an AnalysisOptions field the signature does
-        # not read means two analyses differing only in it would share
-        # cache entries — the lint must fail.
-        modules = dict(load_repo_modules())
-        options = modules["repro.analysis.interface"]
-        source = Path(options.path).read_text()
-        tampered = source.replace(
-            "class AnalysisOptions:",
-            "class AnalysisOptions:\n    solver_threads: int = 1",
-            1,
+        grown = dataclasses.make_dataclass(
+            "AnalysisOptions",
+            [("solver_threads", int, dataclasses.field(default=1))],
+            bases=(AnalysisOptions,),
+            frozen=True,
         )
-        modules["repro.analysis.interface"] = SourceModule.parse(
-            options.name, options.path, tampered
-        )
-        violations = solver_options_rule(modules)
-        assert any("solver_threads" in v.message for v in violations)
-
-    def test_dropping_schema_version_gate_fails_lint(self):
-        modules = dict(load_repo_modules())
-        store = modules["repro.analysis.store"]
-        source = Path(store.path).read_text()
-        assert "SCHEMA_VERSION = " in source
-        tampered = source.replace("SCHEMA_VERSION = ", "_SCHEMA_VERSION = ")
-        modules["repro.analysis.store"] = SourceModule.parse(
-            store.name, store.path, tampered
-        )
-        violations = solver_options_rule(modules)
-        assert any("SCHEMA_VERSION" in v.message for v in violations)
-
-    def test_unused_schema_version_fails_lint(self):
-        modules = dict(load_repo_modules())
-        tampered = "SCHEMA_VERSION = 1\n"  # defined but gating nothing
-        modules["repro.analysis.store"] = SourceModule.parse(
-            "repro.analysis.store", "store.py", tampered
-        )
-        violations = solver_options_rule(modules)
-        assert any("never read" in v.message for v in violations)
-
-    def test_unsigned_protocol_knobs_fail_lint(self):
-        # The protocol-zoo acceptance fixture: a signature frozen at
-        # its pre-zoo shape (tests/lint_fixtures/solver_options_bad.py)
-        # omits preemption_thresholds and regulation; the rule must
-        # flag exactly those two fields, or threshold/bandwidth sweeps
-        # could share cache entries across differing knobs.
-        fixture = REPO_ROOT / "tests" / "lint_fixtures" / "solver_options_bad.py"
-        modules = dict(load_repo_modules())
-        modules["repro.analysis.proposed.response_time"] = SourceModule.parse(
-            "repro.analysis.proposed.response_time",
-            str(fixture),
-            fixture.read_text(),
-        )
-        violations = solver_options_rule(modules)
-        flagged = {
-            field
-            for v in violations
-            for field in ("preemption_thresholds", "regulation")
-            if f"AnalysisOptions.{field}" in v.message
-        }
-        assert flagged == {"preemption_thresholds", "regulation"}
-        # The solver knobs the fixture does sign stay clean.
-        assert not any("time_limit" in v.message for v in violations)
-
-    def test_stale_exemption_fails_lint(self):
-        fixture = (
-            REPO_ROOT / "tests" / "lint_fixtures" / "options_stale_exemption.py"
-        )
-        modules = dict(load_repo_modules())
-        modules["repro.analysis.interface"] = SourceModule.parse(
-            "repro.analysis.interface", str(fixture), fixture.read_text()
-        )
-        violations = solver_options_rule(modules)
-        assert [v.message for v in violations] == [
-            "EXEMPT_OPTION_FIELDS exempts 'convergence_eps', which is no "
-            "AnalysisOptions field; delete the stale exemption."
+        perturbations = {**OPTION_PERTURBATIONS, "solver_threads": 4}
+        assert _unsigned_options(grown, perturbations) == [
+            "AnalysisOptions.solver_threads does not change _solver_signature"
         ]
 
-    def test_missing_module_reports_instead_of_passing(self):
-        modules = dict(load_repo_modules())
-        del modules["repro.analysis.store"]
-        violations = solver_options_rule(modules)
-        assert len(violations) == 1
-        assert "cannot check" in violations[0].message
+    def test_unsigned_protocol_knobs_fail_lint(self, monkeypatch):
+        # A signature frozen at its pre-protocol-zoo shape: without the
+        # threshold and regulation knobs, the threshold and regulated
+        # analyses would share entries across differing knobs.
+        monkeypatch.setattr(
+            ProposedAnalysis,
+            "_solver_signature",
+            lambda self: (self.method, self.options.time_limit),
+        )
+        assert _unsigned_options() == [
+            "AnalysisOptions.preemption_thresholds does not change "
+            "_solver_signature",
+            "AnalysisOptions.regulation does not change _solver_signature",
+        ]
+
+    def test_stale_exemption_fails_lint(self):
+        # An AnalysisOptions that lost convergence_eps while the
+        # exemption table still names it.
+        stale = dataclasses.make_dataclass(
+            "AnalysisOptions",
+            [
+                (field.name, field.type, dataclasses.field(default=field.default))
+                for field in dataclasses.fields(AnalysisOptions)
+                if field.name != "convergence_eps"
+            ],
+            frozen=True,
+        )
+        assert _unsigned_options(stale) == [
+            "EXEMPT_OPTION_FIELDS exempts 'convergence_eps', which is no "
+            "AnalysisOptions field"
+        ]
 
     def test_exemptions_have_written_justifications(self):
-        from repro.lint.cache_key import EXEMPT_OPTION_FIELDS
-
         assert all(reason.strip() for reason in EXEMPT_OPTION_FIELDS.values())
-
 
 class TestViolationRendering:
     def test_render_is_path_line_rule(self):
@@ -346,8 +433,12 @@ class TestViolationRendering:
         assert v.render() == "a/b.py:7: [r] msg"
 
     def test_run_lint_sorts_by_location(self):
-        src = "def f(x=[]):\n    return x\ndef g(y=[]):\n    return y\n"
+        src = (
+            "def f(window, last):\n    return window == last\n"
+            "def g(wcrt, last):\n    return wcrt != last\n"
+        )
         out = run_lint({"m": _module("m", src)})
+        assert len(out) == 2
         assert [v.line for v in out] == sorted(v.line for v in out)
 
 
@@ -362,24 +453,23 @@ class TestEntryPoints:
         assert "invariants hold" in captured.err
 
     def test_standalone_tool_clean(self):
-        proc = subprocess.run(
-            [sys.executable, str(REPO_ROOT / "tools" / "lint_rules.py")],
-            capture_output=True,
-            text=True,
-        )
+        proc = _repro_lint()
         assert proc.returncode == 0, proc.stdout + proc.stderr
         assert proc.stdout == ""
         assert "all project invariants hold" in proc.stderr
 
     def test_standalone_tool_lists_rules(self):
-        proc = subprocess.run(
-            [
-                sys.executable,
-                str(REPO_ROOT / "tools" / "lint_rules.py"),
-                "--list",
-            ],
-            capture_output=True,
-            text=True,
-        )
+        proc = _repro_lint("--help")
         assert proc.returncode == 0
-        assert set(proc.stdout.split()) == set(RULES)
+        assert "{float-time-equality,worker-determinism}" in proc.stdout
+
+
+def _repro_lint(*args):
+    """``python -m repro lint``, run as CI runs it."""
+    env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}
+    return subprocess.run(
+        [sys.executable, "-m", "repro", "lint", *args],
+        capture_output=True,
+        text=True,
+        env=env,
+    )

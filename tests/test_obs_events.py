@@ -40,25 +40,25 @@ class TestSchema:
         assert validate_event(event) == []
 
     def test_rejects_wrong_version(self):
-        assert validate_event({"v": 99, "name": "x", "t": 0.0})
+        assert validate_event({"v": 99, "name": "run.end", "t": 0.0})
 
     def test_rejects_missing_required(self):
         assert validate_event({"v": EVENT_VERSION, "t": 0.0})
-        assert validate_event({"v": EVENT_VERSION, "name": "x"})
+        assert validate_event({"v": EVENT_VERSION, "name": "run.end"})
 
     def test_rejects_unknown_fields(self):
         problems = validate_event(
-            {"v": EVENT_VERSION, "name": "x", "t": 0.0, "bogus": 1}
+            {"v": EVENT_VERSION, "name": "run.end", "t": 0.0, "bogus": 1}
         )
         assert any("bogus" in p for p in problems)
 
     def test_rejects_bad_types(self):
-        assert validate_event({"v": EVENT_VERSION, "name": "x", "t": "now"})
+        assert validate_event({"v": EVENT_VERSION, "name": "run.end", "t": "now"})
         assert validate_event(
-            {"v": EVENT_VERSION, "name": "x", "t": 0.0, "dur": -1.0}
+            {"v": EVENT_VERSION, "name": "run.end", "t": 0.0, "dur": -1.0}
         )
         assert validate_event(
-            {"v": EVENT_VERSION, "name": "x", "t": 0.0, "point": -1}
+            {"v": EVENT_VERSION, "name": "run.end", "t": 0.0, "point": -1}
         )
         assert validate_event({"v": EVENT_VERSION, "name": "", "t": 0.0})
         assert validate_event("not a dict")
@@ -88,7 +88,7 @@ class TestRecorder:
     def test_span_measures_duration(self):
         ticks = iter([10.0, 13.5, 13.5])  # start, dur end, event t
         rec = EventRecorder(clock=lambda: next(ticks))
-        with rec.span("phase"):
+        with rec.span("gen.tasksets"):
             pass
         (event,) = rec.events
         assert event["dur"] == 3.5
@@ -102,45 +102,45 @@ class TestRecorder:
 
     def test_drain_clears_buffer(self):
         rec = EventRecorder()
-        rec.emit("a")
+        rec.emit("run.end")
         assert len(rec.drain()) == 1
         assert rec.events == ()
 
     def test_module_emit_is_noop_without_scope(self):
         assert active_recorder() is None
         emit("solve")  # must not raise
-        with span("phase"):
+        with span("gen.tasksets"):
             pass
 
     def test_recording_scope_captures_module_emits(self):
         with recording() as rec:
             emit("solve", status="optimal")
-            with span("phase", task="t1"):
-                emit("inner")
+            with span("gen.tasksets", task="t1"):
+                emit("run.end")
         names = [e["name"] for e in rec.events]
-        assert names == ["solve", "inner", "phase"]
+        assert names == ["solve", "run.end", "gen.tasksets"]
         assert active_recorder() is None
 
     def test_module_emit_forwards_full_envelope(self):
         # Regression pin: point/unit passed through the module-level
         # emit() must land as top-level envelope keys, not in f{}.
         with recording() as rec:
-            emit("solve", dur=0.5, task="t1", point=3, unit=1, note="x")
+            emit("solve", dur=0.5, task="t1", point=3, unit=1, mode="nls")
         (event,) = rec.events
         assert event["point"] == 3
         assert event["unit"] == 1
         assert event["task"] == "t1"
         assert event["dur"] == 0.5
-        assert event["f"] == {"note": "x"}
+        assert event["f"] == {"mode": "nls"}
         assert validate_event(event) == []
 
     def test_nested_scopes_innermost_wins(self):
         with recording() as outer:
             with recording() as inner:
-                emit("x")
-            emit("y")
-        assert [e["name"] for e in inner.events] == ["x"]
-        assert [e["name"] for e in outer.events] == ["y"]
+                emit("run.start")
+            emit("run.end")
+        assert [e["name"] for e in inner.events] == ["run.start"]
+        assert [e["name"] for e in outer.events] == ["run.end"]
 
 
 class TestTraceWriter:
@@ -170,7 +170,7 @@ class TestTraceWriter:
         writer = TraceWriter(tmp_path / "t.jsonl", run_id="r")
         writer.close()
         with pytest.raises(ObservabilityError, match="closed"):
-            writer.emit("x")
+            writer.emit("run.end")
 
     def test_unopenable_path_raises(self, tmp_path):
         with pytest.raises(ObservabilityError, match="cannot open"):
@@ -180,7 +180,7 @@ class TestTraceWriter:
         path = tmp_path / "t.jsonl"
         with TraceWriter(path, run_id="r") as writer:
             with pytest.raises(ObservabilityError):
-                writer.write({"v": EVENT_VERSION, "name": "x"})  # no t
+                writer.write({"v": EVENT_VERSION, "name": "run.end"})  # no t
         assert path.read_text() == ""
 
 
@@ -191,17 +191,17 @@ class TestReadTrace:
 
     def test_invalid_json_reports_line(self, tmp_path):
         path = tmp_path / "t.jsonl"
-        path.write_text('{"v": 1, "name": "a", "t": 0}\nnot json\n')
+        path.write_text('{"v": 1, "name": "run.end", "t": 0}\nnot json\n')
         with pytest.raises(ObservabilityError, match=":2"):
             read_trace(path)
 
     def test_invalid_event_reports_line(self, tmp_path):
         path = tmp_path / "t.jsonl"
-        path.write_text('{"v": 1, "name": "a", "t": 0}\n{"v": 1}\n')
+        path.write_text('{"v": 1, "name": "run.end", "t": 0}\n{"v": 1}\n')
         with pytest.raises(ObservabilityError, match=":2"):
             read_trace(path)
 
     def test_blank_lines_skipped(self, tmp_path):
         path = tmp_path / "t.jsonl"
-        path.write_text('{"v": 1, "name": "a", "t": 0}\n\n')
+        path.write_text('{"v": 1, "name": "run.end", "t": 0}\n\n')
         assert len(read_trace(path)) == 1

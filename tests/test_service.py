@@ -29,8 +29,9 @@ from repro.experiments.config import figure2_config
 from repro.experiments.units import unit_digest
 from repro.faults import FaultPlan, FaultSpec
 from repro.generator.taskset_gen import GenerationConfig
-from repro.obs import read_trace
+from repro.obs import read_trace, recording
 from repro.service import SweepService, run_service_sweep, serve, submit_sweep
+from repro.service.worker import _check_disconnect
 from repro.service.wire import (
     MAX_FRAME,
     WireError,
@@ -379,6 +380,26 @@ class TestServiceChaos:
         )
         result = run_service_sweep(config, workers=2, fault_plan=plan)
         _identical(result, baseline)
+
+    def test_disconnect_fires_for_its_unit_and_attempt_only(self):
+        plan = FaultPlan(
+            specs=(
+                FaultSpec(
+                    site="service.disconnect", mode="drop", point=0,
+                    unit=1, attempt=0,
+                ),
+            ),
+            name="svc-partition",
+        )
+        with recording() as recorder:
+            assert not _check_disconnect(plan, 0, 0, 0)
+            assert not _check_disconnect(plan, 0, 1, 1)
+            assert not _check_disconnect(None, 0, 1, 0)
+            assert _check_disconnect(plan, 0, 1, 0)
+        (event,) = recorder.events
+        assert event["name"] == "fault.service.disconnect"
+        assert (event["point"], event["unit"]) == (0, 1)
+        assert event["f"] == {"mode": "drop", "spec": 0, "plan": "svc-partition"}
 
     def test_persistent_killer_is_quarantined(self, config):
         plan = FaultPlan(

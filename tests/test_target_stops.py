@@ -271,6 +271,19 @@ class TestCutoffStatusPlumbing:
         assert solution.status is SolveStatus.TARGET_REACHED
         assert solution.objective == 1.6
 
+    def test_an_untargeted_optimum_reports_its_dual_bound(self, monkeypatch):
+        # An untargeted solve stops within HiGHS's default gap, so its
+        # incumbent (1.5 here) may lie below the optimum; the dual
+        # bound (1.75) may not. A targeted solve runs at zero gap and
+        # keeps its incumbent.
+        within_gap = _FakeResult(0, x=np.array([1.0, 0.5]))
+        within_gap.mip_dual_bound = -1.75
+        _patch_milp(monkeypatch, [within_gap])
+        assert HighsBackend().solve(_small_model()).objective == 1.75
+        assert HighsBackend().solve(_small_model(), target=5.0).objective == 1.5
+        within_gap.mip_dual_bound = -1.25
+        assert HighsBackend().solve(_small_model()).objective == 1.5
+
     def test_a_time_limit_under_a_cutoff_degrades(self, monkeypatch):
         _patch_milp(monkeypatch, [_FakeResult(1, x=np.array([0.0, 0.5]))])
         with pytest.raises(SolverTimeoutError):
