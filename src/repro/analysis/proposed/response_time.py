@@ -99,6 +99,12 @@ def _meets(task: Task, response: Time) -> bool:
     return response <= task.deadline + 1e-9
 
 
+def _window(task: Task, response: Time) -> Time:
+    """The window ``t = R - C - u`` of a tentative response, floored at
+    ``l`` (the copy-in always precedes the execution)."""
+    return max(response - task.exec_time - task.copy_out, task.copy_in)
+
+
 def _usable(solution: MilpSolution) -> bool:
     """Whether a backend's answer may stand: no error status, and a
     finite objective whenever it reports one."""
@@ -113,9 +119,11 @@ class _DelayEval(NamedTuple):
     """One evaluation of the delay map ``f`` at a window.
 
     ``objective`` is the MILP optimum (the delaying-interval length;
-    add ``copy_out`` for the response) — or, after a solve that stopped
-    at its objective target, a lower bound beyond that target; or, after
-    a probe's cutoff proof, an upper bound at or below ``D - u``.
+    add ``copy_out`` for the response), and ``kind`` says which side
+    of the optimum it lies on, in the memo's tags: ``"milp"``, the
+    optimum as the memo keeps it; ``"lb"``, a lower bound, from a solve
+    that stopped at its objective target; ``"ub"``, an upper bound,
+    from a probe's cutoff proof or any degraded solve.
     """
 
     objective: float
@@ -123,6 +131,7 @@ class _DelayEval(NamedTuple):
     stats: dict
     degradation: int
     cached: bool
+    kind: str
 
 
 class _IncrementalSlot:
@@ -149,7 +158,8 @@ class _Query:
     once: ``closed_form``, the closed-form WCRT (``inf`` past ``D``);
     and, for a task that bound does not prove,
     ``deadline_key`` and ``deadline_answer``, the memo's digest and
-    answer at ``t_D`` (see :meth:`ProposedAnalysis._recall`), and
+    answer at ``t_D`` (see :meth:`ProposedAnalysis._recall`; the probe
+    stores its own answer there when it solves), and
     ``lp_proved``, whether the LP relaxation there fits ``D``. The
     higher-priority WCRTs of the carry refinement and the model at
     ``t_D`` are computed on first use, so a rung that decides early
@@ -170,9 +180,7 @@ class _Query:
             self.theta = slack + TARGET_SLACK
             self.cutoff = slack - CUTOFF_MARGIN * max(1.0, abs(slack))
         #: ``t_D = D - C - u``, the window of a response equal to ``D``.
-        self.deadline_window = max(
-            task.deadline - task.exec_time - task.copy_out, task.copy_in
-        )
+        self.deadline_window = _window(task, task.deadline)
         self.closed_form: Time = math.inf
         self.deadline_key = ""
         self.deadline_answer: _DelayEval | None = None
@@ -378,14 +386,15 @@ class ProposedAnalysis:
             self._solver_sig = sig
         return sig
 
-    def _delay_key(self, query: _Query, window: Time) -> tuple[str, int]:
-        """Cache digest and interval count of one windowed delay MILP.
+    def _staircase(
+        self, query: _Query, window: Time
+    ) -> tuple[int, tuple[int, ...], int]:
+        """``(N_i(t), budgets, cancellation budget)`` of one window.
 
-        The window enters the formulation only through ``N_i(t)``, the
-        per-task budgets and the cancellation budget; together they
-        carry *every* dependence on ``t``, so two windows with equal
-        staircases build the identical model (the fact the key relies
-        on).
+        The window enters the formulation only through these three
+        integer staircases; together they carry *every* dependence on
+        ``t``, so two windows with equal staircases build the identical
+        model (the fact the cache key and the step target rely on).
         """
         taskset, task, mode = query.taskset, query.task, query.mode
         hp_wcrt = query.hp_wcrt
@@ -405,12 +414,54 @@ class ProposedAnalysis:
             for j in taskset
             if j.name != task.name
         )
+        return n, budgets, cancellation_budget(taskset, task, window, mode)
+
+    def _delay_key(self, query: _Query, window: Time) -> tuple[str, int]:
+        """Cache digest and interval count of one windowed delay MILP."""
+        n, budgets, cancellations = self._staircase(query, window)
         key = delay_milp_key(
-            taskset, task, mode.value, n, budgets,
-            cancellation_budget(taskset, task, window, mode),
-            hp_wcrt, self._solver_signature(),
+            query.taskset, query.task, query.mode.value, n, budgets,
+            cancellations, query.hp_wcrt, self._solver_signature(),
         )
         return key, n
+
+    def _step_start(self, query: _Query) -> Time:
+        """The lowest window whose staircase equals ``t_D``'s.
+
+        Found by bisection between the ``l`` floor and ``t_D`` down to
+        adjacent floats, keeping ``hi`` on ``t_D``'s staircase, so the
+        answer always builds ``t_D``'s model.
+        """
+        lo, hi = query.task.copy_in, query.deadline_window
+        step = self._staircase(query, hi)
+        if self._staircase(query, lo) == step:
+            return lo
+        while True:
+            mid = lo + (hi - lo) / 2
+            if not lo < mid < hi:
+                return hi
+            if self._staircase(query, mid) == step:
+                hi = mid
+            else:
+                lo = mid
+
+    def _step_target(self, query: _Query) -> float:
+        """The fixpoint's objective target once the probe has disproved
+        ``t_D``: the least delay whose next window reaches ``s``, the
+        start of ``t_D``'s step, capped at ``theta``.
+
+        ``f`` is monotone and constant on a step, so a delay at or above
+        it moves the iteration to a window where ``f >= f(t_D) > D - u``
+        (docs/analysis.md, "Step targets"). The window is computed as
+        :meth:`_iterate` computes it, so float rounding cannot leave the
+        next window just below ``s``.
+        """
+        task, start = query.task, self._step_start(query)
+        target = start + task.exec_time
+        while _window(task, target + task.copy_out) < start:
+            target = math.nextafter(target, math.inf)
+        assert query.theta is not None  # exact-MILP verdicts only
+        return min(query.theta, target)
 
     def _obtain_model(
         self, slot: _IncrementalSlot, query: _Query, window: Time
@@ -466,11 +517,11 @@ class ProposedAnalysis:
                 _, objective, num_intervals, stats, degradation = entry
                 answer = _DelayEval(
                     objective, int(num_intervals), dict(stats),
-                    int(degradation), cached=True,
+                    int(degradation), cached=True, kind="milp",
                 )
                 return key, n, answer, None
             if entry[0] == "lb" and target is not None and target <= entry[1]:
-                return key, n, _DelayEval(entry[1], n, {}, 0, True), None
+                return key, n, _DelayEval(entry[1], n, {}, 0, True, "lb"), None
             if entry[0] in ("lp", "ub"):
                 return key, n, None, entry[1]
         return key, n, None, None
@@ -520,7 +571,7 @@ class ProposedAnalysis:
         bound, memoised as ``("ub", bound)`` and never read as an
         optimum. Degraded solutions — where :meth:`_solve_model`
         substituted a weaker bound — are never memoised, so a retry
-        keeps its chance of a sharper value.
+        keeps its chance of a sharper value; their kind is ``"ub"``.
         """
         mode = built.mode
         solution = self._solve_model(
@@ -560,21 +611,24 @@ class ProposedAnalysis:
         below = solution.status is SolveStatus.BELOW_CUTOFF
         if below:
             self.cache.bump("milp_cutoff_proofs")
-        if not solution.degradation:
-            if reached or below:
-                entry: tuple = ("lb" if reached else "ub", solution.objective)
-            else:
-                entry = (
-                    "milp", solution.objective, built.num_intervals,
-                    dict(built.stats), 0,
-                )
-            self.cache.put(key, entry)
+        if solution.degradation:
+            kind = "ub"
+        elif reached or below:
+            kind = "lb" if reached else "ub"
+            self.cache.put(key, (kind, solution.objective))
+        else:
+            kind = "milp"
+            self.cache.put(key, (
+                "milp", solution.objective, built.num_intervals,
+                dict(built.stats), 0,
+            ))
         return _DelayEval(
             solution.objective,
             built.num_intervals,
             dict(built.stats),
             solution.degradation,
             cached=False,
+            kind=kind,
         )
 
     def _delay(
@@ -601,7 +655,7 @@ class ProposedAnalysis:
             lp_bound <= incumbent
         ):
             self.cache.bump("milp_warm_starts")
-            return _DelayEval(incumbent, n, {}, 0, cached=True)
+            return _DelayEval(incumbent, n, {}, 0, cached=True, kind="milp")
         built = self._obtain_model(slot, query, window)
         if incumbent is not None and lp_bound is None and self.method == "milp":
             lp_bound = self._relax(built, key, query.task)
@@ -609,7 +663,7 @@ class ProposedAnalysis:
                 self.cache.bump("milp_warm_starts")
                 return _DelayEval(
                     incumbent, built.num_intervals, dict(built.stats), 0,
-                    cached=False,
+                    cached=False, kind="milp",
                 )
         return self._solve(built, key, query.taskset, query.task, target)
 
@@ -624,7 +678,10 @@ class ProposedAnalysis:
 
     # ------------------------------------------------------------------
     def _iterate(
-        self, query: _Query, target: float | None = None
+        self,
+        query: _Query,
+        target: float | None = None,
+        step_target: float | None = None,
     ) -> TaskResult:
         """The integer response-time fixpoint of one query.
 
@@ -639,9 +696,14 @@ class ProposedAnalysis:
         One compiled model lives across iterations (see
         :meth:`_obtain_model`) and each new window is first squeezed
         with its LP bound (see :meth:`_delay`). ``target`` (verdict
-        path only) is handed to every integer solve; a stop at it
-        leaves a response beyond the deadline, which is all the verdict
-        reads.
+        path only) is handed to every integer solve, and a lower
+        ``step_target`` (see :meth:`_step_target`) replaces it in each
+        iteration whose response it would move by more than
+        ``convergence_eps``. A value at or above the solve's target —
+        possibly only a lower bound — ends the iteration unconverged
+        with an infinite WCRT: the fixpoint lies beyond the deadline,
+        which is all the verdict reads, and the value never reaches the
+        convergence test.
         """
         task, mode, options = query.task, query.mode, self.options
         if self.method == "closed_form":
@@ -656,14 +718,19 @@ class ProposedAnalysis:
         incumbent: float | None = None
         response = task.total_cost
         for iteration in range(1, options.max_iterations + 1):
-            window = max(response - task.exec_time - task.copy_out, task.copy_in)
+            window = _window(task, response)
+            aim = target
+            if step_target is not None and (
+                step_target + task.copy_out > response + options.convergence_eps
+            ):
+                aim = step_target
             with obs.span(
                 "fixpoint.iteration",
                 task=task.name,
                 mode=mode.value,
                 iteration=iteration,
             ):
-                evaluated = self._delay(query, window, slot, incumbent, target)
+                evaluated = self._delay(query, window, slot, incumbent, aim)
                 details["cache_hits" if evaluated.cached else "solves"] += 1
                 details["num_intervals"] = evaluated.num_intervals
                 details.setdefault("milp_stats", evaluated.stats)
@@ -672,6 +739,8 @@ class ProposedAnalysis:
                         details.get("degradation", 0), evaluated.degradation
                     )
                 incumbent = evaluated.objective
+            if aim is not None and incumbent >= aim:
+                return TaskResult(task, math.inf, iteration, False, details)
             new_response = incumbent + task.copy_out
             if new_response <= response + options.convergence_eps:
                 return TaskResult(
@@ -763,20 +832,31 @@ class ProposedAnalysis:
         (docs/analysis.md, "Fast verdicts"). A memoised answer the screen
         read stands in for the solve."""
         task = query.task
-        answer = query.deadline_answer
-        if answer is None:
-            answer = self._solve(
+        if query.deadline_answer is None:
+            query.deadline_answer = self._solve(
                 query.deadline_model, query.deadline_key, query.taskset, task,
                 query.theta, query.cutoff,
             )
-        return True if _meets(task, answer.objective + task.copy_out) else None
+        objective = query.deadline_answer.objective
+        return True if _meets(task, objective + task.copy_out) else None
 
     def _fixpoint_rung(self, query: _Query) -> bool:
         """The integer fixpoint decides. Its solves carry the target
         only with ``stop_at_deadline``, the only time it stops at the
-        deadline."""
-        target = query.theta if self.options.stop_at_deadline else None
-        return _meets(query.task, self._iterate(query, target).wcrt)
+        deadline. When the probe's answer is no upper bound it has
+        disproved ``t_D``, and the solves stop at the start of
+        ``t_D``'s step instead (:meth:`_step_target`)."""
+        if not self.options.stop_at_deadline:
+            return _meets(query.task, self._iterate(query).wcrt)
+        step_target = None
+        answer = query.deadline_answer
+        if query.theta is not None and answer is not None and (
+            answer.kind != "ub"
+        ):
+            step_target = self._step_target(query)
+        return _meets(
+            query.task, self._iterate(query, query.theta, step_target).wcrt
+        )
 
     def _screened(self, taskset: TaskSet, tasks: Sequence[Task]) -> list[_Query]:
         """One query per task, with the closed-form and LP screens run once.

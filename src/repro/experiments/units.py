@@ -727,27 +727,32 @@ class UnitScheduler:
         if self.writer is not None:
             self.writer.emit(name, **kwargs)  # type: ignore[arg-type]
 
-    def _emit_synthesized_death(
+    def _emit_synthesized_fault(
         self, key: "tuple[int, int]", attempt: int
     ) -> None:
-        # The worker's own buffered fault.worker.death event died with
-        # the process; re-derive it from the plan's static predicates
-        # so the trace still proves the injection. (A real, un-injected
-        # crash has no matching spec and emits nothing here.)
+        # The fault that killed the worker never reached the trace: a
+        # worker.death event died with the process's buffer, and a
+        # service.disconnect fires before the unit has a recorder at
+        # all. Re-derive it from the plan's static predicates so the
+        # trace still proves the injection, checking the sites in the
+        # order the worker fires them. (A real, un-injected crash has no
+        # matching spec and emits nothing here.)
         if self.writer is None or self.fault_plan is None:
             return
-        spec = self.fault_plan.matching(
-            "worker.death", point=key[0], unit=key[1], attempt=attempt
-        )
-        if spec is not None:
-            self.writer.emit(
-                "fault.worker.death",
-                point=key[0],
-                unit=key[1],
-                mode=spec.mode,
-                plan=self.fault_plan.name,
-                synthesized=True,
+        for site in ("service.disconnect", "worker.death"):
+            spec = self.fault_plan.matching(
+                site, point=key[0], unit=key[1], attempt=attempt
             )
+            if spec is not None:
+                self.writer.emit(
+                    f"fault.{site}",
+                    point=key[0],
+                    unit=key[1],
+                    mode=spec.mode,
+                    plan=self.fault_plan.name,
+                    synthesized=True,
+                )
+                return
 
     def record_unit(self, point_index: int, unit: _UnitResult) -> None:
         """Accept one evaluated unit (its missing protocols only) and
@@ -803,7 +808,7 @@ class UnitScheduler:
         """Count one crash/unexpected failure of a pending unit and
         either requeue it (attempt + 1) or give up on it."""
         self.crash_counts[key] = self.crash_counts.get(key, 0) + 1
-        self._emit_synthesized_death(key, attempt)
+        self._emit_synthesized_fault(key, attempt)
         if self.crash_counts[key] < _CRASH_QUARANTINE_AT:
             self.pending[key] = attempt + 1
             self._emit(

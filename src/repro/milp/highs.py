@@ -16,7 +16,7 @@ from scipy.optimize import Bounds, LinearConstraint, milp
 
 from repro.errors import BackendUnavailableError, SolverTimeoutError
 from repro.faults import injection as faults
-from repro.milp.model import MilpBackend, MilpModel
+from repro.milp.model import CompiledMilp, MilpBackend, MilpModel
 from repro.milp.solution import MilpSolution, SolveStatus
 from repro.obs import events as obs
 
@@ -47,6 +47,30 @@ _STATUS4_RETRY_LADDER: tuple[Mapping[str, object], ...] = (
 # HiGHS model status 12 (``kObjectiveTarget``). scipy has no status of
 # its own for it: it reports status 4 with this marker in ``message``.
 _TARGET_MARKER = "(HiGHS Status 12:"
+
+
+#: HiGHS's default ``mip_feasibility_tolerance``: how far its own
+#: incumbents may break a row or a variable bound.
+_FEASIBILITY_TOL = 1e-6
+
+
+def _snapped(compiled: CompiledMilp, x: np.ndarray) -> np.ndarray:
+    """``x`` with its integer variables rounded (HiGHS reports values
+    such as 0.9999999), unless the rounded point breaks a row or a
+    variable bound by more than :data:`_FEASIBILITY_TOL`; then HiGHS's
+    own values stand, so the objective is never read off an infeasible
+    point."""
+    snapped = x.copy()
+    int_mask = compiled.integrality.astype(bool)
+    snapped[int_mask] = np.round(snapped[int_mask])
+    activity = compiled.row_matrix @ snapped
+    violation = max(
+        np.max(compiled.row_lower - activity, initial=0.0),
+        np.max(activity - compiled.row_upper, initial=0.0),
+        np.max(compiled.var_lower - snapped, initial=0.0),
+        np.max(snapped - compiled.var_upper, initial=0.0),
+    )
+    return snapped if violation <= _FEASIBILITY_TOL else x
 
 
 def _reached_target(result: Any, target: float | None) -> bool:
@@ -144,7 +168,6 @@ class HighsBackend(MilpBackend):
             )
 
         start = time.perf_counter()
-        int_mask = compiled.integrality.astype(bool)
         failures: list[str] = []
         result: Any = None
         status = SolveStatus.ERROR
@@ -180,9 +203,7 @@ class HighsBackend(MilpBackend):
                     continue
                 if not status.has_solution or result.x is None:
                     break
-                x = np.asarray(result.x, dtype=float)
-                # Snap integer variables to avoid 0.9999999 artefacts.
-                x[int_mask] = np.round(x[int_mask])
+                x = _snapped(compiled, np.asarray(result.x, dtype=float))
                 objective = (
                     float(compiled.objective @ x) + compiled.objective_constant
                 )

@@ -129,7 +129,8 @@ EVENT_NAMES: dict[str, dict[str, str]] = {
                             "name": "str?"},
     "fault.fs.error": {"mode": "str", "spec": "int", "plan": "str",
                        "op": "str"},
-    "fault.service.disconnect": {"mode": "str", "spec": "int", "plan": "str"},
+    "fault.service.disconnect": {"mode": "str", "spec": "int?", "plan": "str",
+                                 "synthesized": "bool?"},
 }
 
 #: JSON Schema (draft-07 subset) of one trace event record. The

@@ -381,6 +381,33 @@ class TestServiceChaos:
         result = run_service_sweep(config, workers=2, fault_plan=plan)
         _identical(result, baseline)
 
+    def test_injected_disconnect_reaches_the_trace(self, config, tmp_path):
+        # The worker drops its connection before the unit has a
+        # recorder, so the coordinator re-derives the fault event.
+        plan = FaultPlan(
+            specs=(
+                FaultSpec(
+                    site="service.disconnect", mode="drop", point=0,
+                    unit=1, attempt=0,
+                ),
+            ),
+            name="svc-partition",
+        )
+        trace = tmp_path / "svc.trace.jsonl"
+        run_service_sweep(
+            config, workers=2, fault_plan=plan, trace_path=str(trace)
+        )
+        events = list(read_trace(trace))
+        (fault,) = [
+            e for e in events if e["name"] == "fault.service.disconnect"
+        ]
+        assert (fault["point"], fault["unit"]) == (0, 1)
+        assert fault["f"] == {
+            "mode": "drop", "plan": "svc-partition", "synthesized": True,
+        }
+        assert not any(e["name"] == "fault.worker.death" for e in events)
+        assert "worker.requeued" in [e["name"] for e in events]
+
     def test_disconnect_fires_for_its_unit_and_attempt_only(self):
         plan = FaultPlan(
             specs=(

@@ -4,13 +4,16 @@ A verdict only asks whether a delay exceeds ``D - u``, so its integer
 solves carry that value as an objective target and HiGHS may stop at
 the first incumbent beyond it; the probe at ``t_D`` also carries a
 cutoff just below it, so HiGHS may prune every schedule that cannot
-exceed it. These tests pin the three layers: the backend's
-``TARGET_REACHED`` and ``BELOW_CUTOFF`` statuses, the rank-ordered
-``lb`` and ``ub`` entries of the analysis cache, and verdicts/WCRTs
+exceed it. Once the probe has disproved ``t_D``, the fixpoint's solves
+stop at the start of ``t_D``'s staircase step instead. These tests pin
+the layers: the backend's ``TARGET_REACHED`` and ``BELOW_CUTOFF``
+statuses and its integer snapping, the rank-ordered ``lb`` and ``ub``
+entries of the analysis cache, the step targets, and verdicts/WCRTs
 that the early stops never move.
 """
 
 import dataclasses
+import math
 import warnings
 
 import numpy as np
@@ -23,19 +26,20 @@ from repro.analysis.cache import AnalysisCache, _entry_rank
 from repro.analysis.interface import AnalysisOptions
 from repro.analysis.proposed import ProposedAnalysis
 from repro.analysis.proposed.formulation import AnalysisMode, build_delay_milp
-from repro.analysis.proposed.response_time import _Query
+from repro.analysis.proposed.response_time import TARGET_SLACK, _Query, _window
 from repro.analysis.wasly import WaslyAnalysis
 from repro.experiments import run_experiment
 from repro.experiments.config import figure2_config
 from repro.experiments.report import aggregate_analysis_stats
 from repro.generator.taskset_gen import GenerationConfig, generate_tasksets
-from repro.errors import SolverTimeoutError
+from repro.errors import BackendUnavailableError, SolverTimeoutError
 from repro.milp import (
     BranchBoundBackend,
     DegradationLevel,
     HighsBackend,
     LpRelaxationBackend,
     MilpModel,
+    MilpSolution,
     SolveStatus,
 )
 from repro.model.taskset import TaskSet
@@ -297,6 +301,33 @@ class TestCutoffStatusPlumbing:
         assert solution.objective == pytest.approx(2.0)
 
 
+def _snap_model(rhs):
+    m = MilpModel("snap")
+    x = m.var("x", 0.0, 1.0, integer=True)
+    m.add(1000.0 * x <= rhs)
+    m.maximize(x)
+    return m
+
+
+class TestSnapping:
+    def test_snapping_within_tolerance_rounds(self, monkeypatch):
+        _patch_milp(monkeypatch, [_FakeResult(0, x=np.array([0.9999999]))])
+        solution = HighsBackend().solve(_snap_model(1000.0), target=5.0)
+        assert solution.objective == 1.0
+        assert solution.value_by_name("x") == 1.0
+
+    def test_snapping_that_breaks_a_row_keeps_the_solver_values(
+        self, monkeypatch
+    ):
+        # Rounding x = 0.9999996 up puts 1000 x at 1000, 4e-4 over the
+        # row, far beyond HiGHS's 1e-6 feasibility tolerance; the
+        # objective must not be read off that point.
+        _patch_milp(monkeypatch, [_FakeResult(0, x=np.array([0.9999996]))])
+        solution = HighsBackend().solve(_snap_model(999.9996), target=5.0)
+        assert solution.objective == 0.9999996
+        assert solution.value_by_name("x") == 0.9999996
+
+
 class TestLowerBoundEntries:
     def test_ranks_order_lp_below_lb_below_milp(self):
         lp, lb = _entry_rank(("lp", 9.0)), _entry_rank(("lb", 3.0))
@@ -537,6 +568,133 @@ class TestProbeCutoffOnGeneratedMatrix:
         assert [second.verdict(taskset, task) for task in taskset] == verdicts
         assert cache.counters["milp_solves"] == solves
         assert cache.counters["milp_cutoff_proofs"] == proofs
+
+
+class _StopsAtEveryTarget:
+    """A backend that claims a target stop on every targeted solve."""
+
+    name = "stops-at-every-target"
+
+    def __init__(self):
+        self.targets = []
+
+    def solve(self, model, target=None, cutoff=None):
+        self.targets.append(target)
+        return MilpSolution(status=SolveStatus.TARGET_REACHED, objective=target)
+
+
+class _FailsUnderCutoff:
+    """HiGHS, except that every solve under a cutoff (the probe) fails."""
+
+    name = "fails-under-cutoff"
+
+    def solve(self, model, target=None, cutoff=None):
+        if cutoff is not None:
+            raise BackendUnavailableError("probe unavailable")
+        return HighsBackend().solve(model, target=target)
+
+
+class TestStepTargets:
+    def test_step_start_opens_the_deadline_windows_step(self, probe_queries):
+        raised = 0
+        for query in probe_queries:
+            analysis, task = query.analysis, query.task
+            start = analysis._step_start(query)
+            step = analysis._staircase(query, query.deadline_window)
+            assert task.copy_in <= start <= query.deadline_window
+            assert analysis._staircase(query, start) == step, task.name
+            if start > task.copy_in:
+                below = math.nextafter(start, -math.inf)
+                assert analysis._staircase(query, below) != step, task.name
+                raised += 1
+        assert raised > 0
+
+    def test_step_target_is_the_least_delay_reaching_the_step(
+        self, probe_queries
+    ):
+        for query in probe_queries:
+            task = query.task
+            start = query.analysis._step_start(query)
+            target = query.analysis._step_target(query)
+            assert target <= query.theta
+            if target < query.theta and start > task.copy_in:
+                assert _window(task, target + task.copy_out) >= start
+                below = math.nextafter(target, -math.inf)
+                assert _window(task, below + task.copy_out) < start
+
+    def test_a_stop_at_the_step_target_is_a_miss_not_convergence(
+        self, probe_queries
+    ):
+        backend = _StopsAtEveryTarget()
+        analysis = ProposedAnalysis(
+            backend_factory=lambda: backend, cache=AnalysisCache()
+        )
+        eps = analysis.options.convergence_eps
+        for probe in probe_queries:
+            query = _Query(analysis, probe.taskset, probe.task)
+            task = query.task
+            step_target = analysis._step_target(query)
+            # A step target the first iteration uses: it moves the
+            # first response by more than the convergence tolerance.
+            if step_target + task.copy_out > task.total_cost + eps and (
+                step_target < query.theta
+            ):
+                break
+        else:
+            pytest.fail("no task on the matrix has a usable step target")
+        result = analysis._iterate(query, query.theta, step_target)
+        # The stop is only a lower bound below D - u: the iteration
+        # must end as a miss on it, never test it for convergence.
+        assert step_target + task.copy_out <= task.deadline
+        assert backend.targets == [step_target]
+        assert not result.converged
+        assert result.wcrt == math.inf
+        # A step target within convergence_eps of the response could
+        # converge the untargeted iteration on its value, so that
+        # iteration keeps theta.
+        backend.targets.clear()
+        near = task.total_cost - task.copy_out + eps / 2
+        analysis._iterate(query, query.theta, near)
+        assert backend.targets == [query.theta]
+
+    def test_a_degraded_probe_keeps_the_deadline_target(self):
+        # A degraded probe answer is only an upper bound on f(t_D): it
+        # disproves nothing, so the fixpoint must not stop at t_D's
+        # step. Every probe degrades here; the verdicts must still be
+        # the full analysis's.
+        for taskset in _matrix():
+            fast = ProposedAnalysis(backend_factory=_FailsUnderCutoff)
+            full = ProposedAnalysis()
+            for task in taskset:
+                expected = full.response_time(taskset, task).schedulable
+                assert fast.verdict(taskset, task) == expected, (
+                    taskset, task.name,
+                )
+
+    @pytest.mark.parametrize("analysis_cls", [ProposedAnalysis, WaslyAnalysis])
+    def test_fixpoint_solves_stop_below_theta_on_generated_matrix(
+        self, analysis_cls, monkeypatch
+    ):
+        stops = []
+        solve = ProposedAnalysis._solve
+
+        def recording_solve(self, built, key, taskset, task, target=None,
+                            cutoff=None):
+            answer = solve(self, built, key, taskset, task, target, cutoff)
+            theta = task.deadline - task.copy_out + TARGET_SLACK
+            if cutoff is None and target is not None and target < theta:
+                stops.append(answer.objective >= target)
+            return answer
+
+        monkeypatch.setattr(ProposedAnalysis, "_solve", recording_solve)
+        for taskset in _matrix():
+            fast, full = analysis_cls(), analysis_cls()
+            for task in taskset:
+                expected = full.response_time(taskset, task).schedulable
+                assert fast.verdict(taskset, task) == expected, (
+                    taskset, task.name,
+                )
+        assert any(stops), stops
 
 
 def test_warm_rerun_on_a_cold_store_solves_nothing(tmp_path):
