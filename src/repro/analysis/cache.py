@@ -52,9 +52,8 @@ from repro.obs import events as obs
 
 #: Counter names every cache exposes (missing ones read as 0).
 #: ``hits`` and ``misses`` count lookups of the memo.
-#: ``milp_warm_starts`` counts fixpoint iterations that reused the
-#: previous iteration's compiled model — either retargeted in place or
-#: squeezed closed by its LP bound without an integer solve.
+#: ``milp_warm_starts`` counts fixpoint iterations that retargeted the
+#: previous iteration's compiled model in place instead of rebuilding it.
 #: ``unit_store.hits`` counts whole or partial *work units* a sweep
 #: answered from their stored rows without analysing the stored
 #: protocols; ``unit_store.corrupt`` counts stored rows that failed
@@ -79,7 +78,6 @@ COUNTER_NAMES = (
     "lp_solves",
     "milp_warm_starts",
     "closed_form_screens",
-    "lp_screens",
     "screened_out",
     "unit_store.hits",
 )
@@ -87,10 +85,11 @@ COUNTER_NAMES = (
 def _entry_rank(value: object) -> int:
     """Soundness rank of a cache entry: bounds below exact verdicts.
 
-    ``("lp", bound)`` screen entries and ``("ub", bound)`` cutoff-proof
-    upper bounds rank lowest, ``("lb", bound)`` target-stop lower bounds
-    next, and ``("milp", ...)`` tuples and bare solved objectives
-    (exact) highest.
+    ``("ub", bound)`` cutoff-proof upper bounds (and ``("lp", bound)``
+    relaxation bounds, which the analysis no longer writes) rank
+    lowest, ``("lb", bound)`` target-stop lower bounds next, and
+    ``("milp", ...)`` tuples and bare solved objectives (exact)
+    highest.
     """
     if isinstance(value, tuple) and value:
         if value[0] in ("lp", "ub"):

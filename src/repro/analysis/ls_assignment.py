@@ -6,7 +6,8 @@ two, Property 4) but can increase the interference it causes on others
 for ``l + C`` instead of ``C``). The paper therefore proposes a greedy
 algorithm: start with every task NLS, analyse, mark the first
 deadline-missing task LS, and repeat — declaring failure when an
-already-LS task misses.
+already-LS task misses. Every policy here decides its rounds by fast
+verdicts and analyses only its final marking in full.
 
 Ablation policies (``all_nls``, ``all_ls``, ``tightest_deadlines``) are
 provided to quantify how much the greedy search matters.
@@ -14,8 +15,10 @@ provided to quantify how much the greedy search matters.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
+from repro.analysis.cache import AnalysisCache
 from repro.analysis.interface import TaskSetResult
 from repro.analysis.proposed.response_time import ProposedAnalysis
 from repro.errors import AnalysisError
@@ -34,7 +37,7 @@ class LsAssignmentOutcome:
             when the search ran in verdict-only mode
             (``collect_results=False``), which the experiment harness
             uses because only the boolean matters there.
-        rounds: Number of full task-set analyses performed.
+        rounds: Number of marking rounds, each one task-set verdict.
         history: LS-name frozensets tried, in order.
     """
 
@@ -57,72 +60,56 @@ def greedy_ls_assignment(
 ) -> LsAssignmentOutcome:
     """The greedy algorithm of Sec. VI.
 
-    All tasks start NLS. After each full analysis, the
-    highest-priority task missing its deadline is marked LS (if it is
-    already LS, the set is deemed unschedulable). Terminates after at
-    most ``n + 1`` rounds since each round adds one LS mark.
-
-    With ``collect_results=False`` each round uses the analysis's fast
-    per-task verdicts (same outcomes, far fewer MILP solves) and the
-    returned ``final_result`` is ``None``.
+    All tasks start NLS. Each round marks the highest-priority task
+    missing its deadline LS (if it is already LS, the set is deemed
+    unschedulable). Terminates after at most ``n + 1`` rounds since
+    each round adds one LS mark.
     """
-    analysis = analysis or ProposedAnalysis()
-    current = taskset.with_ls_marks(())
-    ls_names: set[str] = set()
-    history: list[frozenset[str]] = []
-    rounds = 0
-
-    while True:
-        rounds += 1
-        history.append(frozenset(ls_names))
-        with obs.span("ls.round", round=rounds, marks=len(ls_names)):
-            if collect_results:
-                result = analysis.analyze(current)
-                miss_task = (
-                    None if result.first_miss is None else result.first_miss.task
-                )
-            else:
-                result = None
-                miss_task = analysis.first_unschedulable(current)
-        if miss_task is None:
-            return LsAssignmentOutcome(
-                schedulable=True,
-                taskset=current,
-                final_result=result,
-                rounds=rounds,
-                history=tuple(history),
-            )
-        if miss_task.latency_sensitive:
-            return LsAssignmentOutcome(
-                schedulable=False,
-                taskset=current,
-                final_result=result,
-                rounds=rounds,
-                history=tuple(history),
-            )
-        ls_names.add(miss_task.name)
-        current = current.with_ls_marks(ls_names)
+    return _search(
+        taskset.with_ls_marks(()), analysis or ProposedAnalysis(),
+        collect_results, greedy=True,
+    )
 
 
-def _single_round(
-    taskset_marked: TaskSet,
+def _search(
+    taskset: TaskSet,
     analysis: ProposedAnalysis,
     collect_results: bool,
-    marks: frozenset[str],
+    greedy: bool,
 ) -> LsAssignmentOutcome:
-    with obs.span("ls.round", round=1, marks=len(marks)):
-        if collect_results:
-            result = analysis.analyze(taskset_marked)
-            schedulable = result.schedulable
-        else:
-            result = None
-            schedulable = analysis.first_unschedulable(taskset_marked) is None
+    """Rounds of fast verdicts, then one full analysis of the final marking.
+
+    A round reads only the first miss, which
+    :meth:`ProposedAnalysis.first_unschedulable` finds without any
+    task's exact WCRT; the greedy search marks it LS and goes on, a
+    static marking stops after its one round. With ``collect_results``
+    the final marking alone is then analysed in full, in a memo of its
+    own: the rounds memoise the zero-gap optima of targeted solves,
+    which an untargeted solve reports only within HiGHS's default gap
+    (docs/analysis.md, "Fast verdicts"), so reading them would make the
+    final WCRTs depend on the rounds before.
+    """
+    history: list[frozenset[str]] = []
+    while True:
+        marks = frozenset(t.name for t in taskset.ls_tasks)
+        history.append(marks)
+        with obs.span("ls.round", round=len(history), marks=len(marks)):
+            miss = analysis.first_unschedulable(taskset)
+        if not greedy or miss is None or miss.latency_sensitive:
+            break
+        taskset = taskset.with_ls_marks(marks | {miss.name})
+    result = None
+    if collect_results:
+        alone = copy.copy(analysis)
+        alone.cache = AnalysisCache()
+        alone._wcrt_cache = {}
+        result = alone.analyze(taskset)
     return LsAssignmentOutcome(
-        schedulable=schedulable,
-        taskset=taskset_marked,
+        schedulable=miss is None,
+        taskset=taskset,
         final_result=result,
-        rounds=1,
-        history=(marks,),
+        rounds=len(history),
+        history=tuple(history),
     )
 
 
@@ -132,9 +119,9 @@ def all_nls_assignment(
     collect_results: bool = True,
 ) -> LsAssignmentOutcome:
     """Ablation: never mark anything LS (single round)."""
-    analysis = analysis or ProposedAnalysis()
-    return _single_round(
-        taskset.with_ls_marks(()), analysis, collect_results, frozenset()
+    return _search(
+        taskset.with_ls_marks(()), analysis or ProposedAnalysis(),
+        collect_results, greedy=False,
     )
 
 
@@ -144,10 +131,9 @@ def all_ls_assignment(
     collect_results: bool = True,
 ) -> LsAssignmentOutcome:
     """Ablation: mark every task LS (single round)."""
-    analysis = analysis or ProposedAnalysis()
-    names = frozenset(t.name for t in taskset)
-    return _single_round(
-        taskset.with_ls_marks(names), analysis, collect_results, names
+    return _search(
+        taskset.with_ls_marks(t.name for t in taskset),
+        analysis or ProposedAnalysis(), collect_results, greedy=False,
     )
 
 
@@ -166,12 +152,11 @@ def tightest_deadline_assignment(
     """
     if not 0.0 <= fraction <= 1.0:
         raise AnalysisError(f"fraction must be within [0, 1], got {fraction}")
-    analysis = analysis or ProposedAnalysis()
     count = round(len(taskset) * fraction)
     by_laxity = sorted(taskset, key=lambda t: t.deadline - t.total_cost)
-    names = frozenset(t.name for t in by_laxity[:count])
-    return _single_round(
-        taskset.with_ls_marks(names), analysis, collect_results, names
+    return _search(
+        taskset.with_ls_marks(t.name for t in by_laxity[:count]),
+        analysis or ProposedAnalysis(), collect_results, greedy=False,
     )
 
 

@@ -16,17 +16,18 @@ solved once and cross-checkable against its closed form).
 A verdict needs only ``R <= D``, not ``R``, so
 :meth:`ProposedAnalysis.verdict` first tries an ordered ladder of
 cheaper sufficient conditions; docs/analysis.md, "Fast verdicts", lists
-its rungs in code order. The two screens of the ladder, the closed form
-and the LP relaxation at the deadline window, run once per task, in
-:meth:`ProposedAnalysis._screened`, for one task or a whole task set.
+its rungs in code order. The ladder's one screen, the closed form, runs
+once per task, in :meth:`ProposedAnalysis._screened`, for one task or a
+whole task set; every later rung pays for its model only when the
+ladder reaches it.
 
 Every memoised value is tagged (``("milp", ...)`` exact optimum /
-``("lb", theta)`` target-stop lower bound / ``("lp", bound)``
-screening bound / ``("ub", bound)`` cutoff-proof upper bound), and the
-analysis cache ranks the tags so a bound never shadows an exact
-optimum; see :mod:`repro.analysis.cache`. An ``lb`` entry answers any
-later target query at or below its bound without a solve; ``lp`` and
-``ub`` entries are upper bounds and never stand in for an optimum.
+``("lb", theta)`` target-stop lower bound / ``("ub", bound)``
+cutoff-proof upper bound), and the analysis cache ranks the tags so a
+bound never shadows an exact optimum; see :mod:`repro.analysis.cache`.
+An ``lb`` entry answers any later target query at or below its bound
+without a solve; a ``ub`` entry answers only the probe and never stands
+in for an optimum.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
-import time
 from typing import Callable, NamedTuple, Sequence
 
 from repro.analysis.cache import (
@@ -64,13 +64,12 @@ from repro.analysis.proposed.intervals import (
 from repro.errors import (
     BackendUnavailableError,
     InfeasibleModelError,
-    SolverError,
     SolverTimeoutError,
     UnboundedModelError,
 )
 from repro.milp.highs import HighsBackend
 from repro.milp.model import MilpBackend, MilpModel
-from repro.milp.relaxation import LpRelaxationBackend, screen_batch
+from repro.milp.relaxation import LpRelaxationBackend
 from repro.milp.solution import DegradationLevel, MilpSolution, SolveStatus
 from repro.model.task import Task
 from repro.model.taskset import TaskSet
@@ -154,14 +153,10 @@ class _Query:
     ``mode`` is the windowed mode the task iterates, ``theta`` the
     objective target of its verdict's integer solves and ``cutoff`` the
     objective cutoff of its probe (both exact-MILP method only).
-    :meth:`ProposedAnalysis._screened` fills in the screens' outcomes
-    once: ``closed_form``, the closed-form WCRT (``inf`` past ``D``);
-    and, for a task that bound does not prove,
-    ``deadline_key`` and ``deadline_answer``, the memo's digest and
-    answer at ``t_D`` (see :meth:`ProposedAnalysis._recall`; the probe
-    stores its own answer there when it solves), and
-    ``lp_proved``, whether the LP relaxation there fits ``D``. The
-    higher-priority WCRTs of the carry refinement and the model at
+    :meth:`ProposedAnalysis._screened` fills in ``closed_form``, the
+    closed-form WCRT (``inf`` past ``D``), and the probe fills in
+    ``deadline_answer``, its answer at ``t_D`` (memoised or solved).
+    The higher-priority WCRTs of the carry refinement and the model at
     ``t_D`` are computed on first use, so a rung that decides early
     never pays for them.
     """
@@ -182,9 +177,7 @@ class _Query:
         #: ``t_D = D - C - u``, the window of a response equal to ``D``.
         self.deadline_window = _window(task, task.deadline)
         self.closed_form: Time = math.inf
-        self.deadline_key = ""
         self.deadline_answer: _DelayEval | None = None
-        self.lp_proved = False
 
     @functools.cached_property
     def hp_wcrt(self) -> dict[str, Time] | None:
@@ -192,8 +185,8 @@ class _Query:
 
     @functools.cached_property
     def deadline_model(self) -> DelayMilp:
-        """The delay MILP at ``t_D``, built once for the LP screen and
-        the probe."""
+        """The delay MILP at ``t_D``, built once, by the probe on a memo
+        miss."""
         return build_delay_milp(
             self.taskset, self.task, self.deadline_window, self.mode,
             hp_wcrt=self.hp_wcrt,
@@ -501,14 +494,14 @@ class ProposedAnalysis:
 
     def _recall(
         self, query: _Query, window: Time, target: float | None
-    ) -> tuple[str, int, _DelayEval | None, float | None]:
-        """``(key, N_i(t), answer, lp_bound)`` the memo holds for a window.
+    ) -> tuple[str, _DelayEval | None]:
+        """``(key, answer)`` the memo holds for a window.
 
         The answer is an exact optimum (the float a fresh build and
         solve would produce: the key digests the MILP's full semantic
-        content) or, for a ``target`` at or below a memoised lower
-        bound, that bound. ``lp_bound`` is a memoised upper bound: an
-        LP screen or a cutoff proof.
+        content); for a ``target`` at or below a memoised lower bound,
+        that bound; or a memoised cutoff proof, of kind ``"ub"``, which
+        only the probe reads.
         """
         key, n = self._delay_key(query, window)
         entry = self.cache.get(key)
@@ -519,37 +512,12 @@ class ProposedAnalysis:
                     objective, int(num_intervals), dict(stats),
                     int(degradation), cached=True, kind="milp",
                 )
-                return key, n, answer, None
+                return key, answer
             if entry[0] == "lb" and target is not None and target <= entry[1]:
-                return key, n, _DelayEval(entry[1], n, {}, 0, True, "lb"), None
-            if entry[0] in ("lp", "ub"):
-                return key, n, None, entry[1]
-        return key, n, None, None
-
-    def _relax(self, built: DelayMilp, key: str, task: Task) -> float | None:
-        """The LP bound of one built model, memoised as ``("lp", bound)``.
-
-        ``None`` when the relaxation fails or ends other than optimal:
-        the squeeze of :meth:`_delay` then solves the integer model.
-        """
-        try:
-            relaxed = LpRelaxationBackend().solve_compiled(built.model.compile())
-        except SolverError:
-            return None
-        self.cache.bump("lp_solves")
-        obs.emit(
-            "solve.screen",
-            task=task.name,
-            dur=relaxed.runtime_seconds,
-            mode=built.mode.value,
-            status=relaxed.status.value,
-            rows=built.stats.get("constraints"),
-            vars=built.stats.get("variables"),
-        )
-        if relaxed.status is not SolveStatus.OPTIMAL:
-            return None
-        self.cache.put(key, ("lp", relaxed.objective))
-        return relaxed.objective
+                return key, _DelayEval(entry[1], n, {}, 0, True, "lb")
+            if entry[0] == "ub":
+                return key, _DelayEval(entry[1], n, {}, 0, True, "ub")
+        return key, None
 
     def _solve(
         self,
@@ -636,35 +604,14 @@ class ProposedAnalysis:
         query: _Query,
         window: Time,
         slot: _IncrementalSlot,
-        incumbent: float | None = None,
         target: float | None = None,
     ) -> _DelayEval:
-        """Evaluate the delay map ``f`` at ``window``, memoised.
-
-        With ``incumbent`` set (the previous iteration's objective), a
-        memoised upper bound (LP screen or cutoff proof) or an LP bound
-        at or below it proves the new window's optimum *equals* the
-        incumbent: the monotone fixpoint keeps it from dropping below,
-        the bound caps it from above. The integer solve is skipped and
-        the objective is bit-identical to the solved path's.
-        """
-        key, n, answer, lp_bound = self._recall(query, window, target)
-        if answer is not None:
+        """Evaluate the delay map ``f`` at ``window``, memoised: a
+        cutoff proof never stands in for the optimum."""
+        key, answer = self._recall(query, window, target)
+        if answer is not None and answer.kind != "ub":
             return answer
-        if incumbent is not None and lp_bound is not None and (
-            lp_bound <= incumbent
-        ):
-            self.cache.bump("milp_warm_starts")
-            return _DelayEval(incumbent, n, {}, 0, cached=True, kind="milp")
         built = self._obtain_model(slot, query, window)
-        if incumbent is not None and lp_bound is None and self.method == "milp":
-            lp_bound = self._relax(built, key, query.task)
-            if lp_bound is not None and lp_bound <= incumbent:
-                self.cache.bump("milp_warm_starts")
-                return _DelayEval(
-                    incumbent, built.num_intervals, dict(built.stats), 0,
-                    cached=False, kind="milp",
-                )
         return self._solve(built, key, query.taskset, query.task, target)
 
     def _case_b_wcrt(self, taskset: TaskSet, task: Task) -> Time:
@@ -694,9 +641,8 @@ class ProposedAnalysis:
         lies below the fixpoint.
 
         One compiled model lives across iterations (see
-        :meth:`_obtain_model`) and each new window is first squeezed
-        with its LP bound (see :meth:`_delay`). ``target`` (verdict
-        path only) is handed to every integer solve, and a lower
+        :meth:`_obtain_model`). ``target`` (verdict path only) is handed
+        to every integer solve, and a lower
         ``step_target`` (see :meth:`_step_target`) replaces it in each
         iteration whose response it would move by more than
         ``convergence_eps``. A value at or above the solve's target —
@@ -715,7 +661,6 @@ class ProposedAnalysis:
             "method": "milp", "mode": mode.value, "solves": 0, "cache_hits": 0,
         }
         slot = _IncrementalSlot()
-        incumbent: float | None = None
         response = task.total_cost
         for iteration in range(1, options.max_iterations + 1):
             window = _window(task, response)
@@ -730,7 +675,7 @@ class ProposedAnalysis:
                 mode=mode.value,
                 iteration=iteration,
             ):
-                evaluated = self._delay(query, window, slot, incumbent, aim)
+                evaluated = self._delay(query, window, slot, aim)
                 details["cache_hits" if evaluated.cached else "solves"] += 1
                 details["num_intervals"] = evaluated.num_intervals
                 details.setdefault("milp_stats", evaluated.stats)
@@ -738,10 +683,9 @@ class ProposedAnalysis:
                     details["degradation"] = max(
                         details.get("degradation", 0), evaluated.degradation
                     )
-                incumbent = evaluated.objective
-            if aim is not None and incumbent >= aim:
+            if aim is not None and evaluated.objective >= aim:
                 return TaskResult(task, math.inf, iteration, False, details)
-            new_response = incumbent + task.copy_out
+            new_response = evaluated.objective + task.copy_out
             if new_response <= response + options.convergence_eps:
                 return TaskResult(
                     task, max(response, new_response), iteration, True, details
@@ -779,7 +723,6 @@ class ProposedAnalysis:
         for rung in (
             self._case_b_rung,
             self._closed_form_rung,
-            self._lp_screen_rung,
             self._probe_rung,
         ):
             answer = rung(query)
@@ -816,29 +759,27 @@ class ProposedAnalysis:
             return True
         return False if self.method == "closed_form" else None
 
-    def _lp_screen_rung(self, query: _Query) -> bool | None:
-        """The screen's LP relaxation at ``t_D`` within the deadline
-        proves (exact-MILP method only)."""
-        if not query.lp_proved:
-            return None
-        self.cache.bump("lp_screens")
-        return True
-
     def _probe_rung(self, query: _Query) -> bool | None:
         """One targeted integer evaluation at ``t_D``: ``f`` is monotone,
         so ``f(t_D) + u <= D`` makes ``D`` a pre-fixpoint and the least
         fixpoint is ``<= D``. The solve carries the cutoff just below
         ``D - u``, so it only has to show that no schedule exceeds it
-        (docs/analysis.md, "Fast verdicts"). A memoised answer the screen
-        read stands in for the solve."""
+        (docs/analysis.md, "Fast verdicts"). A memoised answer stands in
+        for the solve, and the model at ``t_D`` is built only on a miss;
+        a memoised cutoff proof is an earlier probe of the same model,
+        re-solved only when it does not fit this task's deadline."""
         task = query.task
-        if query.deadline_answer is None:
-            query.deadline_answer = self._solve(
-                query.deadline_model, query.deadline_key, query.taskset, task,
+        key, answer = self._recall(query, query.deadline_window, query.theta)
+        if answer is None or (
+            answer.kind == "ub"
+            and not _meets(task, answer.objective + task.copy_out)
+        ):
+            answer = self._solve(
+                query.deadline_model, key, query.taskset, task,
                 query.theta, query.cutoff,
             )
-        objective = query.deadline_answer.objective
-        return True if _meets(task, objective + task.copy_out) else None
+        query.deadline_answer = answer
+        return True if _meets(task, answer.objective + task.copy_out) else None
 
     def _fixpoint_rung(self, query: _Query) -> bool:
         """The integer fixpoint decides. Its solves carry the target
@@ -859,20 +800,16 @@ class ProposedAnalysis:
         )
 
     def _screened(self, taskset: TaskSet, tasks: Sequence[Task]) -> list[_Query]:
-        """One query per task, with the closed-form and LP screens run once.
+        """One query per task, with the closed-form screen run once.
 
         The closed form bounds every task, one
-        :func:`closed_form_delay_bounds_batch` call per mode. For each
-        task it leaves undecided the memo is read once at ``t_D``: an
-        exact or ``lb`` answer is kept for the probe, and an upper bound
-        (an LP screen's, or a probe's cutoff proof) screens as it is.
-        The exact-MILP method relaxes the remaining deadline-window
-        models as one block-diagonal LP
-        (:func:`screen_batch`) and memoises the bounds; a failed screen
-        leaves the decision to the probe. The rungs bump the counters
-        as they read the outcomes, so a sweep that stops at its first
-        unschedulable task surfaces identical stats sequentially and in
-        parallel.
+        :func:`closed_form_delay_bounds_batch` call per mode. Nothing
+        else is computed ahead: the memo is read, and a model built, at
+        ``t_D`` only by the probe of a task the ladder reaches, so a
+        sweep that stops at its first unschedulable task pays nothing
+        for the tasks after it. The rungs bump the counters as they
+        decide, so such a sweep surfaces identical stats sequentially
+        and in parallel.
         """
         queries = [_Query(self, taskset, task) for task in tasks]
         modes: dict[AnalysisMode, list[_Query]] = {}
@@ -887,42 +824,6 @@ class ProposedAnalysis:
             )
             for query, bound in zip(group, bounds):
                 query.closed_form = bound
-        if self.method == "closed_form":
-            return queries
-        batch: list[_Query] = []
-        for query in queries:  # priority order
-            task = query.task
-            if _meets(task, query.closed_form) or task.trivially_unschedulable:
-                continue
-            key, _, answer, bound = self._recall(
-                query, query.deadline_window, query.theta
-            )
-            query.deadline_key, query.deadline_answer = key, answer
-            if answer is not None or self.method != "milp":
-                continue
-            if bound is None:
-                batch.append(query)
-            else:
-                query.lp_proved = _meets(task, bound + task.copy_out)
-        if not batch:
-            return queries
-        models = [query.deadline_model.model for query in batch]
-        start = time.perf_counter()
-        try:
-            lp_bounds = screen_batch([model.compile() for model in models])
-        except SolverError:
-            return queries
-        self.cache.bump("lp_solves", len(batch))
-        obs.emit(
-            "solve.screen_batch",
-            dur=time.perf_counter() - start,
-            size=len(batch),
-        )
-        for query, lp_bound in zip(batch, lp_bounds):
-            if lp_bound is None:
-                continue
-            self.cache.put(query.deadline_key, ("lp", lp_bound))
-            query.lp_proved = _meets(query.task, lp_bound + query.task.copy_out)
         return queries
 
     def first_unschedulable(self, taskset: TaskSet) -> Task | None:

@@ -110,7 +110,6 @@ def render_sweep_table(result: SweepResult, baseline: str | None = None) -> str:
         )
     screens = {
         "closed form": stats.get("closed_form_screens", 0),
-        "LP at t_D": stats.get("lp_screens", 0),
         "LS case (b)": stats.get("screened_out", 0),
     }
     if any(screens.values()):

@@ -1,23 +1,18 @@
-"""LP-relaxation backend and batched LP screening.
+"""LP-relaxation backend and batched LP relaxation.
 
 Solves a model with all integrality constraints dropped. For a
 *maximisation* the relaxed optimum upper-bounds the MILP optimum, so —
 for the delay analyses in this package — the result is still a safe
 (more pessimistic) delay bound at a fraction of the cost: one LP solve,
-no branching. Used as the LP screen of the verdict ladder (closed form
-→ LP → MILP), as the fixpoint's LP squeeze and as an ablation axis.
+no branching. Used as the ``method="lp"`` ablation axis and as the
+degradation rung between a failed exact solve and the closed form.
 
-:func:`screen_batch` is the LP screen's one entry point, for one task
-or a whole task set: independent relaxations are joined into one
+:func:`screen_batch` joins independent relaxations into one
 block-diagonal LP (their feasible sets do not interact, so the joint
-optimum decomposes into the per-block optima) and solved in a single
-HiGHS call, replacing per-window Python/solver round-trips with one
-vectorised assembly. A lone model is solved on its own, so its bound
-is the standalone relaxation's. Batched bounds are *screening* values:
-each is a safe upper bound for its block, but its floating-point value
-may differ in the last ulp from a standalone solve, so they are only
-ever memoised in a unit's own analysis cache, which dies with its
-scope.
+optimum decomposes into the per-block optima) and solves it in a single
+HiGHS call. It is off the verdict path: the ladder's LP screen at
+``t_D`` proved nothing a root-pruned cutoff probe does not, and was
+deleted.
 """
 
 from __future__ import annotations
@@ -83,9 +78,8 @@ class LpRelaxationBackend(MilpBackend):
     def solve_compiled(self, compiled: CompiledMilp) -> MilpSolution:
         """Solve from an existing compilation (no model re-lowering).
 
-        The incremental fixpoint driver keeps one compiled model alive
-        and patches its row bounds between iterations; this entry point
-        lets the LP screen reuse that compilation directly.
+        The degradation chain relaxes the model whose exact solve
+        failed; this entry point reuses its compilation directly.
         """
         constraints = None
         if compiled.num_rows:
@@ -119,6 +113,9 @@ def screen_batch(
     compiled: Sequence[CompiledMilp],
 ) -> list[float | None]:
     """LP-relaxation upper bounds for many models in one solver call.
+
+    Off the verdict path; kept only for the benchmark's tracer, which
+    wraps it by name, until ROADMAP item 1's benchmark change deletes it.
 
     The models are stacked into a block-diagonal LP; because the blocks
     share no variables or rows, the joint maximum is the sum of the

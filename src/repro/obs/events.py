@@ -76,13 +76,10 @@ EVENT_NAMES: dict[str, dict[str, str]] = {
     # per-unit protocol evaluation
     "protocol.verdict": {"protocol": "str", "schedulable": "bool"},
     "protocol.failure": {"protocol": "str", "error": "str"},
-    # analysis: fixpoint iterations, solves, screens
+    # analysis: fixpoint iterations and solves
     "fixpoint.iteration": {"mode": "str", "iteration": "int"},
     "solve": {"mode": "str", "method": "str", "status": "str",
               "degradation": "int", "rows": "int?", "vars": "int?"},
-    "solve.screen": {"mode": "str", "status": "str", "rows": "int?",
-                     "vars": "int?"},
-    "solve.screen_batch": {"size": "int"},
     "milp.incremental.update": {"mode": "str"},
     "milp.incremental.rebuild": {"mode": "str"},
     "ls.round": {"round": "int", "marks": "int"},
@@ -96,7 +93,6 @@ EVENT_NAMES: dict[str, dict[str, str]] = {
     "cache.lp_solves": {"amount": "int"},
     "cache.milp_warm_starts": {"amount": "int"},
     "cache.closed_form_screens": {"amount": "int"},
-    "cache.lp_screens": {"amount": "int"},
     "cache.screened_out": {"amount": "int"},
     "cache.unit_store.hits": {"amount": "int"},
     # worker lifecycle / crash recovery

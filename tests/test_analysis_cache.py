@@ -15,6 +15,7 @@ from repro.analysis.ls_assignment import greedy_ls_assignment
 from repro.analysis.proposed.response_time import ProposedAnalysis
 from repro.generator.taskset_gen import GenerationConfig, generate_tasksets
 from repro.model.taskset import TaskSet
+from repro.obs import recording
 
 _SIG = ("milp", "highs", None, None, "None")
 
@@ -66,7 +67,7 @@ class TestStorage:
         stats = cache.stats()
         for name in (
             "hits", "misses", "milp_solves", "lp_solves",
-            "closed_form_screens", "lp_screens",
+            "closed_form_screens", "screened_out",
         ):
             assert stats[name] == 0
 
@@ -258,7 +259,14 @@ class TestLpMethodCaching:
         analysis = ProposedAnalysis(
             AnalysisOptions(), method="lp", cache=cache
         )
-        analysis.response_time(ts, ts.by_name("b"))
+        with recording() as recorder:
+            analysis.response_time(ts, ts.by_name("b"))
         stats = cache.stats()
         assert stats["lp_solves"] > 0
         assert stats["milp_solves"] == 0
+        # The LP method is the only analysis that relaxes a model, so its
+        # solves are the only ``cache.lp_solves`` events a trace can hold.
+        assert stats["lp_solves"] == sum(
+            e["f"]["amount"] for e in recorder.events
+            if e["name"] == "cache.lp_solves"
+        )

@@ -5,8 +5,7 @@ sides of a live model; the contract is *bit-identity* with a fresh
 build at the new window — same matrices, same row order, same audit
 verdict — or ``None`` when the interval count changed and the caller
 must rebuild. On top of it, the analysis keeps one compiled model per
-fixpoint and squeezes converged iterations closed with the LP bound;
-neither may ever change a WCRT.
+fixpoint, which may never change a WCRT.
 """
 
 import numpy as np
@@ -155,27 +154,6 @@ class TestWarmStartedFixpoint:
         assert not cache.counters.get("milp_warm_starts")
         names = [e["name"] for e in recorder.events]
         assert "milp.incremental.rebuild" in names
-
-    def test_lp_squeeze_returns_the_incumbent_without_an_integer_solve(
-        self, ts
-    ):
-        # When the LP bound cannot exceed the incumbent, a solved MILP
-        # could not either (lp >= opt and the fixpoint is monotone), so
-        # the iteration closes at exactly the incumbent value.
-        cache = AnalysisCache()
-        analysis = ProposedAnalysis(cache=cache)
-        incumbent = 1e6
-        with cache_scope(cache):
-            evaluated = analysis._delay(
-                _query(analysis, ts, "c"),
-                8.0,
-                _IncrementalSlot(),
-                incumbent=incumbent,
-            )
-        assert evaluated.objective == incumbent
-        assert cache.counters.get("milp_warm_starts") == 1
-        assert cache.counters.get("lp_solves") == 1
-        assert not cache.counters.get("milp_solves")
 
     def test_wcrts_are_bit_identical_with_and_without_the_cache(self, ts):
         options = AnalysisOptions(stop_at_deadline=False)

@@ -1,5 +1,7 @@
 """Unit tests for the LS-marking policies (Sec. VI)."""
 
+import dataclasses
+
 import pytest
 
 from repro.analysis.ls_assignment import (
@@ -11,7 +13,23 @@ from repro.analysis.ls_assignment import (
 )
 from repro.analysis.proposed.response_time import ProposedAnalysis
 from repro.errors import AnalysisError
+from repro.generator.taskset_gen import GenerationConfig, generate_tasksets
+from repro.milp import HighsBackend
 from repro.model.taskset import TaskSet
+
+
+class _GappedHighs:
+    """HiGHS, with every untargeted answer reported 1e-3 high."""
+
+    name = "gapped-highs"
+
+    def solve(self, model, target=None, cutoff=None):
+        solution = HighsBackend().solve(model, target=target, cutoff=cutoff)
+        if target is None and cutoff is None:
+            return dataclasses.replace(
+                solution, objective=solution.objective + 1e-3
+            )
+        return solution
 
 
 @pytest.fixture
@@ -72,6 +90,37 @@ class TestGreedy:
         assert not out.schedulable
         # The miss repeated on an already-LS task.
         assert "x" in out.ls_names
+
+    def test_rounds_run_verdicts_and_only_the_final_marking_is_analysed(
+        self, ls_fixable_ts, monkeypatch
+    ):
+        analysed = []
+        analyze = ProposedAnalysis.analyze
+
+        def recording_analyze(self, taskset):
+            analysed.append(frozenset(t.name for t in taskset.ls_tasks))
+            return analyze(self, taskset)
+
+        monkeypatch.setattr(ProposedAnalysis, "analyze", recording_analyze)
+        out = greedy_ls_assignment(ls_fixable_ts)
+        assert out.rounds == 2
+        assert analysed == [frozenset({"tight"})]
+        fresh = analyze(ProposedAnalysis(), out.taskset)
+        assert out.final_result.results == fresh.results
+
+    def test_final_analysis_reads_no_memoised_verdict(self):
+        # Verdicts memoise zero-gap optima, which this backend reports
+        # higher untargeted, as HiGHS may within its default gap. The
+        # final analysis must not read them: its WCRTs are those of
+        # analysing the marking alone, whatever the analysis did before.
+        config = GenerationConfig(n=3, utilization=0.5, gamma=0.3)
+        (taskset,) = generate_tasksets(config, count=1, seed=1)
+        analysis = ProposedAnalysis(backend_factory=_GappedHighs)
+        for task in taskset:
+            analysis.verdict(taskset, task)
+        out = all_nls_assignment(taskset, analysis)
+        fresh = ProposedAnalysis(backend_factory=_GappedHighs).analyze(taskset)
+        assert out.final_result.results == fresh.results
 
     def test_greedy_agrees_between_modes(self, ls_fixable_ts):
         a = greedy_ls_assignment(ls_fixable_ts, collect_results=True)

@@ -68,7 +68,7 @@ class TestReportEdges:
         assert stats["closed_form_screens"] == 6
         table = render_sweep_table(sweep)
         assert "analysis cache:" not in table
-        assert "screens: 6 closed form, 0 LP at t_D, 0 LS case (b)" in table
+        assert "screens: 6 closed form, 0 LS case (b)" in table
 
     def test_milp_footer_splits_target_stops_from_cutoff_proofs(self):
         sweep = _result([(0.3, 0.5)])

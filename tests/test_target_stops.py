@@ -371,7 +371,6 @@ _MATRIX = ((4, 0.4, 11, False), (4, 0.5, 12, False), (4, 0.4, 11, True))
 #: The verdict rungs' counters; each must fire somewhere on the matrix.
 _RUNG_COUNTERS = (
     "closed_form_screens",
-    "lp_screens",
     "screened_out",
     "milp_solves",
     "milp_target_stops",
@@ -427,8 +426,9 @@ class TestVerdictsAndWcrts:
     def test_sweep_builds_each_deadline_model_once(
         self, analysis_cls, monkeypatch
     ):
-        # The LP screen and the probe share one query per task, so the
-        # model at the deadline window t_D = D - C - u is built once.
+        # Only the probe builds the model at the deadline window
+        # t_D = D - C - u, once, on a memo miss, and only for a task the
+        # ladder reaches: a task after the first miss costs no model.
         builds = []
 
         def counting_build(taskset, task, window, mode, **kwargs):
@@ -438,10 +438,11 @@ class TestVerdictsAndWcrts:
         monkeypatch.setattr(
             response_time_module, "build_delay_milp", counting_build
         )
-        deadline_builds = 0
+        deadline_builds = unreached = 0
         for taskset in _matrix():
             builds.clear()
-            analysis_cls().first_unschedulable(taskset)
+            first = analysis_cls().first_unschedulable(taskset)
+            reached = True
             for task in taskset:
                 t_d = task.deadline - task.exec_time - task.copy_out
                 count = sum(
@@ -450,7 +451,16 @@ class TestVerdictsAndWcrts:
                 )
                 assert count <= 1, (taskset, task.name, builds)
                 deadline_builds += count
+                if not reached:
+                    assert all(name != task.name for name, _, _ in builds), (
+                        taskset, task.name, builds,
+                    )
+                    unreached += 1
+                reached = reached and task != first
         assert deadline_builds > 0
+        # The matrix has tasks after a first miss, so the second check
+        # is exercised.
+        assert unreached > 0
 
     def test_lb_entries_never_leak_into_wcrt_values(self):
         options = AnalysisOptions(stop_at_deadline=False)
