@@ -85,14 +85,12 @@ COUNTER_NAMES = (
 def _entry_rank(value: object) -> int:
     """Soundness rank of a cache entry: bounds below exact verdicts.
 
-    ``("ub", bound)`` cutoff-proof upper bounds (and ``("lp", bound)``
-    relaxation bounds, which the analysis no longer writes) rank
-    lowest, ``("lb", bound)`` target-stop lower bounds next, and
-    ``("milp", ...)`` tuples and bare solved objectives (exact)
-    highest.
+    ``("ub", bound)`` cutoff-proof upper bounds rank lowest,
+    ``("lb", bound)`` target-stop lower bounds next, and ``("milp",
+    ...)`` tuples and bare solved objectives (exact) highest.
     """
     if isinstance(value, tuple) and value:
-        if value[0] in ("lp", "ub"):
+        if value[0] == "ub":
             return 1
         if value[0] == "lb":
             return 2

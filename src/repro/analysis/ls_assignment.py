@@ -6,19 +6,19 @@ two, Property 4) but can increase the interference it causes on others
 for ``l + C`` instead of ``C``). The paper therefore proposes a greedy
 algorithm: start with every task NLS, analyse, mark the first
 deadline-missing task LS, and repeat — declaring failure when an
-already-LS task misses. Every policy here decides its rounds by fast
+already-LS task misses. The greedy search decides its rounds by fast
 verdicts and analyses only its final marking in full.
 
 Ablation policies (``all_nls``, ``all_ls``, ``tightest_deadlines``) are
-provided to quantify how much the greedy search matters.
+provided to quantify how much the greedy search matters. Each tries one
+marking: one full analysis, or one verdict when only the boolean is
+wanted.
 """
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 
-from repro.analysis.cache import AnalysisCache
 from repro.analysis.interface import TaskSetResult
 from repro.analysis.proposed.response_time import ProposedAnalysis
 from repro.errors import AnalysisError
@@ -37,7 +37,8 @@ class LsAssignmentOutcome:
             when the search ran in verdict-only mode
             (``collect_results=False``), which the experiment harness
             uses because only the boolean matters there.
-        rounds: Number of marking rounds, each one task-set verdict.
+        rounds: Number of markings tried: one per verdict round of
+            the greedy search, and 1 for a static policy.
         history: LS-name frozensets tried, in order.
     """
 
@@ -81,14 +82,21 @@ def _search(
 
     A round reads only the first miss, which
     :meth:`ProposedAnalysis.first_unschedulable` finds without any
-    task's exact WCRT; the greedy search marks it LS and goes on, a
-    static marking stops after its one round. With ``collect_results``
-    the final marking alone is then analysed in full, in a memo of its
-    own: the rounds memoise the zero-gap optima of targeted solves,
-    which an untargeted solve reports only within HiGHS's default gap
-    (docs/analysis.md, "Fast verdicts"), so reading them would make the
-    final WCRTs depend on the rounds before.
+    task's exact WCRT; the greedy search marks it LS and goes on. With
+    ``collect_results`` the final marking is then analysed in the
+    rounds' memo, whose entries are exact (docs/analysis.md, "Fast
+    verdicts"); a static marking skips the verdict round, since its
+    one analysis answers ``schedulable`` too.
     """
+    if not greedy and collect_results:
+        result = analysis.analyze(taskset)
+        return LsAssignmentOutcome(
+            schedulable=result.schedulable,
+            taskset=taskset,
+            final_result=result,
+            rounds=1,
+            history=(frozenset(t.name for t in taskset.ls_tasks),),
+        )
     history: list[frozenset[str]] = []
     while True:
         marks = frozenset(t.name for t in taskset.ls_tasks)
@@ -98,16 +106,10 @@ def _search(
         if not greedy or miss is None or miss.latency_sensitive:
             break
         taskset = taskset.with_ls_marks(marks | {miss.name})
-    result = None
-    if collect_results:
-        alone = copy.copy(analysis)
-        alone.cache = AnalysisCache()
-        alone._wcrt_cache = {}
-        result = alone.analyze(taskset)
     return LsAssignmentOutcome(
         schedulable=miss is None,
         taskset=taskset,
-        final_result=result,
+        final_result=analysis.analyze(taskset) if collect_results else None,
         rounds=len(history),
         history=tuple(history),
     )

@@ -85,8 +85,8 @@ def _reached_target(result: Any, target: float | None) -> bool:
 class HighsBackend(MilpBackend):
     """Solve models with HiGHS through SciPy.
 
-    A solve makes up to four attempts: the default options, then each
-    rung of :data:`_STATUS4_RETRY_LADDER`. An attempt fails when HiGHS
+    A solve makes up to four attempts: its base options, then each
+    rung of :data:`_STATUS4_RETRY_LADDER` on top of them. An attempt fails when HiGHS
     reports an error status, when it returns a non-finite objective,
     or when the ``solver.fault`` site injects a crash, timeout or
     garbage answer into it; a failed attempt moves on to the next
@@ -133,12 +133,12 @@ class HighsBackend(MilpBackend):
         would; and a time-limit stop raises :class:`SolverTimeoutError`,
         because it bounds nothing.
 
-        Any solve with a target or a cutoff runs at zero relative and
-        absolute MIP gap, so an optimal answer is the optimum rather
-        than an incumbent within HiGHS's default gap of it. An
-        untargeted solve keeps that gap, so its objective is the larger
-        of the incumbent and HiGHS's dual bound: an upper bound on the
-        optimum, as is every time-limited answer's.
+        Every solve runs at zero relative and absolute MIP gap, so an
+        optimal answer reports HiGHS's incumbent, which is the optimum
+        up to its feasibility tolerances, not a value within its default
+        gap of it. Only a time-limit stop reads the dual bound: it
+        reports the larger of the incumbent and that bound, an upper
+        bound on the optimum.
         """
         compiled = model.compile()
         # scipy minimises; our canonical sense is maximise.
@@ -149,11 +149,9 @@ class HighsBackend(MilpBackend):
                 compiled.row_matrix, compiled.row_lower, compiled.row_upper
             )
         bounds = Bounds(compiled.var_lower, compiled.var_upper)
-        options: dict[str, object] = {}
+        options: dict[str, object] = {"mip_rel_gap": 0.0, "mip_abs_gap": 0.0}
         if self.time_limit is not None:
             options["time_limit"] = self.time_limit
-        if target is not None or cutoff is not None:
-            options["mip_rel_gap"] = options["mip_abs_gap"] = 0.0
         if target is not None:
             # scipy minimises -(c @ x); HiGHS stops once that drops
             # below -(target - c0), i.e. once the objective exceeds it.
@@ -192,7 +190,7 @@ class HighsBackend(MilpBackend):
                     constraints=constraints,
                     bounds=bounds,
                     integrality=compiled.integrality,
-                    options={**options, **perturbation} or None,
+                    options={**options, **perturbation},
                 )
                 if _reached_target(result, target):
                     status = SolveStatus.TARGET_REACHED
@@ -275,14 +273,13 @@ class HighsBackend(MilpBackend):
             )
         dual_bound = getattr(result, "mip_dual_bound", None)
         if (
-            (target is None or status is SolveStatus.TIME_LIMIT)
+            status is SolveStatus.TIME_LIMIT
             and dual_bound is not None
             and np.isfinite(dual_bound)
         ):
-            # Report the safe side: an untargeted solve stops within
-            # HiGHS's default gap, and a time limit anywhere, so the
-            # incumbent may lie below the optimum. scipy's dual bound
-            # is for the minimisation of -obj.
+            # Report the safe side: at a time limit the incumbent may
+            # lie below the optimum. scipy's dual bound is for the
+            # minimisation of -obj.
             objective = max(
                 objective,
                 float(-dual_bound) + compiled.objective_constant,

@@ -72,23 +72,23 @@ class TestStorage:
             assert stats[name] == 0
 
     def test_put_never_downgrades_entry_rank(self):
-        # Regression pin: an LP screening bound must not overwrite an
+        # Regression pin: a cutoff-proof bound must not overwrite an
         # exact MILP value.
         cache = AnalysisCache()
         cache.put("k", ("milp", 5.0))
-        cache.put("k", ("lp", 7.0))
+        cache.put("k", ("ub", 7.0))
         assert cache.get("k") == ("milp", 5.0)
 
-    def test_put_upgrades_lp_to_milp(self):
+    def test_put_upgrades_ub_to_milp(self):
         cache = AnalysisCache()
-        cache.put("k", ("lp", 7.0))
+        cache.put("k", ("ub", 7.0))
         cache.put("k", ("milp", 5.0))
         assert cache.get("k") == ("milp", 5.0)
 
-    def test_put_keeps_exact_value_over_lp_bound(self):
+    def test_put_keeps_exact_value_over_ub_bound(self):
         cache = AnalysisCache()
         cache.put("k", 5.0)
-        cache.put("k", ("lp", 7.0))
+        cache.put("k", ("ub", 7.0))
         assert cache.get("k") == 5.0
 
     def test_clear_resets_entries_and_counters(self):

@@ -22,6 +22,10 @@ def _model():
     return m
 
 
+#: Options every HiGHS attempt carries, ladder rungs included.
+_ZERO_GAP = {"mip_rel_gap": 0.0, "mip_abs_gap": 0.0}
+
+
 class _FakeResult:
     def __init__(self, status, x=None, mip_dual_bound=None):
         self.status = status
@@ -91,9 +95,10 @@ class TestPresolveRetry:
         solution = HighsBackend().solve(_model())
         assert solution.status is SolveStatus.OPTIMAL
         assert len(calls) == 4
-        assert calls[1] == {"presolve": False}
-        assert calls[2] == {"mip_feasibility_tolerance": 1e-7}
+        assert calls[1] == {**_ZERO_GAP, "presolve": False}
+        assert calls[2] == {**_ZERO_GAP, "mip_feasibility_tolerance": 1e-7}
         assert calls[3] == {
+            **_ZERO_GAP,
             "presolve": False,
             "mip_feasibility_tolerance": 1e-7,
         }

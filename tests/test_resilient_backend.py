@@ -63,6 +63,10 @@ class _AlwaysFail(MilpBackend):
         raise BackendUnavailableError("injected fault")
 
 
+#: Options every HiGHS attempt carries, ladder rungs included.
+_ZERO_GAP = {"mip_rel_gap": 0.0, "mip_abs_gap": 0.0}
+
+
 def _count_milp_calls(monkeypatch):
     """Wrap scipy's milp as HighsBackend calls it; returns the call log."""
     calls = []
@@ -94,12 +98,12 @@ class TestRetries:
         assert solution.degradation is DegradationLevel.EXACT
         # The two injected attempts never reach scipy; the third rung
         # of the ladder is the one that solves.
-        assert calls == [{"mip_feasibility_tolerance": 1e-7}]
+        assert calls == [{**_ZERO_GAP, "mip_feasibility_tolerance": 1e-7}]
 
     def test_no_retry_on_definitive_result(self, reference_milp, monkeypatch):
         calls = _count_milp_calls(monkeypatch)
         HighsBackend().solve(reference_milp)
-        assert calls == [{}]
+        assert calls == [_ZERO_GAP]
 
 
 class TestFallbackChainIsSafe:

@@ -247,9 +247,7 @@ class TestCutoffStatusPlumbing:
         assert calls[0]["objective_target"] == -1.6
         assert calls[0]["mip_rel_gap"] == calls[0]["mip_abs_gap"] == 0.0
 
-    def test_targeted_solves_run_at_zero_gap_and_exact_ones_do_not(
-        self, monkeypatch
-    ):
+    def test_every_solve_runs_at_zero_gap(self, monkeypatch):
         calls = _patch_milp(
             monkeypatch, [_FakeResult(0, x=np.array([1.0, 1.0]))]
         )
@@ -257,7 +255,7 @@ class TestCutoffStatusPlumbing:
         HighsBackend().solve(_small_model())
         assert calls[0]["mip_rel_gap"] == calls[0]["mip_abs_gap"] == 0.0
         assert "objective_bound" not in calls[0]
-        assert calls[1] == {}
+        assert calls[1] == {"mip_rel_gap": 0.0, "mip_abs_gap": 0.0}
 
     def test_an_optimum_below_the_cutoff_reports_the_cutoff(self, monkeypatch):
         # HiGHS's "optimal" incumbent under a cutoff may lie below the
@@ -275,18 +273,19 @@ class TestCutoffStatusPlumbing:
         assert solution.status is SolveStatus.TARGET_REACHED
         assert solution.objective == 1.6
 
-    def test_an_untargeted_optimum_reports_its_dual_bound(self, monkeypatch):
-        # An untargeted solve stops within HiGHS's default gap, so its
-        # incumbent (1.5 here) may lie below the optimum; the dual
-        # bound (1.75) may not. A targeted solve runs at zero gap and
-        # keeps its incumbent.
-        within_gap = _FakeResult(0, x=np.array([1.0, 0.5]))
-        within_gap.mip_dual_bound = -1.75
-        _patch_milp(monkeypatch, [within_gap])
-        assert HighsBackend().solve(_small_model()).objective == 1.75
-        assert HighsBackend().solve(_small_model(), target=5.0).objective == 1.5
-        within_gap.mip_dual_bound = -1.25
+    def test_only_a_time_limit_reads_the_dual_bound(self, monkeypatch):
+        # A zero-gap optimum is exact: its incumbent (1.5) stands,
+        # whatever dual bound scipy reports beside it. Only a
+        # time-limit stop reads the dual bound (1.75), targeted or not
+        # (test_resilient_backend.py pins the untargeted stop).
+        answer = _FakeResult(0, x=np.array([1.0, 0.5]))
+        answer.mip_dual_bound = -1.75
+        _patch_milp(monkeypatch, [answer])
         assert HighsBackend().solve(_small_model()).objective == 1.5
+        answer.status = 1
+        stopped = HighsBackend().solve(_small_model(), target=5.0)
+        assert stopped.status is SolveStatus.TIME_LIMIT
+        assert stopped.objective == 1.75
 
     def test_a_time_limit_under_a_cutoff_degrades(self, monkeypatch):
         _patch_milp(monkeypatch, [_FakeResult(1, x=np.array([0.0, 0.5]))])
@@ -329,9 +328,9 @@ class TestSnapping:
 
 
 class TestLowerBoundEntries:
-    def test_ranks_order_lp_below_lb_below_milp(self):
-        lp, lb = _entry_rank(("lp", 9.0)), _entry_rank(("lb", 3.0))
-        assert lp < lb < _entry_rank(("milp", 4.0, 3, {}, 0))
+    def test_ranks_order_ub_below_lb_below_milp(self):
+        ub, lb = _entry_rank(("ub", 9.0)), _entry_rank(("lb", 3.0))
+        assert ub < lb < _entry_rank(("milp", 4.0, 3, {}, 0))
         assert _entry_rank(4.0) == _entry_rank(("milp", 4.0, 3, {}, 0))
 
     @pytest.mark.parametrize(
@@ -339,8 +338,8 @@ class TestLowerBoundEntries:
         [
             [("lb", 3.0), ("lb", 5.0)],
             [("lb", 5.0), ("lb", 3.0)],
-            [("lp", 9.0), ("lb", 3.0), ("lb", 5.0)],
-            [("lb", 5.0), ("lp", 9.0), ("lb", 3.0)],
+            [("ub", 9.0), ("lb", 3.0), ("lb", 5.0)],
+            [("lb", 5.0), ("ub", 9.0), ("lb", 3.0)],
         ],
     )
     def test_lb_upserts_are_order_independent(self, writes):
@@ -349,10 +348,9 @@ class TestLowerBoundEntries:
             cache.put("d", value)
         assert cache.get("d") == ("lb", 5.0)
 
-    def test_cutoff_proofs_rank_with_the_lp_screens(self):
-        assert _entry_rank(("ub", 2.0)) == _entry_rank(("lp", 9.0))
+    def test_an_exact_entry_supersedes_a_cutoff_proof(self):
         cache = AnalysisCache()
-        for value in (("lp", 9.0), ("ub", 2.0), ("milp", 1.5, 3, {}, 0)):
+        for value in (("ub", 2.0), ("milp", 1.5, 3, {}, 0), ("ub", 9.0)):
             cache.put("d", value)
         assert cache.get("d") == ("milp", 1.5, 3, {}, 0)
 
