@@ -68,6 +68,9 @@ from repro.obs import events as obs
 #: ``milp_cutoff_proofs`` counts the integer solves (also in
 #: ``milp_solves``) that proved no schedule exceeds a probe's cutoff
 #: (:attr:`repro.milp.SolveStatus.BELOW_CUTOFF`).
+#: ``chain_proofs`` and ``chain_stops`` count the probes the Lagrangian
+#: chain bound decided before any solve: proved within the cutoff, or
+#: disproved by a schedule beyond the target.
 COUNTER_NAMES = (
     "hits",
     "misses",
@@ -75,6 +78,8 @@ COUNTER_NAMES = (
     "milp_solves",
     "milp_target_stops",
     "milp_cutoff_proofs",
+    "chain_proofs",
+    "chain_stops",
     "lp_solves",
     "milp_warm_starts",
     "closed_form_screens",

@@ -41,6 +41,13 @@ Variable-encoding notes (all equivalences, not relaxations):
 Deviations that *enlarge* the feasible set (safe for a maximisation
 bound) are documented in DESIGN.md: Constraints 5 and 6 encoded as
 ``<= 1`` instead of ``= 1``, and the refined interval counts.
+
+:mod:`repro.analysis.proposed.chain` solves the windowed model as a
+chain over interval occupants, with the global budget rows relaxed; a
+rule changed here must change there too. ``tests/test_chain_bound.py``
+ties the two: the chain's bound never falls below this model's
+optimum, and each of its schedules passes
+:meth:`~repro.milp.model.MilpModel.check_assignment` on this model.
 """
 
 from __future__ import annotations
@@ -210,18 +217,34 @@ def build_delay_milp(
 
     if mode is AnalysisMode.LS_CASE_B:
         return _build_case_b(taskset, task)
-
-    if mode is AnalysisMode.LS_CASE_A:
-        n = interval_count_ls(
-            taskset, task, window, hp_wcrt,
-            urgent_possible=mode.uses_ls_machinery,
-        )
-    else:
-        n = interval_count_nls(
-            taskset, task, window, hp_wcrt,
-            urgent_possible=mode.uses_ls_machinery,
-        )
+    n = interval_count(taskset, task, window, mode, hp_wcrt)
     return _build_windowed(taskset, task, window, mode, n, hp_wcrt)
+
+
+def interval_count(
+    taskset: TaskSet,
+    task: Task,
+    window: Time,
+    mode: AnalysisMode,
+    hp_wcrt: Mapping[str, Time] | None = None,
+) -> int:
+    """``N_i(t)`` of a windowed mode: Corollary 1 for LS case (a),
+    Theorem 1 for NLS and WASLY."""
+    count = (
+        interval_count_ls
+        if mode is AnalysisMode.LS_CASE_A
+        else interval_count_nls
+    )
+    return count(
+        taskset, task, window, hp_wcrt,
+        urgent_possible=mode.uses_ls_machinery,
+    )
+
+
+def lp_exec_span(mode: AnalysisMode) -> int:
+    """Leading intervals that may hold a lower-priority execution: two
+    for NLS/WASLY (Constraint 3), one for LS case (a) (Constraint 14)."""
+    return 1 if mode is AnalysisMode.LS_CASE_A else 2
 
 
 def update_delay_milp(
@@ -247,15 +270,7 @@ def update_delay_milp(
     mode = built.mode
     if mode is AnalysisMode.LS_CASE_B:
         return built  # case (b) is window-independent
-    count = (
-        interval_count_ls
-        if mode is AnalysisMode.LS_CASE_A
-        else interval_count_nls
-    )
-    n = count(
-        taskset, task, window, hp_wcrt,
-        urgent_possible=mode.uses_ls_machinery,
-    )
+    n = interval_count(taskset, task, window, mode, hp_wcrt)
     if n != built.num_intervals:
         return None
     model = built.model
@@ -308,10 +323,7 @@ def _build_windowed(
     max_l_all = max(t.copy_in for t in taskset)
     max_u_all = max(t.copy_out for t in taskset)
     big_m = _big_m(taskset)
-    # Lower-priority executions are confined to the first `lp_exec_span`
-    # intervals: two for NLS/WASLY (Constraint 3), one for LS case (a)
-    # (Constraint 14).
-    lp_exec_span = 1 if mode is AnalysisMode.LS_CASE_A else 2
+    lp_span = lp_exec_span(mode)
 
     model = MilpModel(f"delay[{task.name},{mode.value},N={n}]")
 
@@ -326,7 +338,7 @@ def _build_windowed(
     for j in others:
         is_lp = j.name in lp
         for k in range(0, n - 1):  # executions live in I_0 .. I_{N-2}
-            if is_lp and k >= lp_exec_span:
+            if is_lp and k >= lp_span:
                 break
             E.create(k, j)
             if mode.uses_ls_machinery and j.latency_sensitive:

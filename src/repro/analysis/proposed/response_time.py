@@ -35,6 +35,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
+import time
 from typing import Callable, NamedTuple, Sequence
 
 from repro.analysis.cache import (
@@ -44,6 +45,7 @@ from repro.analysis.cache import (
     delay_milp_key,
 )
 from repro.analysis.interface import AnalysisOptions, TaskResult, TaskSetResult
+from repro.analysis.proposed.chain import DelayChain, decide
 from repro.analysis.proposed.closed_form import (
     closed_form_delay_bound,
     closed_form_delay_bounds_batch,
@@ -54,13 +56,10 @@ from repro.analysis.proposed.formulation import (
     DelayMilp,
     build_delay_milp,
     cancellation_budget,
+    interval_count,
     update_delay_milp,
 )
-from repro.analysis.proposed.intervals import (
-    interference_budget,
-    interval_count_ls,
-    interval_count_nls,
-)
+from repro.analysis.proposed.intervals import interference_budget
 from repro.errors import (
     BackendUnavailableError,
     InfeasibleModelError,
@@ -391,15 +390,7 @@ class ProposedAnalysis:
         """
         taskset, task, mode = query.taskset, query.task, query.mode
         hp_wcrt = query.hp_wcrt
-        count = (
-            interval_count_ls
-            if mode is AnalysisMode.LS_CASE_A
-            else interval_count_nls
-        )
-        n = count(
-            taskset, task, window, hp_wcrt,
-            urgent_possible=mode.uses_ls_machinery,
-        )
+        n = interval_count(taskset, task, window, mode, hp_wcrt)
         budgets = tuple(
             interference_budget(j, window, hp_wcrt)
             if j.priority < task.priority
@@ -774,12 +765,42 @@ class ProposedAnalysis:
             answer.kind == "ub"
             and not _meets(task, answer.objective + task.copy_out)
         ):
-            answer = self._solve(
+            answer = self._chain(query, key) or self._solve(
                 query.deadline_model, key, query.taskset, task,
                 query.theta, query.cutoff,
             )
         query.deadline_answer = answer
         return True if _meets(task, answer.objective + task.copy_out) else None
+
+    def _chain(self, query: _Query, key: str) -> _DelayEval | None:
+        """Decide the probe by the Lagrangian chain bound, before any
+        model is built (docs/analysis.md, "Chain bound"). A bound at or
+        below the cutoff is memoised as the upper bound a cutoff proof
+        would leave, and a repaired schedule at or above ``theta`` as the
+        lower bound a target stop would leave; otherwise HiGHS probes."""
+        if query.cutoff is None or query.theta is None:
+            return None  # exact-MILP method only
+        start = time.perf_counter()
+        chain = DelayChain(
+            query.taskset, query.task, query.deadline_window, query.mode,
+            query.hp_wcrt,
+        )
+        outcome, bound, iterations = decide(chain, query.cutoff, query.theta)
+        obs.emit(
+            "chain.bound", task=query.task.name,
+            dur=time.perf_counter() - start, outcome=outcome,
+            iterations=iterations,
+        )
+        if outcome == "give_up":
+            return None
+        if outcome == "proof":
+            self.cache.bump("chain_proofs")
+            entry = ("ub", bound)
+        else:
+            self.cache.bump("chain_stops")
+            entry = ("lb", query.theta)
+        self.cache.put(key, entry)
+        return _DelayEval(entry[1], chain.n, {}, 0, cached=False, kind=entry[0])
 
     def _fixpoint_rung(self, query: _Query) -> bool:
         """The integer fixpoint decides. Its solves carry the target

@@ -116,6 +116,12 @@ def render_sweep_table(result: SweepResult, baseline: str | None = None) -> str:
         lines.append(
             "screens: " + ", ".join(f"{n} {rung}" for rung, n in screens.items())
         )
+    chain = stats.get("chain_proofs", 0), stats.get("chain_stops", 0)
+    if any(chain):
+        lines.append(
+            f"chain bound: {chain[0]} probe(s) proved, {chain[1]} "
+            "disproved before any solve"
+        )
     served = stats.get("unit_store.hits", 0)
     corrupt = stats.get("unit_store.corrupt", 0)
     if served or corrupt:

@@ -7,9 +7,11 @@ which plays the role IBM CPLEX plays in the paper's experiments.
 from __future__ import annotations
 
 import math
+import os
 import time
 import warnings
-from typing import Any, Mapping
+from contextlib import contextmanager
+from typing import Any, Iterator, Mapping
 
 import numpy as np
 from scipy.optimize import Bounds, LinearConstraint, milp
@@ -47,6 +49,30 @@ _STATUS4_RETRY_LADDER: tuple[Mapping[str, object], ...] = (
 # HiGHS model status 12 (``kObjectiveTarget``). scipy has no status of
 # its own for it: it reports status 4 with this marker in ``message``.
 _TARGET_MARKER = "(HiGHS Status 12:"
+
+
+@contextmanager
+def _stdout_silenced() -> Iterator[None]:
+    """Point file descriptor 1 at the null device for the extent.
+
+    HiGHS's MIP solver writes some debug lines (for example
+    ``HighsMipSolverData::transformNewIntegerFeasibleSolution
+    tmpSolver.run();``) straight to fd 1 even with its output off,
+    where they would interleave with a caller's own output. Restored
+    on every path; a process with no fd 1 runs unchanged.
+    """
+    try:
+        saved = os.dup(1)
+    except OSError:
+        yield
+        return
+    try:
+        with open(os.devnull, "wb") as sink:
+            os.dup2(sink.fileno(), 1)
+            yield
+    finally:
+        os.dup2(saved, 1)
+        os.close(saved)
 
 
 #: HiGHS's default ``mip_feasibility_tolerance``: how far its own
@@ -185,13 +211,14 @@ class HighsBackend(MilpBackend):
                 if spec is not None:
                     failures.append(f"injected {spec.mode}")
                     continue
-                result = milp(
-                    c=c,
-                    constraints=constraints,
-                    bounds=bounds,
-                    integrality=compiled.integrality,
-                    options={**options, **perturbation},
-                )
+                with _stdout_silenced():
+                    result = milp(
+                        c=c,
+                        constraints=constraints,
+                        bounds=bounds,
+                        integrality=compiled.integrality,
+                        options={**options, **perturbation},
+                    )
                 if _reached_target(result, target):
                     status = SolveStatus.TARGET_REACHED
                     break

@@ -82,6 +82,7 @@ EVENT_NAMES: dict[str, dict[str, str]] = {
               "degradation": "int", "rows": "int?", "vars": "int?"},
     "milp.incremental.update": {"mode": "str"},
     "milp.incremental.rebuild": {"mode": "str"},
+    "chain.bound": {"outcome": "str", "iterations": "int"},
     "ls.round": {"round": "int", "marks": "int"},
     # analysis-cache traffic (names mirror AnalysisCache.COUNTER_NAMES)
     "cache.hits": {"amount": "int"},
@@ -90,6 +91,8 @@ EVENT_NAMES: dict[str, dict[str, str]] = {
     "cache.milp_solves": {"amount": "int"},
     "cache.milp_target_stops": {"amount": "int"},
     "cache.milp_cutoff_proofs": {"amount": "int"},
+    "cache.chain_proofs": {"amount": "int"},
+    "cache.chain_stops": {"amount": "int"},
     "cache.lp_solves": {"amount": "int"},
     "cache.milp_warm_starts": {"amount": "int"},
     "cache.closed_form_screens": {"amount": "int"},

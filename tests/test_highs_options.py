@@ -46,3 +46,31 @@ class TestHighsOptions:
         sol = m.solve(HighsBackend())
         assert sol.runtime_seconds > 0.0
         assert sol.backend == "highs"
+
+
+class TestSolverChatter:
+    def test_highs_prints_nothing_to_stdout(self, capfd):
+        # HiGHS's MIP solver writes a debug line straight to fd 1 on this
+        # model ("HighsMipSolverData::transformNewIntegerFeasibleSolution
+        # tmpSolver.run();"); the backend keeps it off the caller's stdout.
+        from repro.analysis.proposed.formulation import (
+            AnalysisMode,
+            build_delay_milp,
+        )
+        from repro.experiments import figure2_config
+        from repro.generator.taskset_gen import generate_tasksets
+
+        config = figure2_config("fig2a", sets_per_point=4, seed=2023)
+        point = next(p for p in config.points if p.x == pytest.approx(0.5))
+        taskset = next(iter(generate_tasksets(point.generation, 1, 2026)))
+        taskset = taskset.with_ls_marks(["t0", "t2", "t3", "t4"])
+        built = build_delay_milp(
+            taskset, taskset.by_name("t2"), 24.49424114030047,
+            AnalysisMode.LS_CASE_A,
+        )
+        capfd.readouterr()
+        print("before", flush=True)
+        solution = built.model.solve(HighsBackend())
+        print("after", flush=True)
+        assert solution.status is SolveStatus.OPTIMAL
+        assert capfd.readouterr().out == "before\nafter\n"

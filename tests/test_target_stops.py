@@ -366,10 +366,18 @@ class TestLowerBoundEntries:
 #: task of each set is marked latency-sensitive, so LS case (b) runs.
 _MATRIX = ((4, 0.4, 11, False), (4, 0.5, 12, False), (4, 0.4, 11, True))
 
+#: A cell with probes the chain bound gives up on, for ProposedAnalysis
+#: and WaslyAnalysis alike, so HiGHS still probes: it proves a cutoff
+#: on per-task verdicts, and it probes on a sweep's path
+#: (``first_unschedulable``).
+_CHAIN_GIVES_UP = ((4, 0.4, 40, False),)
+
 #: The verdict rungs' counters; each must fire somewhere on the matrix.
 _RUNG_COUNTERS = (
     "closed_form_screens",
     "screened_out",
+    "chain_proofs",
+    "chain_stops",
     "milp_solves",
     "milp_target_stops",
     "milp_cutoff_proofs",
@@ -390,7 +398,7 @@ class TestVerdictsAndWcrts:
         self, analysis_cls, method
     ):
         counters = dict.fromkeys(_RUNG_COUNTERS, 0)
-        for taskset in _matrix():
+        for taskset in _matrix(_MATRIX + _CHAIN_GIVES_UP):
             cache = AnalysisCache()
             fast = analysis_cls(cache=cache, method=method)
             full = analysis_cls(method=method)
@@ -437,7 +445,7 @@ class TestVerdictsAndWcrts:
             response_time_module, "build_delay_milp", counting_build
         )
         deadline_builds = unreached = 0
-        for taskset in _matrix():
+        for taskset in _matrix(_MATRIX + _CHAIN_GIVES_UP):
             builds.clear()
             first = analysis_cls().first_unschedulable(taskset)
             reached = True
@@ -558,24 +566,27 @@ class TestProbeCutoffOnGeneratedMatrix:
             assert model.check_assignment(zero) == [], query.task.name
 
     def test_cutoff_proof_is_memoised_as_an_upper_bound(self):
-        for taskset in _matrix():
+        for taskset in _matrix(_MATRIX + _CHAIN_GIVES_UP):
             cache = AnalysisCache()
             first = ProposedAnalysis(cache=cache)
             verdicts = [first.verdict(taskset, task) for task in taskset]
             proofs = cache.counters.get("milp_cutoff_proofs", 0)
             if proofs:
                 break
+        chain_proofs = cache.counters.get("chain_proofs", 0)
         bounds = [
             v[1] for v in cache._entries.values()
             if isinstance(v, tuple) and v[0] == "ub"
         ]
-        assert proofs > 0 and len(bounds) == proofs
+        # Both provers leave one upper bound each.
+        assert proofs > 0 and len(bounds) == proofs + chain_proofs
         # A second analysis on the same cache proves from the ub tier.
         solves = cache.counters["milp_solves"]
         second = ProposedAnalysis(cache=cache)
         assert [second.verdict(taskset, task) for task in taskset] == verdicts
         assert cache.counters["milp_solves"] == solves
         assert cache.counters["milp_cutoff_proofs"] == proofs
+        assert cache.counters.get("chain_proofs", 0) == chain_proofs
 
 
 class _StopsAtEveryTarget:
