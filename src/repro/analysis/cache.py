@@ -305,12 +305,3 @@ def delay_milp_key(
         )
     )
 
-
-def case_b_key(taskset: TaskSet, task: Task, solver_signature: tuple) -> str:
-    """Digest of the (window-independent) LS case-(b) MILP."""
-    others = tuple(
-        (_task_signature(j), j.priority < task.priority)
-        for j in taskset
-        if j.name != task.name
-    )
-    return digest(("ls_b", _task_signature(task), others, solver_signature))

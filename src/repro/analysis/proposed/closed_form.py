@@ -1,17 +1,20 @@
-"""Fast conservative delay bounds (no MILP solve).
+"""Closed-form delay bounds (no MILP solve).
 
 These bounds over-approximate every scheduling interval by the longest
 it could possibly be — ``max(CPU side, max copy-in + max copy-out)`` —
 and count intervals exactly as Theorem 1 / Corollary 1 do. They are
 cheap fixpoints, provably no tighter than the MILP (whose per-interval
-lengths are tied to the specific occupant), and serve three purposes:
+lengths are tied to the specific occupant), and serve two purposes:
 
 * the first screen of every verdict, one call per task set and mode
   (:func:`closed_form_delay_bounds_batch`), and the whole of
   ``method="closed_form"``;
-* a property-test oracle (``simulation <= MILP <= closed form``);
-* the *exact* treatment of LS case (b), whose two-interval structure
-  admits a closed form (used to cross-check the case-(b) MILP).
+* a property-test oracle (``simulation <= MILP <= closed form``).
+
+LS case (b) needs no fixpoint: its two intervals share one discrete
+choice, the occupant of ``I_0``, so :func:`ls_case_b_bound` is its
+exact optimum, a maximum over at most ``n`` occupants, and the only
+case-(b) value the analysis reads.
 """
 
 from __future__ import annotations
@@ -42,31 +45,39 @@ def _interval_bound(taskset: TaskSet, occupant: Task, urgent_possible: bool) -> 
 
 
 def ls_case_b_bound(taskset: TaskSet, task: Task) -> Time:
-    """Exact closed form of LS case (b) (task promoted in ``I_0``).
+    """Exact WCRT of LS case (b) (task promoted in ``I_0``).
 
-    ``I_0`` holds one arbitrary execution (or none) in parallel with a
-    cancelled lower-priority copy-in and a pre-window copy-out; ``I_1``
-    holds the CPU-side ``l_i + C_i`` in parallel with the copy-out of
-    ``I_0``'s occupant and one further copy-in; the response ends after
-    the task's own copy-out.
+    ``I_0`` holds one occupant ``o`` (an execution, or none) in
+    parallel with a cancelled lower-priority copy-in and a pre-window
+    copy-out; ``I_1`` holds the CPU-side ``l_i + C_i`` in parallel with
+    ``o``'s copy-out and one further copy-in; the response ends after
+    the task's own copy-out. The two interval lengths
+
+    * ``D_0 = max(cpu(o), L_victim + U_all)`` and
+    * ``D_1 = max(l_i + C_i, L_next + u(o))``
+
+    are coupled only through ``o``, so the case-(b) MILP's optimum is
+    the largest ``D_0 + D_1`` over ``o``. An LS occupant runs urgent
+    (``LE_j`` dominates ``E_j``: same copy-out, longer CPU side), so
+    ``cpu(j) = l_j + C_j`` for LS ``j``, ``C_j`` otherwise, and
+    ``cpu(none) = u(none) = 0``.
     """
     if not task.latency_sensitive:
         raise AnalysisError(f"{task.name} is not LS; case (b) does not apply")
     others = [j for j in taskset if j.name != task.name]
-    exec0 = max(
-        (
-            (j.copy_in + j.exec_time) if j.latency_sensitive else j.exec_time
-            for j in others
-        ),
-        default=0.0,
-    )
     max_l_victim = max((j.copy_in for j in taskset.lp(task)), default=0.0)
     max_u_all = max(t.copy_out for t in taskset)
-    delta0 = max(exec0, max_l_victim + max_u_all)
     max_l_next = max((j.copy_in for j in others), default=0.0)
-    max_u_prev = max((j.copy_out for j in others), default=0.0)
-    delta1 = max(task.copy_in + task.exec_time, max_l_next + max_u_prev)
-    return delta0 + delta1 + task.copy_out
+    own_cpu = task.copy_in + task.exec_time
+    occupants = [(0.0, 0.0)] + [
+        ((j.copy_in + j.exec_time) if j.latency_sensitive else j.exec_time,
+         j.copy_out)
+        for j in others
+    ]
+    return max(
+        max(cpu, max_l_victim + max_u_all) + max(own_cpu, max_l_next + out)
+        for cpu, out in occupants
+    ) + task.copy_out
 
 
 def closed_form_delay_bound(

@@ -11,7 +11,8 @@ is the one loop that iterates it.
 
 For LS tasks the bound is the maximum of case (a) (not promoted —
 iterated MILP) and case (b) (promoted in ``I_0`` — window-independent,
-solved once and cross-checkable against its closed form).
+one choice of occupant, so its closed form ``ls_case_b_bound`` is exact
+and is the case-(b) value of every method).
 
 A verdict needs only ``R <= D``, not ``R``, so
 :meth:`ProposedAnalysis.verdict` first tries an ordered ladder of
@@ -38,12 +39,7 @@ import math
 import time
 from typing import Callable, NamedTuple, Sequence
 
-from repro.analysis.cache import (
-    AnalysisCache,
-    active_cache,
-    case_b_key,
-    delay_milp_key,
-)
+from repro.analysis.cache import AnalysisCache, active_cache, delay_milp_key
 from repro.analysis.interface import AnalysisOptions, TaskResult, TaskSetResult
 from repro.analysis.proposed.chain import DelayChain, decide
 from repro.analysis.proposed.closed_form import (
@@ -280,10 +276,7 @@ class ProposedAnalysis:
         case_a = self._iterate(query)
         if not query.ls:
             return case_a
-        if self.method == "milp":
-            case_b = self._case_b_wcrt(taskset, task)
-        else:
-            case_b = ls_case_b_bound(taskset, task)
+        case_b = ls_case_b_bound(taskset, task)
         return dataclasses.replace(
             case_a,
             wcrt=max(case_a.wcrt, case_b),
@@ -305,9 +298,7 @@ class ProposedAnalysis:
     def _solve_model(
         self,
         model: MilpModel,
-        taskset: TaskSet,
-        task: Task,
-        mode: AnalysisMode,
+        query: _Query,
         target: float | None = None,
         cutoff: float | None = None,
     ) -> MilpSolution:
@@ -340,13 +331,10 @@ class ProposedAnalysis:
         # The closed-form WCRT upper-bounds the MILP fixpoint, hence
         # also the per-window optimum (plus copy-out), for every window
         # the iteration can visit.
-        if mode is AnalysisMode.LS_CASE_B:
-            bound = ls_case_b_bound(taskset, task)
-        else:
-            bound = self._closed_form(taskset, task, mode)
+        bound = self._closed_form(query.taskset, query.task, query.mode)
         return MilpSolution(
             status=SolveStatus.TIME_LIMIT,
-            objective=bound - task.copy_out,
+            objective=bound - query.task.copy_out,
             backend="closed_form",
             degradation=DegradationLevel.CLOSED_FORM,
         )
@@ -498,10 +486,10 @@ class ProposedAnalysis:
         entry = self.cache.get(key)
         if isinstance(entry, tuple) and entry:
             if entry[0] == "milp":
-                _, objective, num_intervals, stats, degradation = entry
+                _, objective, num_intervals, stats = entry
                 answer = _DelayEval(
-                    objective, int(num_intervals), dict(stats),
-                    int(degradation), cached=True, kind="milp",
+                    objective, int(num_intervals), dict(stats), 0,
+                    cached=True, kind="milp",
                 )
                 return key, answer
             if entry[0] == "lb" and target is not None and target <= entry[1]:
@@ -514,15 +502,15 @@ class ProposedAnalysis:
         self,
         built: DelayMilp,
         key: str,
-        taskset: TaskSet,
-        task: Task,
+        query: _Query,
         target: float | None = None,
         cutoff: float | None = None,
     ) -> _DelayEval:
         """Solve one built delay MILP and memoise the answer.
 
-        An exact optimum is memoised as ``("milp", ...)``. With
-        ``target`` set (verdict path, exact-MILP method only) the
+        An exact optimum is memoised as ``("milp", objective,
+        num_intervals, stats)``. With ``target`` set (verdict path,
+        exact-MILP method only) the
         integer solve may stop at the first incumbent beyond it; the
         objective is then a lower bound, memoised as ``("lb", bound)``.
         With ``cutoff`` set (the probe only) it may instead prove that
@@ -532,9 +520,9 @@ class ProposedAnalysis:
         substituted a weaker bound — are never memoised, so a retry
         keeps its chance of a sharper value; their kind is ``"ub"``.
         """
-        mode = built.mode
+        task, mode = query.task, query.mode
         solution = self._solve_model(
-            built.model, taskset, task, mode, target=target, cutoff=cutoff
+            built.model, query, target=target, cutoff=cutoff
         )
         self.cache.bump("lp_solves" if self.method == "lp" else "milp_solves")
         obs.emit(
@@ -579,7 +567,7 @@ class ProposedAnalysis:
             kind = "milp"
             self.cache.put(key, (
                 "milp", solution.objective, built.num_intervals,
-                dict(built.stats), 0,
+                dict(built.stats),
             ))
         return _DelayEval(
             solution.objective,
@@ -603,16 +591,7 @@ class ProposedAnalysis:
         if answer is not None and answer.kind != "ub":
             return answer
         built = self._obtain_model(slot, query, window)
-        return self._solve(built, key, query.taskset, query.task, target)
-
-    def _case_b_wcrt(self, taskset: TaskSet, task: Task) -> Time:
-        """LS case (b)'s MILP bound, solved once: it has no window."""
-        key = case_b_key(taskset, task, self._solver_signature())
-        entry = self.cache.get(key)
-        if isinstance(entry, tuple):
-            return entry[1] + task.copy_out
-        built = build_delay_milp(taskset, task, 0.0, AnalysisMode.LS_CASE_B)
-        return self._solve(built, key, taskset, task).objective + task.copy_out
+        return self._solve(built, key, query, target)
 
     # ------------------------------------------------------------------
     def _iterate(
@@ -723,20 +702,15 @@ class ProposedAnalysis:
 
     def _case_b_rung(self, query: _Query) -> bool | None:
         """LS case (b), which has no window: its exact closed form within
-        the deadline proves the case with no solve. Otherwise a case-(b)
-        bound beyond the deadline disproves the task — the MILP's for
-        the exact-MILP method, the closed form's for the others."""
+        the deadline proves the case with no solve, and beyond it
+        disproves the task, on every method."""
         task = query.task
         if not query.ls:
             return None
-        if _meets(task, ls_case_b_bound(query.taskset, task)):
-            if self.method == "milp":
-                self.cache.bump("screened_out")
-            return None
-        if self.method != "milp" or not _meets(
-            task, self._case_b_wcrt(query.taskset, task)
-        ):
+        if not _meets(task, ls_case_b_bound(query.taskset, task)):
             return False
+        if self.method == "milp":
+            self.cache.bump("screened_out")
         return None
 
     def _closed_form_rung(self, query: _Query) -> bool | None:
@@ -766,8 +740,7 @@ class ProposedAnalysis:
             and not _meets(task, answer.objective + task.copy_out)
         ):
             answer = self._chain(query, key) or self._solve(
-                query.deadline_model, key, query.taskset, task,
-                query.theta, query.cutoff,
+                query.deadline_model, key, query, query.theta, query.cutoff
             )
         query.deadline_answer = answer
         return True if _meets(task, answer.objective + task.copy_out) else None

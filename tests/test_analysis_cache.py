@@ -7,7 +7,6 @@ from repro.analysis.cache import (
     AnalysisCache,
     active_cache,
     cache_scope,
-    case_b_key,
     delay_milp_key,
 )
 from repro.analysis.interface import AnalysisOptions
@@ -174,11 +173,6 @@ class TestKeys:
         key_a = delay_milp_key(ts, ts[1], "nls", 5, (2, 1), 0, None, _SIG)
         key_b = delay_milp_key(ts, ts[1], "nls", 5, (2, 1), 0, None, other_sig)
         assert key_a != key_b
-
-    def test_case_b_key_stable(self, ts):
-        marked = ts.with_ls_marks(("a",))
-        task = marked.by_name("a")
-        assert case_b_key(marked, task, _SIG) == case_b_key(marked, task, _SIG)
 
 
 class TestBitIdentity:

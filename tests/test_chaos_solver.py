@@ -122,7 +122,7 @@ class TestSweepEquivalence:
                 ),
             ),
             sets_per_point=2,
-            seed=9,
+            seed=22,
             protocols=("proposed",),
             method="milp",
         )

@@ -105,7 +105,7 @@ class TestFigureInjectSolverFault:
         from repro.obs import read_trace
 
         csv, trace = tmp_path / f"{tag}.csv", tmp_path / f"{tag}.jsonl"
-        args = ["figure", "fig2c", "--sets", "1", "--method", "milp",
+        args = ["figure", "fig2e", "--sets", "1", "--method", "milp",
                 "--jobs", jobs, "--csv", str(csv), "--trace", str(trace)]
         if plan_path is not None:
             args += ["--inject", str(plan_path)]

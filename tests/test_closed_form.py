@@ -1,6 +1,7 @@
 """Unit tests for the closed-form conservative bounds."""
 
 import math
+import random
 
 import pytest
 
@@ -8,8 +9,10 @@ from repro.analysis.proposed.closed_form import (
     closed_form_delay_bound,
     ls_case_b_bound,
 )
+from repro.analysis.proposed.formulation import AnalysisMode, build_delay_milp
 from repro.errors import AnalysisError
 from repro.generator.taskset_gen import GenerationConfig, generate_tasksets
+from repro.milp import HighsBackend, SolveStatus
 from repro.model.taskset import TaskSet
 
 
@@ -54,6 +57,60 @@ class TestCaseBBound:
         # I_0: no others, no lp: only the pre-window copy-out (0.5).
         # I_1: l + C = 4.0.  Plus own copy-out 0.5.
         assert ls_case_b_bound(solo, task) == pytest.approx(0.5 + 4.0 + 0.5)
+
+    def test_one_occupant_sets_both_intervals(self):
+        # j1 has the longest execution, j2 the longest copy-out: maximising
+        # them independently gives max(10, 5) + max(1, 5) = 15, but one
+        # occupant sits in I_0, so the worst is j1 with D_1 = 1.
+        ts = TaskSet.from_parameters(
+            [
+                ("i", 1.0, 0.0, 0.0, 100.0, 10.0),
+                ("j1", 10.0, 0.0, 0.0, 100.0, 20.0),
+                ("j2", 1.0, 0.0, 5.0, 100.0, 30.0),
+            ]
+        ).with_ls_marks(["i"])
+        assert ls_case_b_bound(ts, ts.by_name("i")) == 11.0
+
+
+def _independent_tasksets(count: int, seed: int):
+    """Task sets whose ``l``, ``C`` and ``u`` are drawn independently,
+    with random LS marks (at least one per set)."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(1, 6)
+        rows = [
+            (
+                f"t{k}",
+                rng.uniform(0.1, 10.0),
+                rng.uniform(0.0, 5.0),
+                rng.uniform(0.0, 5.0),
+                100.0,
+                rng.uniform(10.0, 100.0),
+            )
+            for k in range(n)
+        ]
+        ts = TaskSet.from_parameters(rows)
+        marks = [t.name for t in ts if rng.random() < 0.5]
+        yield ts.with_ls_marks(marks or [rng.choice(ts).name])
+
+
+class TestCaseBAgainstMilp:
+    def test_closed_form_is_the_case_b_optimum(self):
+        checked = 0
+        for ts in _independent_tasksets(80, seed=5):
+            for task in ts.ls_tasks:
+                built = build_delay_milp(ts, task, 0.0, AnalysisMode.LS_CASE_B)
+                solution = built.model.solve(HighsBackend())
+                assert solution.status is SolveStatus.OPTIMAL
+                milp = solution.objective + task.copy_out
+                closed = ls_case_b_bound(ts, task)
+                # HiGHS may read up to its 1e-6 feasibility tolerance
+                # above the optimum (plus the subtraction's rounding),
+                # never below it.
+                assert closed <= milp + 1e-12, (ts, task.name)
+                assert milp - closed <= 1e-6 + 1e-12, (ts, task.name)
+                checked += 1
+        assert checked > 100
 
 
 class TestDelayBound:

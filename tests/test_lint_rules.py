@@ -17,7 +17,6 @@ import numpy as np
 import pytest
 
 from repro.analysis import cache as cache_module
-from repro.analysis.cache import case_b_key
 from repro.analysis.interface import AnalysisOptions, RegulationConfig
 from repro.analysis.proposed import formulation
 from repro.analysis.proposed.response_time import ProposedAnalysis, _Query
@@ -229,8 +228,8 @@ def _seeded_tasks() -> list[Task]:
 
 
 def _delay_models(tasks: list[Task]) -> list[tuple[str, list]]:
-    """Memo key and compiled arrays of each task's delay models: the
-    model at ``t_D`` and, for an LS task, its case-(b) model."""
+    """Memo key and compiled arrays of each task's delay model at
+    ``t_D`` (LS case (b) is solved in closed form, with no memo key)."""
     taskset = TaskSet(tasks)
     analysis = ProposedAnalysis()
     models = []
@@ -238,19 +237,12 @@ def _delay_models(tasks: list[Task]) -> list[tuple[str, list]]:
         query = _Query(analysis, taskset, task)
         window = query.deadline_window
         key, _ = analysis._delay_key(query, window)
-        queries = [(key, window, query.mode)]
-        if task.latency_sensitive:
-            queries.append((
-                case_b_key(taskset, task, analysis._solver_signature()),
-                window, formulation.AnalysisMode.LS_CASE_B,
-            ))
-        for key, window, mode in queries:
-            compiled = formulation.build_delay_milp(
-                taskset, task, window, mode, hp_wcrt=query.hp_wcrt
-            ).model.compile()
-            models.append(
-                (key, [getattr(compiled, name) for name in _COMPILED_ARRAYS])
-            )
+        compiled = formulation.build_delay_milp(
+            taskset, task, window, query.mode, hp_wcrt=query.hp_wcrt
+        ).model.compile()
+        models.append(
+            (key, [getattr(compiled, name) for name in _COMPILED_ARRAYS])
+        )
     return models
 
 

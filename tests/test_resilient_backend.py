@@ -11,6 +11,7 @@ from repro.analysis.proposed.formulation import AnalysisMode, build_delay_milp
 from repro.analysis.proposed.response_time import (
     TARGET_SLACK,
     ProposedAnalysis,
+    _Query,
 )
 from repro.errors import BackendUnavailableError
 from repro.experiments.config import figure2_config
@@ -81,7 +82,7 @@ def _count_milp_calls(monkeypatch):
 
 
 def _degrade(analysis, model, taskset, task):
-    return analysis._solve_model(model, taskset, task, AnalysisMode.NLS)
+    return analysis._solve_model(model, _Query(analysis, taskset, task))
 
 
 class TestRetries:
@@ -267,8 +268,9 @@ class TestLadderPin:
         built = build_delay_milp(taskset, task, window, AnalysisMode.NLS)
         assert built.model.name == "delay[t3,nls,N=10]"
         theta = task.deadline - task.copy_out + TARGET_SLACK
-        solution = ProposedAnalysis()._solve_model(
-            built.model, taskset, task, AnalysisMode.NLS, target=theta
+        analysis = ProposedAnalysis()
+        solution = analysis._solve_model(
+            built.model, _Query(analysis, taskset, task), target=theta
         )
         assert solution.status is SolveStatus.OPTIMAL
         assert solution.degradation is DegradationLevel.EXACT

@@ -20,6 +20,7 @@ import numpy as np
 import pytest
 from scipy.optimize import Bounds, LinearConstraint, milp
 
+import repro.analysis.proposed.formulation as formulation_module
 import repro.analysis.proposed.response_time as response_time_module
 import repro.milp.highs as highs_module
 from repro.analysis.cache import AnalysisCache, _entry_rank
@@ -207,12 +208,11 @@ class TestTargetStatusPlumbing:
     def test_degradation_chain_keeps_a_target_stop(self, monkeypatch):
         # A target stop is an answer: the analysis takes it as it is,
         # without degrading to a relaxation.
-        from repro.analysis.proposed.formulation import AnalysisMode
-
         calls = _patch_milp(monkeypatch, [_FakeResult(4, _STOP_MESSAGE)])
         taskset = TaskSet.from_parameters([("a", 1.0, 0.2, 0.2, 10.0, 9.0)])
-        solution = ProposedAnalysis()._solve_model(
-            _small_model(), taskset, taskset.by_name("a"), AnalysisMode.NLS,
+        analysis = ProposedAnalysis()
+        solution = analysis._solve_model(
+            _small_model(), _Query(analysis, taskset, taskset.by_name("a")),
             target=1.5,
         )
         assert solution.status is SolveStatus.TARGET_REACHED
@@ -292,8 +292,9 @@ class TestCutoffStatusPlumbing:
         with pytest.raises(SolverTimeoutError):
             HighsBackend().solve(_small_model(), target=1.6, cutoff=1.5)
         taskset = TaskSet.from_parameters([("a", 1.0, 0.2, 0.2, 10.0, 9.0)])
-        solution = ProposedAnalysis()._solve_model(
-            _small_model(), taskset, taskset.by_name("a"), AnalysisMode.NLS,
+        analysis = ProposedAnalysis()
+        solution = analysis._solve_model(
+            _small_model(), _Query(analysis, taskset, taskset.by_name("a")),
             target=1.6, cutoff=1.5,
         )
         assert solution.degradation is DegradationLevel.LP_RELAXATION
@@ -330,8 +331,8 @@ class TestSnapping:
 class TestLowerBoundEntries:
     def test_ranks_order_ub_below_lb_below_milp(self):
         ub, lb = _entry_rank(("ub", 9.0)), _entry_rank(("lb", 3.0))
-        assert ub < lb < _entry_rank(("milp", 4.0, 3, {}, 0))
-        assert _entry_rank(4.0) == _entry_rank(("milp", 4.0, 3, {}, 0))
+        assert ub < lb < _entry_rank(("milp", 4.0, 3, {}))
+        assert _entry_rank(4.0) == _entry_rank(("milp", 4.0, 3, {}))
 
     @pytest.mark.parametrize(
         "writes",
@@ -350,12 +351,12 @@ class TestLowerBoundEntries:
 
     def test_an_exact_entry_supersedes_a_cutoff_proof(self):
         cache = AnalysisCache()
-        for value in (("ub", 2.0), ("milp", 1.5, 3, {}, 0), ("ub", 9.0)):
+        for value in (("ub", 2.0), ("milp", 1.5, 3, {}), ("ub", 9.0)):
             cache.put("d", value)
-        assert cache.get("d") == ("milp", 1.5, 3, {}, 0)
+        assert cache.get("d") == ("milp", 1.5, 3, {})
 
     def test_exact_entry_supersedes_lb_never_vice_versa(self):
-        exact = ("milp", 4.0, 3, {}, 0)
+        exact = ("milp", 4.0, 3, {})
         cache = AnalysisCache()
         for value in (("lb", 3.0), exact, ("lb", 3.5)):
             cache.put("d", value)
@@ -467,6 +468,41 @@ class TestVerdictsAndWcrts:
         # The matrix has tasks after a first miss, so the second check
         # is exercised.
         assert unreached > 0
+
+    @pytest.mark.parametrize("method", ["milp", "lp", "closed_form"])
+    def test_no_path_builds_a_case_b_model(self, method, monkeypatch):
+        # LS case (b) is exact in closed form: verdicts, sweeps and WCRTs
+        # build every model of the LS cell but never the case-(b) MILP.
+        builds = []
+
+        def counting_build(taskset, task, window, mode, **kwargs):
+            builds.append(mode)
+            return build_delay_milp(taskset, task, window, mode, **kwargs)
+
+        monkeypatch.setattr(
+            response_time_module, "build_delay_milp", counting_build
+        )
+        build_case_b = formulation_module._build_case_b
+
+        def counting_case_b(taskset, task):
+            builds.append(AnalysisMode.LS_CASE_B)
+            return build_case_b(taskset, task)
+
+        monkeypatch.setattr(formulation_module, "_build_case_b", counting_case_b)
+        ls_cells = [cell for cell in _MATRIX if cell[3]]
+        assert ls_cells
+        ls_answers = 0
+        for taskset in _matrix(ls_cells):
+            analysis = ProposedAnalysis(method=method)
+            analysis.first_unschedulable(taskset)
+            for task in taskset:
+                analysis.verdict(taskset, task)
+                result = analysis.response_time(taskset, task)
+                ls_answers += "case_b_wcrt" in result.details
+        assert ls_answers == 3
+        assert AnalysisMode.LS_CASE_B not in builds
+        if method != "closed_form":
+            assert AnalysisMode.LS_CASE_A in builds
 
     def test_lb_entries_never_leak_into_wcrt_values(self):
         options = AnalysisOptions(stop_at_deadline=False)
@@ -697,10 +733,10 @@ class TestStepTargets:
         stops = []
         solve = ProposedAnalysis._solve
 
-        def recording_solve(self, built, key, taskset, task, target=None,
+        def recording_solve(self, built, key, query, target=None,
                             cutoff=None):
-            answer = solve(self, built, key, taskset, task, target, cutoff)
-            theta = task.deadline - task.copy_out + TARGET_SLACK
+            answer = solve(self, built, key, query, target, cutoff)
+            theta = query.task.deadline - query.task.copy_out + TARGET_SLACK
             if cutoff is None and target is not None and target < theta:
                 stops.append(answer.objective >= target)
             return answer
